@@ -11,11 +11,12 @@ from .errors import (CorpusError, DisconnectedGraph, DistlapError,
 from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, DistanceData,
                      Graph, canonical_form, complement, distance_data,
                      enumerate_connected, from_edges, from_graph6,
-                     is_connected, is_isomorphic, to_graph6)
+                     graph6_records, is_connected, is_isomorphic, to_graph6)
 from .linalg import (Spectrum, as_sym_matrix, eigenvalues, eigenvalues_jacobi,
-                     largest_root)
+                     eigenvalues_stacked, largest_root)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
-from .spectra import (SpectralProfile, adjacency_matrix, check_interlacing,
+from .spectra import (SpectralProfile, StackedProfiles, adjacency_matrix,
+                      algebraic_connectivity, check_interlacing,
                       check_quotient_bound, dist_laplacian,
                       dist_signless_laplacian, distance_matrix, laplacian,
                       quotient_lambda1, quotient_matrix, spectral_profile,
@@ -39,6 +40,6 @@ from .verify import (SCAN_CHECKS, SCAN_IDS, ScanReport, check_lemma23,
                      check_lemma24, check_lemma74, compare_kite_tstar,
                      emit_report, fixture31_determinant, fixture61_determinant,
                      proof_fixture_theorem31, proof_fixture_theorem61, scan,
-                     table1_regression)
+                     scan_many, table1_regression)
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
 from .graphs import Graph, complement, distance_data
 from .linalg import Spectrum, eigenvalues
-from .spectra import dist_laplacian, dist_signless_laplacian, spectral_profile
+from .spectra import dist_laplacian, dist_signless_laplacian
+from .spectra import profile_of as _profile
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
@@ -167,11 +168,6 @@ def is_kite(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # cached spectral quantities
-
-
-@lru_cache(maxsize=8192)
-def _profile(g: Graph):
-    return spectral_profile(g)
 
 
 @lru_cache(maxsize=8192)

@@ -6,18 +6,19 @@ Exit codes: 0 success / no violations, 1 at least one violation found,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import CHECKS, THEOREM_IDS
-from .errors import DistlapError
+from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
-from .graphs import from_graph6, to_graph6
+from .graphs import MAX_ORDER, from_graph6, graph6_records, to_graph6
 from .linalg import eigenvalues
 from .spectra import adjacency_matrix, dist_laplacian, dist_signless_laplacian, \
     distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
-from .verify import SCAN_IDS, emit_report, scan, table1_regression
+from .verify import SCAN_IDS, emit_report, scan_many, table1_regression
 
 _MATRICES = {
     "D": distance_matrix,
@@ -42,11 +43,15 @@ def _input_graphs(args):
         g = build(parse_family(args.family))
         yield args.family, g
     elif getattr(args, "file", None) is not None:
-        with open(args.file, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line, from_graph6(line)
+        with open(args.file, "rb") as fh:
+            try:
+                for lineno, text, g in graph6_records(fh):
+                    if g is None:
+                        raise CorpusError(f"line {lineno}: order outside "
+                                          f"1..{MAX_ORDER}")
+                    yield text, g
+            except CorpusError as exc:
+                raise CorpusError(f"{args.file} {exc}") from exc
     else:
         raise DistlapError("one of --graph6, --file, --family is required")
 
@@ -135,13 +140,11 @@ def _cmd_scan(args) -> int:
     corpus = args.n if args.n is not None else args.file
     if corpus is None:
         raise DistlapError("one of --n, --file is required")
-    bad = 0
-    for tid in ids:
-        r = scan(tid, corpus, jobs=args.jobs, fail_fast=args.fail_fast,
-                 tolerance=args.tolerance)
+    reports = scan_many(ids, corpus, fail_fast=args.fail_fast,
+                        tolerance=args.tolerance)
+    for r in reports:
         _emit(r, args.format, args.precise)
-        bad += len(r.violations)
-    return 1 if bad else 0
+    return 1 if any(r.violations for r in reports) else 0
 
 
 def _cmd_table1(args) -> int:
@@ -150,11 +153,23 @@ def _cmd_table1(args) -> int:
     return 0 if all(ok for *_, ok in r.rows) else 1
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite number >= 0."""
+    try:
+        tol = float(text)
+        ok = math.isfinite(tol) and tol >= 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(p, tolerance: bool = False) -> None:
     p.add_argument("--precise", action="store_true",
                    help="print 12 significant digits instead of 4 decimals")
     if tolerance:
-        p.add_argument("--tolerance", type=float, default=1e-7,
+        p.add_argument("--tolerance", type=_tolerance, default=1e-7,
                        help="equality detection tolerance (default 1e-7)")
 
 
@@ -213,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "of this order")
     p.add_argument("--file", help="graph6 file, one graph per line")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: DISTLAP_JOBS or cpu count)")
     p.add_argument("--fail-fast", action="store_true")
     _add_common(p, tolerance=True)
     p.set_defaults(fn=_cmd_scan)

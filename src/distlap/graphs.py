@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DisconnectedGraph, MalformedGraph6, UnsupportedOrder
+from .errors import (CorpusError, DisconnectedGraph, MalformedGraph6,
+                     UnsupportedOrder)
 
 MAX_ORDER = 64
 CANONICAL_LIMIT = 10
@@ -90,6 +91,13 @@ class DistanceData:
     wiener: int
     diam: int
 
+    @classmethod
+    def from_rows(cls, rows) -> DistanceData:
+        """Derive transmissions, Wiener index and diameter from distance rows."""
+        dist = tuple(map(tuple, rows))
+        trans = tuple(map(sum, dist))
+        return cls(dist, trans, sum(trans) // 2, max(map(max, dist)))
+
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n = 1)."""
@@ -135,11 +143,41 @@ def distance_data(g: Graph) -> DistanceData:
             frontier = nxt
         if visited != full:
             raise DisconnectedGraph("distance_data requires a connected graph")
-        dist.append(tuple(row))
-    trans = tuple(sum(row) for row in dist)
-    wiener = sum(trans) // 2
-    diam = max(max(row) for row in dist)
-    return DistanceData(tuple(dist), trans, wiener, diam)
+        dist.append(row)
+    return DistanceData.from_rows(dist)
+
+
+def adjacency_stack(graphs) -> np.ndarray:
+    """(N, n, n) boolean adjacency matrices of graphs that share one order n."""
+    n = graphs[0].n
+    rows = np.array([g.adj for g in graphs], dtype="<u8")  # n <= 64 bits
+    bits = np.unpackbits(rows.view(np.uint8).reshape(len(graphs), n, 8),
+                         axis=-1, bitorder="little")
+    return bits[:, :, :n].view(bool)
+
+
+def distance_stack(adj: np.ndarray) -> np.ndarray:
+    """Hop distances of every graph in a (N, n, n) boolean adjacency stack:
+    BFS from all vertices of all graphs at once, one boolean matrix product
+    per distance layer. int16, with -1 for unreachable pairs."""
+    n = adj.shape[-1]
+    dist = np.where(adj, np.int16(1), np.int16(-1))
+    diag = np.arange(n)
+    dist[:, diag, diag] = 0
+    seen = adj.copy()
+    seen[:, diag, diag] = True
+    # the products run in float32, where BLAS makes them fast; path counts
+    # stay below n <= 64, so they are exact
+    step = adj.astype(np.float32)
+    frontier = step
+    for d in range(2, n):
+        reached = (frontier @ step > 0) & ~seen
+        if not reached.any():
+            break
+        dist[reached] = d
+        seen |= reached
+        frontier = reached.astype(np.float32)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +247,33 @@ def from_graph6(text) -> Graph:
                 rows[j] |= 1 << i
             k += 1
     return Graph(n, tuple(rows))
+
+
+def graph6_records(lines):
+    """Parse a corpus of graph6 records, one per line.
+
+    lines: an iterable of bytes or str lines, such as a file opened in binary
+    mode. Yields (line number, record, graph) for every nonblank line, where
+    graph is None when the record's order lies outside 1..MAX_ORDER. A
+    non-ASCII byte or a malformed record raises CorpusError naming its
+    1-based line number."""
+    for lineno, line in enumerate(lines, 1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("ascii")
+            except UnicodeDecodeError:
+                raise CorpusError(f"line {lineno}: non-ASCII byte") from None
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except UnsupportedOrder:
+            g = None
+        except MalformedGraph6 as exc:
+            raise CorpusError(f"line {lineno}: malformed graph6 record "
+                              f"{text!r}: {exc}") from exc
+        yield lineno, text, g
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +355,23 @@ def _connected_mask_array(n: int) -> np.ndarray:
     """Edge bitmasks (colex bit order) of all connected labeled graphs on n vertices."""
     pairs = _edge_index_pairs(n)
     masks = np.arange(1 << len(pairs), dtype=np.uint32)
-    rows = np.zeros((masks.size, n), dtype=np.uint8 if n <= 8 else np.uint16)
-    one = rows.dtype.type(1)
+    dt = np.uint8 if n <= 8 else np.uint16
+    # vertex-major: rows[i] is vertex i's adjacency bitrow in every graph
+    rows = np.zeros((n, masks.size), dtype=dt)
     for k, (i, j) in enumerate(pairs):
-        bit = ((masks >> np.uint32(k)) & np.uint32(1)).astype(rows.dtype)
-        rows[:, i] |= bit << rows.dtype.type(j)
-        rows[:, j] |= bit << rows.dtype.type(i)
-    reach = np.full(masks.size, one)  # start at vertex 0
+        bit = ((masks >> np.uint32(k)) & np.uint32(1)).astype(dt)
+        rows[i] |= bit << dt(j)
+        rows[j] |= bit << dt(i)
+    reach = np.ones(masks.size, dtype=dt)  # start at vertex 0
     for _ in range(n - 1):
         nxt = reach.copy()
         for i in range(n):
-            hit = ((reach >> rows.dtype.type(i)) & one).astype(bool)
-            nxt[hit] |= rows[hit, i]
+            # dense multiply by the 0/1 reach bit beats a boolean-mask gather
+            nxt |= rows[i] * ((reach >> dt(i)) & dt(1))
         if np.array_equal(nxt, reach):
             break
         reach = nxt
-    return masks[reach == rows.dtype.type((1 << n) - 1)]
+    return masks[reach == dt((1 << n) - 1)]
 
 
 def _perm_chunk_tables(n: int) -> list[np.ndarray]:

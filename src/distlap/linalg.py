@@ -76,6 +76,22 @@ def eigenvalues(m) -> Spectrum:
     return Spectrum(tuple(float(v) for v in vals[::-1]))
 
 
+def eigenvalues_stacked(stack) -> np.ndarray:
+    """Eigenvalues of every matrix of a (N, n, n) stack of symmetric matrices,
+    one descending row per matrix. LAPACK solves each matrix on its own, so
+    row k equals eigenvalues(stack[k]).values bit for bit."""
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.array_equal(a, a.transpose(0, 2, 1)):
+        raise DimensionMismatch("stack holds a matrix that is not exactly symmetric")
+    try:
+        vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return vals[:, ::-1]
+
+
 def eigenvalues_jacobi(m, max_sweeps: int = 100) -> Spectrum:
     """Cyclic-by-row Jacobi eigensolver; independent oracle for eigenvalues."""
     a = as_sym_matrix(m).copy()

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import DistanceData, Graph, distance_data
-from .linalg import Spectrum, as_sym_matrix, eigenvalues
+from .graphs import (DistanceData, Graph, adjacency_stack, distance_data,
+                     distance_stack)
+from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict
 
 
@@ -59,14 +60,27 @@ def laplacian(g: Graph) -> np.ndarray:
     return a.astype(np.float64)
 
 
+def algebraic_connectivity(g: Graph) -> float:
+    """Second-smallest eigenvalue of the ordinary Laplacian (0 for n = 1)."""
+    return float(eigenvalues(laplacian(g)).values[-2]) if g.n >= 2 else 0.0
+
+
+def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
+    """Tr - D (sign -1) or Tr + D (sign +1) as float64 for every matrix of a
+    stacked integer distance array; the values equal dist_laplacian and
+    dist_signless_laplacian exactly."""
+    m = (dist if sign > 0 else -dist).astype(np.float64)
+    diag = np.arange(dist.shape[-1])
+    m[:, diag, diag] = dist.sum(axis=-1)
+    return m
+
+
 @dataclass(frozen=True)
 class SpectralProfile:
-    """The three spectra of one connected graph plus its distance data."""
+    """The two distance spectra of one connected graph plus its distance data."""
 
     dl_spectrum: Spectrum
     dq_spectrum: Spectrum
-    lap_spectrum: Spectrum
-    alg_connectivity: float
     dd: DistanceData
 
 
@@ -74,10 +88,54 @@ def spectral_profile(g: Graph) -> SpectralProfile:
     dd = distance_data(g)
     dl = eigenvalues(dist_laplacian(g))
     dq = eigenvalues(dist_signless_laplacian(g))
-    lap = eigenvalues(laplacian(g))
-    # second-smallest ordinary Laplacian eigenvalue
-    alpha = lap.values[-2] if g.n >= 2 else 0.0
-    return SpectralProfile(dl, dq, lap, float(alpha), dd)
+    return SpectralProfile(dl, dq, dd)
+
+
+class StackedProfiles:
+    """Distances and both distance spectra of many connected graphs, computed
+    up front with one stacked BFS and one eigensolve per flavour for each
+    order; profile(k) equals spectral_profile(graphs[k]) and is built from
+    the arrays on demand, so only arrays are kept for the whole corpus."""
+
+    def __init__(self, graphs):
+        self._at: list = [None] * len(graphs)
+        by_order: dict[int, list[int]] = {}
+        for k, g in enumerate(graphs):
+            by_order.setdefault(g.n, []).append(k)
+        for ks in by_order.values():
+            dist = distance_stack(adjacency_stack([graphs[k] for k in ks]))
+            group = (dist, eigenvalues_stacked(transmission_stack(dist, -1)),
+                     eigenvalues_stacked(transmission_stack(dist, 1)))
+            for row, k in enumerate(ks):
+                self._at[k] = (group, row)
+
+    def profile(self, k: int) -> SpectralProfile:
+        (dist, dl, dq), row = self._at[k]
+        return SpectralProfile(Spectrum(tuple(dl[row].tolist())),
+                               Spectrum(tuple(dq[row].tolist())),
+                               DistanceData.from_rows(dist[row].tolist()))
+
+
+# the one profile kept alive: (graph, profile), or (None, None)
+_held: tuple = (None, None)
+
+
+def hold_profile(g: Graph | None, profile: SpectralProfile | None) -> None:
+    """Make profile_of(g) return profile, releasing the profile held before;
+    hold_profile(None, None) releases it without holding another."""
+    global _held
+    _held = (g, profile)
+
+
+def profile_of(g: Graph) -> SpectralProfile:
+    """spectral_profile(g), reusing the held profile when it belongs to g.
+    A computed profile replaces the held one, so at most one graph's
+    profile stays alive."""
+    held, profile = _held
+    if held is not g and held != g:
+        profile = spectral_profile(g)
+        hold_profile(g, profile)
+    return profile
 
 
 def validate_partition(n: int, blocks) -> list[list[int]]:

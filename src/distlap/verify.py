@@ -1,31 +1,33 @@
 """Exhaustive and streamed theorem verification with structured reports.
 
-Scans are deterministic by construction: the corpus is evaluated in its
-canonical order, work is sharded into fixed-size chunks, and results merge by
-chunk index, so any worker count produces the same report bytes. Reports
-intentionally exclude wall time from the emitted form for this reason.
+A scan is one graph-major pass: the corpus is loaded once, every requested
+check runs on each graph in the corpus's canonical order, and the reports
+are built when the pass ends. Distances and both distance spectra are
+solved up front, stacked per order, so the pass itself does no BFS or
+eigensolve except for the edge-deletion lemmas. Reports intentionally
+exclude wall time from the emitted form to keep runs byte-comparable.
 """
 from __future__ import annotations
 
 import json
-import multiprocessing
+import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import CHECKS
-from .errors import (CorpusError, InvalidParams, MalformedGraph6,
-                     UnknownTheorem, UnsupportedOrder)
+from .errors import CorpusError, InvalidParams, UnknownTheorem
 from .families import FamilySpec, build
-from .graphs import Graph, enumerate_connected, from_graph6, is_connected, to_graph6
-from .linalg import eigenvalues
-from .spectra import dist_laplacian, dist_signless_laplacian
-from .transforms import delete_edge
+from .graphs import (Graph, adjacency_stack, distance_stack,
+                     enumerate_connected, graph6_records, is_connected,
+                     to_graph6)
+from .linalg import eigenvalues, eigenvalues_stacked
+from .spectra import (StackedProfiles, dist_signless_laplacian, hold_profile,
+                      profile_of, transmission_stack)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
-
-CHUNK = 64
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
 TABLE1_KITE = {7: 31.1081, 8: 41.6987, 9: 53.7733, 10: 67.3260,
@@ -35,36 +37,42 @@ TABLE1_TSTAR = {7: 29.5507, 8: 38.9173, 9: 50.0328, 10: 62.7797,
 TABLE1_TOL = 5e-4
 
 
-def _check_edge_deletion(g: Graph, matrix_fn, theorem_id: str,
+@lru_cache(maxsize=1)
+def _kept_deletions(g: Graph) -> np.ndarray:
+    """Stacked hop distances of the single-edge deletions of g that stay
+    connected (no unreachable pair). Cached for the last graph only, so L2.3
+    and L2.4 on one graph share a single BFS."""
+    edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
+    adj = np.repeat(adjacency_stack([g]), len(edges), axis=0)
+    k = np.arange(len(edges))
+    adj[k, edges[:, 0], edges[:, 1]] = adj[k, edges[:, 1], edges[:, 0]] = False
+    dist = distance_stack(adj)
+    return dist[(dist >= 0).all(axis=(1, 2))]
+
+
+def _check_edge_deletion(g: Graph, sign: int, theorem_id: str,
                          tol: float) -> BoundVerdict:
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of the given distance matrix flavor."""
-    base = eigenvalues(matrix_fn(g)).values
-    min_gap = None
-    checked = 0
-    for e in g.edges():
-        h = delete_edge(g, e)
-        if not is_connected(h):
-            continue
-        vals = eigenvalues(matrix_fn(h)).values
-        checked += 1
-        gap = min(b - a for a, b in zip(base, vals))
-        min_gap = gap if min_gap is None else min(min_gap, gap)
-    if checked == 0:
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1)."""
+    dist = _kept_deletions(g)
+    if not len(dist):
         return not_applicable(theorem_id, witness={"deletions_checked": 0})
+    p = profile_of(g)
+    base = np.array((p.dl_spectrum if sign < 0 else p.dq_spectrum).values)
+    min_gap = float((eigenvalues_stacked(transmission_stack(dist, sign)) - base).min())
     return BoundVerdict(theorem_id, 0.0, min_gap,
                         holds=min_gap >= -1e-9,
                         strict=min_gap > SLACK,
                         equality=abs(min_gap) <= tol,
-                        witness={"deletions_checked": checked})
+                        witness={"deletions_checked": len(dist)})
 
 
 def check_lemma23(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-    return _check_edge_deletion(g, dist_laplacian, "L2.3", tol)
+    return _check_edge_deletion(g, -1, "L2.3", tol)
 
 
 def check_lemma24(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-    return _check_edge_deletion(g, dist_signless_laplacian, "L2.4", tol)
+    return _check_edge_deletion(g, 1, "L2.4", tol)
 
 
 SCAN_CHECKS = dict(CHECKS)
@@ -92,111 +100,99 @@ class ScanReport:
         return not self.violations
 
 
-def _resolve_jobs(jobs):
-    if jobs is not None:
-        return max(1, int(jobs))
-    env = os.environ.get("DISTLAP_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _load_corpus(corpus) -> tuple[str, list[str], int]:
-    """Resolve a corpus argument to (descriptor, graph6 list, skipped count).
+def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
+    """Resolve a corpus argument to (descriptor, graphs, skipped count).
 
     Accepts a native order (int), a file path, or an iterable of graph6
-    lines. Disconnected and over-order entries are counted as skipped;
-    malformed lines raise CorpusError."""
+    lines (bytes or str). Disconnected and over-order entries are counted
+    as skipped; non-ASCII or malformed lines raise CorpusError."""
     if isinstance(corpus, int):
-        return f"n={corpus}", [to_graph6(g) for g in enumerate_connected(corpus)], 0
+        return f"n={corpus}", list(enumerate_connected(corpus)), 0
     if isinstance(corpus, (str, os.PathLike)):
         desc = f"file:{corpus}"
         try:
-            with open(corpus, "r", encoding="ascii") as fh:
+            with open(corpus, "rb") as fh:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise CorpusError(f"cannot read corpus {corpus}: {exc}") from exc
     else:
-        desc = "stream"
-        lines = [ln.decode("ascii") if isinstance(ln, bytes) else str(ln)
-                 for ln in corpus]
-    out = []
+        desc, lines = "stream", corpus
+    graphs = []
     skipped = 0
-    for ln in lines:
-        ln = ln.strip()
-        if not ln:
-            continue
-        try:
-            g = from_graph6(ln)
-        except UnsupportedOrder:
-            skipped += 1
-            continue
-        except MalformedGraph6 as exc:
-            raise CorpusError(f"malformed graph6 line {ln!r}: {exc}") from exc
-        if not is_connected(g):
-            skipped += 1
-            continue
-        out.append(to_graph6(g))
-    return desc, out, skipped
+    try:
+        for _, _, g in graph6_records(lines):
+            if g is None or not is_connected(g):
+                skipped += 1
+            else:
+                graphs.append(g)
+    except CorpusError as exc:
+        raise CorpusError(f"{desc} {exc}") from exc
+    return desc, graphs, skipped
 
 
-def _eval_one(theorem_id: str, g6: str, tol: float) -> BoundVerdict:
-    return SCAN_CHECKS[theorem_id](from_graph6(g6), tol)
-
-
-def _scan_chunk(args):
-    idx, theorem_id, g6_list, tol = args
-    return idx, [(g6, _eval_one(theorem_id, g6, tol)) for g6 in g6_list]
-
-
-def scan(theorem_id: str, corpus, *, jobs=None, fail_fast: bool = False,
-         tolerance: float = EQUALITY_TOL) -> ScanReport:
-    """Evaluate one theorem over a whole corpus.
+def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
+              tolerance: float = EQUALITY_TOL) -> list[ScanReport]:
+    """Evaluate several theorems over one corpus in one pass; one report per
+    id, in the order given.
 
     corpus: a native enumeration order (int 1..7), a path to a graph6 file,
-    or an iterable of graph6 lines. The report is byte-identical for any
-    worker count."""
-    if theorem_id not in SCAN_CHECKS:
-        raise UnknownTheorem(f"{theorem_id!r}; known: {', '.join(SCAN_IDS)}")
+    or an iterable of graph6 lines. With fail_fast, each id stops at its
+    own first violation; the pass ends when every id has stopped."""
+    ids = list(theorem_ids)
+    for tid in ids:
+        if tid not in SCAN_CHECKS:
+            raise UnknownTheorem(f"{tid!r}; known: {', '.join(SCAN_IDS)}")
     t0 = time.perf_counter()
-    desc, g6_list, skipped = _load_corpus(corpus)
-    jobs = _resolve_jobs(jobs)
-
-    results: list[tuple[str, BoundVerdict]] = []
-    checked = 0
-    if fail_fast or jobs == 1 or len(g6_list) <= CHUNK:
-        for g6 in g6_list:
-            v = _eval_one(theorem_id, g6, tolerance)
-            results.append((g6, v))
-            checked += 1
-            if fail_fast and v.applicable and not v.holds:
+    desc, graphs, skipped = _load_corpus(corpus)
+    profiles = StackedProfiles(graphs)
+    checks = [SCAN_CHECKS[tid] for tid in ids]
+    checked = [0] * len(ids)
+    hits: list[list[tuple[int, BoundVerdict]]] = [[] for _ in ids]
+    live = list(range(len(ids)))
+    try:
+        for k, g in enumerate(graphs):
+            if not live:
                 break
-    else:
-        chunks = [(i, theorem_id, g6_list[i * CHUNK:(i + 1) * CHUNK], tolerance)
-                  for i in range((len(g6_list) + CHUNK - 1) // CHUNK)]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            parts = pool.map(_scan_chunk, chunks)
-        parts.sort(key=lambda p: p[0])
-        for _, part in parts:
-            results.extend(part)
-        checked = len(results)
+            hold_profile(g, profiles.profile(k))
+            stopped = []
+            for i in live:
+                v = checks[i](g, tolerance)
+                checked[i] += 1
+                if v.applicable and (v.equality or not v.holds):
+                    hits[i].append((k, v))
+                    if fail_fast and not v.holds:
+                        stopped.append(i)
+            if stopped:
+                live = [i for i in live if i not in stopped]
+    finally:
+        hold_profile(None, None)
 
-    violations = [(g6, v) for g6, v in results if v.applicable and not v.holds]
-    witnesses = [(g6, v) for g6, v in results if v.applicable and v.equality]
-    return ScanReport(
-        theorem_id=theorem_id,
-        corpus=desc,
-        graphs_checked=checked,
-        skipped=skipped,
-        violations=violations,
-        equality_witnesses=[g6 for g6, _ in witnesses],
-        wall_time=time.perf_counter() - t0,
-        tolerance=tolerance,
-        witness_verdicts=[v for _, v in witnesses],
-    )
+    # graph6 strings only for the graphs that a report names
+    reported = {k for found in hits for k, _ in found}
+    names = {k: to_graph6(graphs[k]) for k in reported}
+    wall = time.perf_counter() - t0
+    reports = []
+    for tid, n_checked, found in zip(ids, checked, hits):
+        witnesses = [(names[k], v) for k, v in found if v.equality]
+        reports.append(ScanReport(
+            theorem_id=tid,
+            corpus=desc,
+            graphs_checked=n_checked,
+            skipped=skipped,
+            violations=[(names[k], v) for k, v in found if not v.holds],
+            equality_witnesses=[g6 for g6, _ in witnesses],
+            wall_time=wall,
+            tolerance=tolerance,
+            witness_verdicts=[v for _, v in witnesses],
+        ))
+    return reports
+
+
+def scan(theorem_id: str, corpus, *, fail_fast: bool = False,
+         tolerance: float = EQUALITY_TOL) -> ScanReport:
+    """Evaluate one theorem over a whole corpus; scan_many for one id."""
+    return scan_many([theorem_id], corpus, fail_fast=fail_fast,
+                     tolerance=tolerance)[0]
 
 
 def _family_q_radius(kind: str, n: int) -> float:
@@ -334,6 +330,8 @@ def _json_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite float {v!r} has no JSON form")
         return _fmt_float(v)
     if isinstance(v, str):
         return json.dumps(v)

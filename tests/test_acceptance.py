@@ -29,6 +29,7 @@ from distlap import (
     dl_charpoly_multipartite,
     eigenvalues,
     eigenvalues_jacobi,
+    eigenvalues_stacked,
     enumerate_connected,
     family_spec,
     fixture31_determinant,
@@ -214,6 +215,7 @@ def test_criterion_6_proof_fixtures():
 def test_criterion_7_eigensolver_cross_validation():
     rng = random.Random(701)
     worst = 0.0
+    by_order = {}
     for _ in range(200):
         n = rng.randint(1, 12)
         a = np.empty((n, n))
@@ -222,6 +224,7 @@ def test_criterion_7_eigensolver_cross_validation():
                 a[i, j] = a[j, i] = rng.uniform(-10.0, 10.0)
         v1 = eigenvalues(a).values
         v2 = eigenvalues_jacobi(a).values
+        by_order.setdefault(n, []).append((a, v1, v2))
         worst = max(worst, max(abs(x - y) for x, y in zip(v1, v2)))
         tr = float(np.trace(a))
         fro2 = float(np.sum(a * a))
@@ -229,10 +232,16 @@ def test_criterion_7_eigensolver_cross_validation():
             assert abs(sum(vals) - tr) <= 1e-8
             assert abs(sum(v * v for v in vals) - fro2) <= 1e-8 * max(1.0, fro2)
     assert worst <= 1e-8
+    # the stacked solver of the scan path, one stack per order
+    for sample in by_order.values():
+        rows = eigenvalues_stacked(np.stack([a for a, _, _ in sample]))
+        for row, (_, v1, v2) in zip(rows.tolist(), sample):
+            assert tuple(row) == v1
+            assert max(abs(x - y) for x, y in zip(row, v2)) <= 1e-8
     _line(7, True,
           f"QL and Jacobi agree within {worst:.1e} elementwise on 200 random "
-          f"symmetric matrices (n <= 12); trace and Frobenius identities "
-          f"within 1e-8")
+          f"symmetric matrices (n <= 12), stacked QL rows equal the per-matrix "
+          f"ones exactly; trace and Frobenius identities within 1e-8")
 
 
 def test_criterion_8_graft_monotonicity():

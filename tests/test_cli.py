@@ -141,3 +141,30 @@ def test_usage_errors():
     assert run([]) == 2
     assert run(["nope"]) == 2
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["scan", "spectrum"])
+def test_file_non_ascii_byte(command, tmp_path, capsys):
+    p = tmp_path / "c.g6"
+    p.write_bytes(b"Bw\n\n\xe9Bg\n")
+    args = [command, "--file", str(p)] + (["--check", "T6.3"] if command == "scan" else [])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "line 3: non-ASCII byte" in err
+
+
+def test_file_malformed_record_names_line(tmp_path, capsys):
+    p = tmp_path / "c.g6"
+    p.write_text("Bw\nB\n")
+    assert run(["bounds", "--file", str(p), "--check", "T6.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 2: malformed graph6 record 'B'" in err
+
+
+@pytest.mark.parametrize("command", [["scan", "--n", "4"], ["bounds", "--graph6", "Bw"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):
+    assert run([*command, "--check", "T6.3", "--tolerance", value]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert run([*command, "--check", "T6.3", "--tolerance", "0"]) == 0

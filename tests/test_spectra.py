@@ -6,7 +6,9 @@ import pytest
 from distlap import (
     DimensionMismatch,
     InvalidPartition,
+    StackedProfiles,
     adjacency_matrix,
+    algebraic_connectivity,
     check_interlacing,
     check_quotient_bound,
     dist_laplacian,
@@ -78,10 +80,21 @@ def test_spectral_profile_examples():
     prof = spectral_profile(fam("Complete", 4))
     assert np.allclose(prof.dl_spectrum.values, [4, 4, 4, 0], atol=1e-9)
     assert abs(prof.dq_spectrum.radius - 6.0) < 1e-9
-    assert abs(prof.alg_connectivity - 4.0) < 1e-9
+    assert abs(algebraic_connectivity(fam("Complete", 4)) - 4.0) < 1e-9
     assert prof.dd.diam == 1
     prof = spectral_profile(fam("Path", 3))
     assert np.allclose(prof.dl_spectrum.values, [5, 3, 0], atol=1e-9)
+
+
+def test_stacked_profiles_match_per_graph(corpus):
+    # mixed orders in shuffled order: each order is solved as one stack, and
+    # every profile equals the per-graph one bit for bit
+    graphs = [g for n in corpus for g in corpus[n]]
+    graphs += [fam("Path", 30), fam("Cycle", 17), fam("Kite3", 20), fam("Star", 64)]
+    random.Random(5).shuffle(graphs)
+    stacked = StackedProfiles(graphs)
+    for k, g in enumerate(graphs):
+        assert stacked.profile(k) == spectral_profile(g)
 
 
 def test_quotient_matrix_examples():
@@ -153,4 +166,4 @@ def test_diam2_radius_formula(corpus):
         for g in corpus[n]:
             prof = spectral_profile(g)
             if prof.dd.diam <= 2:
-                assert abs(prof.dl_spectrum.radius - (2 * n - prof.alg_connectivity)) < 1e-7
+                assert abs(prof.dl_spectrum.radius - (2 * n - algebraic_connectivity(g))) < 1e-7

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 from distlap import (
+    EQUALITY_TOL,
+    SLACK,
+    BoundVerdict,
     CorpusError,
     InvalidParams,
     SCAN_IDS,
@@ -14,18 +19,46 @@ from distlap import (
     check_lemma74,
     compare_kite_tstar,
     build,
+    delete_edge,
+    dist_laplacian,
+    dist_signless_laplacian,
+    eigenvalues,
     emit_report,
     family_spec,
     fixture31_determinant,
     fixture61_determinant,
+    from_edges,
     from_graph6,
+    is_connected,
+    not_applicable,
     proof_fixture_theorem31,
     proof_fixture_theorem61,
     scan,
+    scan_many,
     table1_regression,
     to_graph6,
 )
-from distlap.verify import SCAN_CHECKS
+from distlap.graphs import _connected_mask_array
+from distlap.verify import SCAN_CHECKS, _json_value
+
+# sha256 of the reports of the per-id scan that the one-pass scan replaced:
+# every id's JSON report for n = 1..7 concatenated, and two ids' CSV reports
+REPORTS_JSON_SHA256 = "152dfd91665a12c049a0373451cec742b4ea8936d92c254b8a1ba0f82ad869ef"
+REPORTS_CSV_SHA256 = {
+    "T6.3": "f32d81f4680a2642deaedf186faa80800737f82e24de57da0b4e9e56635524f2",
+    "L2.3": "5de771ea94fa7e89898048691c94df6b63bcc15edd62f49674cc4e1a96c7c410",
+}
+
+# count and sha256 of the little-endian uint32 masks of the boolean-gather
+# connectivity filter that the dense one replaced
+CONNECTED_MASKS = {
+    2: (1, "67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450"),
+    3: (4, "f3fdd5a95080eba154cb9fea94034e80c9c587ac8c55549e5653e782432956f7"),
+    4: (38, "2f74e206a3b6b36dae77efcaf3925e7711717195927064fd8938ecc6873879e9"),
+    5: (728, "df84bb53da4d7c52fc75029b3962fd84111ccd5dfdb779e095a267cd72c5115f"),
+    6: (26704, "540203198363afb736cdfffd66f55fda7f71ddeee2211ce4d82fcaedabb79097"),
+    7: (1866256, "1c71955f60622dfc46fe60a3320bc8b98e59455a04ec7dbf5b104b769ebd3d44"),
+}
 
 
 def fam(kind, *params):
@@ -82,11 +115,54 @@ def test_scan_file_corpus(tmp_path):
         scan("L3.1", str(tmp_path / "missing.g6"))
 
 
-def test_scan_determinism_across_workers():
-    r1 = scan("T3.1", 6, jobs=1)
-    r2 = scan("T3.1", 6, jobs=2)
-    assert emit_report(r1) == emit_report(r2)
-    assert emit_report(r1, format="csv") == emit_report(r2, format="csv")
+def test_scan_determinism():
+    # two runs, and a single-id versus a multi-id scan, give identical bytes
+    r1 = scan("T3.1", 6)
+    r2 = scan("T3.1", 6)
+    multi = scan_many(["T6.3", "T3.1", "L2.4"], 6)[1]
+    for fmt in ("json", "csv"):
+        assert emit_report(r1, fmt) == emit_report(r2, fmt) == emit_report(multi, fmt)
+
+
+def test_scan_many_report_digests():
+    reports = hashlib.sha256()
+    csv = {tid: hashlib.sha256() for tid in REPORTS_CSV_SHA256}
+    for n in range(1, 8):
+        for r in scan_many(SCAN_IDS, n):
+            reports.update(emit_report(r))
+            if r.theorem_id in csv:
+                csv[r.theorem_id].update(emit_report(r, format="csv"))
+    assert reports.hexdigest() == REPORTS_JSON_SHA256
+    assert {tid: h.hexdigest() for tid, h in csv.items()} == REPORTS_CSV_SHA256
+
+
+def test_scan_many_fail_fast_per_id():
+    def fails_from(order):
+        return lambda g, tol: BoundVerdict("X", 1.0, 0.0, holds=g.n < order,
+                                           strict=False, equality=False)
+
+    SCAN_CHECKS.update({"X1.0": fails_from(3), "X1.1": fails_from(5),
+                        "X1.2": fails_from(99)})
+    try:
+        lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5, 6)]
+        ids = ["X1.0", "X1.1", "X1.2", "T6.4", "X1.0"]
+        many = scan_many(ids, lines, fail_fast=True)
+        assert [r.theorem_id for r in many] == ids
+        assert [r.graphs_checked for r in many] == [2, 4, 5, 5, 2]
+        for tid, r in zip(ids, many):
+            single = scan(tid, lines, fail_fast=True)
+            assert r.graphs_checked == single.graphs_checked
+            assert emit_report(r) == emit_report(single)
+    finally:
+        for tid in ("X1.0", "X1.1", "X1.2"):
+            del SCAN_CHECKS[tid]
+
+
+def test_scan_non_ascii_stream():
+    with pytest.raises(CorpusError, match="line 2: non-ASCII byte"):
+        scan("T6.4", [b"Bw", b"B\xffw"])
+    with pytest.raises(CorpusError, match="line 3: malformed"):
+        scan("T6.4", [b"Bw", b"", b"B"])
 
 
 def test_scan_fail_fast_stops_early():
@@ -100,6 +176,47 @@ def test_scan_fail_fast_stops_early():
         assert r.graphs_checked == 4 and len(r.violations) == 4
     finally:
         del SCAN_CHECKS["X0.0"]
+
+
+def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
+    # one delete_edge, is_connected and eigensolve per edge
+    base = eigenvalues(matrix_fn(g)).values
+    gaps = []
+    for e in g.edges():
+        h = delete_edge(g, e)
+        if is_connected(h):
+            vals = eigenvalues(matrix_fn(h)).values
+            gaps.append(min(b - a for a, b in zip(base, vals)))
+    if not gaps:
+        return not_applicable(theorem_id, witness={"deletions_checked": 0})
+    gap = min(gaps)
+    return BoundVerdict(theorem_id, 0.0, gap, holds=gap >= -1e-9,
+                        strict=gap > SLACK, equality=abs(gap) <= tol,
+                        witness={"deletions_checked": len(gaps)})
+
+
+def _random_connected(rng, n):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # spanning tree
+    p = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+    edges |= {(i, j) for j in range(n) for i in range(j) if rng.random() < p}
+    return from_edges(n, edges)
+
+
+def test_stacked_deletions_match_per_edge_oracle():
+    rng = random.Random(23)
+    graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(200)]
+    for n in range(1, 13):
+        graphs += [fam("Path", n), fam("Complete", n)] + ([fam("Star", n)] if n >= 2 else [])
+    for g in graphs:
+        assert check_lemma23(g) == _deletion_oracle(g, dist_laplacian, "L2.3")
+        assert check_lemma24(g) == _deletion_oracle(g, dist_signless_laplacian, "L2.4")
+
+
+def test_connected_mask_array_pinned():
+    for n, (count, digest) in CONNECTED_MASKS.items():
+        masks = _connected_mask_array(n)
+        assert masks.size == count
+        assert hashlib.sha256(masks.astype("<u4").tobytes()).hexdigest() == digest
 
 
 def test_edge_deletion_checks():
@@ -158,6 +275,14 @@ def test_emit_report_violation_serialization():
         assert csv[1] == "X0.1,Bw,2.5,1,false,false"
     finally:
         del SCAN_CHECKS["X0.1"]
+
+
+def test_json_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _json_value(bad)
+        with pytest.raises(ValueError):
+            _json_value({"witness": [1.0, bad]})
 
 
 def test_table1_regression():
@@ -233,15 +358,3 @@ def test_lemma74():
         check_lemma74(3, 1)
     with pytest.raises(InvalidParams):
         check_lemma74(2, 3)
-
-
-def test_jobs_env(monkeypatch):
-    from distlap.verify import _resolve_jobs
-
-    monkeypatch.setenv("DISTLAP_JOBS", "3")
-    assert _resolve_jobs(None) == 3
-    assert _resolve_jobs(2) == 2
-    monkeypatch.setenv("DISTLAP_JOBS", "zero")
-    assert _resolve_jobs(None) >= 1
-    monkeypatch.delenv("DISTLAP_JOBS")
-    assert _resolve_jobs(None) >= 1
