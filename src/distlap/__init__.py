@@ -19,8 +19,8 @@ from .spectra import (SpectralProfile, StackedProfiles, adjacency_matrix,
                       algebraic_connectivity, check_interlacing,
                       check_quotient_bound, dist_laplacian,
                       dist_signless_laplacian, distance_matrix, laplacian,
-                      quotient_lambda1, quotient_matrix, spectral_profile,
-                      validate_partition)
+                      quotient_lambda1, quotient_matrix, radii,
+                      spectral_profile, validate_partition)
 from .families import (KINDS, QUANTITIES, FamilySpec, build, closed_form,
                        dl_charpoly_multipartite, family_spec, parse_family,
                        star_q_extremes, turan_parts)
@@ -30,7 +30,7 @@ from .bounds import (CHECKS, THEOREM_IDS, CliqueNumber, bound_gap_theorem62,
                      bound_L1_theorem41, bound_L1_theorem42,
                      bound_Q1_diameter, bound_Q1_unicyclic,
                      bound_Qn_corollary61, bound_Qn_theorem63,
-                     bound_Qn_theorem64, bound_Qn_upper, check_lemma41,
+                     bound_Qn_theorem64, check_lemma41,
                      check_lemma42, classify_L1_theorem32, clique_number,
                      is_complete, is_kite, is_star, is_turan)
 from .transforms import (KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft,

@@ -15,10 +15,9 @@ from functools import lru_cache
 
 from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph, complement, distance_data
-from .linalg import Spectrum, eigenvalues
-from .spectra import dist_laplacian, dist_signless_laplacian
+from .graphs import Graph, complement
 from .spectra import profile_of as _profile
+from .spectra import radii
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
@@ -172,15 +171,14 @@ def is_kite(g: Graph) -> bool:
 
 @lru_cache(maxsize=8192)
 def _kite_q_radius(n: int) -> float:
-    return eigenvalues(dist_signless_laplacian(build(FamilySpec("Kite3", (n,))))).radius
+    return radii([build(FamilySpec("Kite3", (n,)))], 1)[0]
 
 
 @lru_cache(maxsize=8192)
 def _clique_path_dl_radius(n: int, omega: int) -> float:
     if n == 1:
         return 0.0
-    g = build(FamilySpec("KiteClique", (n, omega)))
-    return eigenvalues(dist_laplacian(g)).radius
+    return radii([build(FamilySpec("KiteClique", (n, omega)))], -1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +445,6 @@ def bound_Qn_theorem64(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
                         strict=bound - obs > SLACK,
                         equality=abs(obs - bound) <= tol,
                         witness={"Dn": min(p.dd.trans)})
-
-
-def bound_Qn_upper(g: Graph, tol: float = EQUALITY_TOL):
-    """The three smallest-eigenvalue verdicts (2W/n - 1, Dn - 1 under the
-    multiplicity hypothesis, strict Dn) as a tuple."""
-    return (bound_Qn_theorem63(g, tol),
-            bound_Qn_corollary61(g, tol),
-            bound_Qn_theorem64(g, tol))
 
 
 def bound_Q1_unicyclic(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:

@@ -12,7 +12,8 @@ import sys
 from .bounds import CHECKS, THEOREM_IDS
 from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
-from .graphs import MAX_ORDER, from_graph6, graph6_records, to_graph6
+from .graphs import (MAX_ORDER, from_graph6, graph6_records, is_connected,
+                     to_graph6)
 from .linalg import eigenvalues
 from .spectra import adjacency_matrix, dist_laplacian, dist_signless_laplacian, \
     distance_matrix, laplacian
@@ -35,8 +36,10 @@ def _fmt(x: float, precise: bool) -> str:
     return f"{x:.12g}" if precise else f"{x:.4f}"
 
 
-def _input_graphs(args):
-    """Yield (label, Graph) for --graph6 / --file / --family."""
+def _input_graphs(args, connected: bool = True):
+    """Yield (label, Graph) for --graph6 / --file / --family. With
+    connected, a disconnected --file record is a CorpusError naming its
+    line, before any distance is solved for it."""
     if getattr(args, "graph6", None) is not None:
         yield args.graph6, from_graph6(args.graph6)
     elif getattr(args, "family", None) is not None:
@@ -49,6 +52,9 @@ def _input_graphs(args):
                     if g is None:
                         raise CorpusError(f"line {lineno}: order outside "
                                           f"1..{MAX_ORDER}")
+                    if connected and not is_connected(g):
+                        raise CorpusError(f"line {lineno}: disconnected "
+                                          f"graph {text!r}")
                     yield text, g
             except CorpusError as exc:
                 raise CorpusError(f"{args.file} {exc}") from exc
@@ -65,7 +71,9 @@ def _verdict_line(v, precise: bool) -> str:
 def _cmd_spectrum(args) -> int:
     fn = _MATRICES[args.matrix]
     many = args.file is not None
-    for label, g in _input_graphs(args):
+    # only the distance matrices need a connected graph
+    connected = args.matrix in ("D", "L", "Q")
+    for label, g in _input_graphs(args, connected):
         vals = eigenvalues(fn(g)).values
         text = " ".join(_fmt(v, args.precise) for v in vals)
         print(f"{label}: {text}" if many else text)

@@ -1,4 +1,4 @@
-"""Graph representation, graph6 codec, BFS distances, and exhaustive enumeration.
+"""Graph representation, graph6 codec, all-pairs distances, and exhaustive enumeration.
 
 A graph is stored as a tuple of adjacency bitrows: bit ``j`` of ``adj[i]`` is
 set iff ``{i, j}`` is an edge. Rows fit in a Python int for the supported
@@ -42,10 +42,19 @@ class Graph:
                 raise ValueError(f"row {i} has bits beyond vertex range")
             if (row >> i) & 1:
                 raise ValueError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.adj[i] >> j) & 1) != ((self.adj[j] >> i) & 1):
-                    raise ValueError(f"asymmetric adjacency at ({i},{j})")
+        # symmetry in O(min(m, non-edges)), not over all pairs: every set
+        # bit has its mirror set or, in a dense graph, every unset bit has
+        # its mirror unset
+        bits = sum(row.bit_count() for row in self.adj)
+        dense = 2 * bits > self.n * (self.n - 1)
+        for i, row in enumerate(self.adj):
+            walk = ~row & full & ~(1 << i) if dense else row
+            while walk:
+                j = (walk & -walk).bit_length() - 1
+                if ((self.adj[j] >> i) & 1) == dense:
+                    raise ValueError(f"asymmetric adjacency at "
+                                     f"({min(i, j)},{max(i, j)})")
+                walk &= walk - 1
 
     @property
     def m(self) -> int:
@@ -116,35 +125,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """BFS from every vertex; raises DisconnectedGraph when some pair is unreachable."""
-    n = g.n
-    full = (1 << n) - 1
-    dist = []
-    for src in range(n):
-        row = [0] * n
-        visited = 1 << src
-        frontier = 1 << src
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                nxt |= g.adj[v]
-                f &= f - 1
-            nxt &= ~visited
-            w = nxt
-            while w:
-                v = (w & -w).bit_length() - 1
-                row[v] = d
-                w &= w - 1
-            visited |= nxt
-            frontier = nxt
-        if visited != full:
-            raise DisconnectedGraph("distance_data requires a connected graph")
-        dist.append(row)
-    return DistanceData.from_rows(dist)
+    """All-pairs distances of one graph; raises DisconnectedGraph when some
+    pair is unreachable."""
+    return DistanceData.from_rows(distances(adjacency_stack([g]))[0].tolist())
 
 
 def adjacency_stack(graphs) -> np.ndarray:
@@ -156,28 +139,33 @@ def adjacency_stack(graphs) -> np.ndarray:
     return bits[:, :, :n].view(bool)
 
 
-def distance_stack(adj: np.ndarray) -> np.ndarray:
-    """Hop distances of every graph in a (N, n, n) boolean adjacency stack:
-    BFS from all vertices of all graphs at once, one boolean matrix product
-    per distance layer. int16, with -1 for unreachable pairs."""
+def distances(adj: np.ndarray) -> np.ndarray:
+    """Hop distances of every graph in a (N, n, n) boolean adjacency stack,
+    as int16, by Seidel's recursion (R. Seidel, JCSS 51 (1995)): the
+    distances D' of the graph G' joining every pair at distance <= 2 in G
+    give D = 2D' or 2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j]
+    deg(j). The depth is O(log diam). Raises DisconnectedGraph when the
+    recursion stalls short of a complete graph.
+
+    The products run in float32, where BLAS makes them fast; every entry
+    stays at or below n (n - 1) < 2^24, so they are exact."""
     n = adj.shape[-1]
-    dist = np.where(adj, np.int16(1), np.int16(-1))
+    a = adj.astype(np.float32)
+    sq = a @ a
     diag = np.arange(n)
-    dist[:, diag, diag] = 0
-    seen = adj.copy()
-    seen[:, diag, diag] = True
-    # the products run in float32, where BLAS makes them fast; path counts
-    # stay below n <= 64, so they are exact
-    step = adj.astype(np.float32)
-    frontier = step
-    for d in range(2, n):
-        reached = (frontier @ step > 0) & ~seen
-        if not reached.any():
-            break
-        dist[reached] = d
-        seen |= reached
-        frontier = reached.astype(np.float32)
-    return dist
+    deg = sq[:, diag, diag]
+    reach = adj | (sq > 0)
+    reach[:, diag, diag] = False
+    # reach contains adj, so equal edge counts mean the closure stalled
+    count = reach.sum(axis=(1, 2))
+    complete = count == n * (n - 1)
+    if complete.all():
+        return 2 * reach.astype(np.int16) - adj
+    if ((count == deg.sum(axis=1)) & ~complete).any():
+        raise DisconnectedGraph("distances require a connected graph")
+    half = distances(reach)
+    dh = half.astype(np.float32)
+    return 2 * half - (dh @ a < dh * deg[:, None, :])
 
 
 # ---------------------------------------------------------------------------

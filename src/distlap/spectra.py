@@ -1,8 +1,8 @@
 """Matrix assembly from graphs, spectral profiles, quotient matrices, interlacing.
 
-All matrices are assembled in int64 first so that structural identities (zero
-row sums of the distance Laplacian, trace = 2W) hold exactly before any float
-arithmetic happens.
+Distance matrices are assembled from exact integer distances, so structural
+identities (zero row sums of the distance Laplacian, trace = 2W) hold exactly
+before any float arithmetic happens.
 """
 from __future__ import annotations
 
@@ -11,53 +11,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import (DistanceData, Graph, adjacency_stack, distance_data,
-                     distance_stack)
+from .graphs import DistanceData, Graph, adjacency_stack, distances
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict
 
 
-def _dist_int(g: Graph, dd: DistanceData | None = None) -> np.ndarray:
-    dd = dd or distance_data(g)
-    return np.array(dd.dist, dtype=np.int64)
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """D(G): hop distances as a dense symmetric float matrix."""
-    return _dist_int(g).astype(np.float64)
+    return distances(adjacency_stack([g]))[0].astype(np.float64)
 
 
 def dist_laplacian(g: Graph) -> np.ndarray:
     """Tr(G) - D(G); integer assembly keeps every row sum exactly zero."""
-    d = _dist_int(g)
-    return (np.diag(d.sum(axis=1)) - d).astype(np.float64)
+    return transmission_stack(distances(adjacency_stack([g])), -1)[0]
 
 
 def dist_signless_laplacian(g: Graph) -> np.ndarray:
     """Tr(G) + D(G)."""
-    d = _dist_int(g)
-    return (np.diag(d.sum(axis=1)) + d).astype(np.float64)
+    return transmission_stack(distances(adjacency_stack([g])), 1)[0]
+
+
+def radii(graphs, sign: int) -> list[float]:
+    """Spectral radius of Tr - D (sign -1) or Tr + D (sign +1) of connected
+    graphs that share one order, from one stacked distance and eigen solve;
+    entry k equals eigenvalues(dist_*(graphs[k])).radius bit for bit."""
+    dist = distances(adjacency_stack(graphs))
+    return eigenvalues_stacked(transmission_stack(dist, sign))[:, 0].tolist()
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j and g.has_edge(i, j):
-                a[i, j] = 1
-    return a.astype(np.float64)
+    return adjacency_stack([g])[0].astype(np.float64)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Ordinary Laplacian Diag(degrees) - A; source of the algebraic connectivity."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i in range(g.n):
-        row = g.adj[i]
-        a[i, i] = row.bit_count()
-        for j in range(g.n):
-            if (row >> j) & 1:
-                a[i, j] = -1
-    return a.astype(np.float64)
+    a = adjacency_stack([g])[0].astype(np.int64)
+    return (np.diag(a.sum(axis=1)) - a).astype(np.float64)
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -67,8 +56,8 @@ def algebraic_connectivity(g: Graph) -> float:
 
 def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
     """Tr - D (sign -1) or Tr + D (sign +1) as float64 for every matrix of a
-    stacked integer distance array; the values equal dist_laplacian and
-    dist_signless_laplacian exactly."""
+    stacked integer distance array; integer assembly keeps every row sum of
+    Tr - D exactly zero."""
     m = (dist if sign > 0 else -dist).astype(np.float64)
     diag = np.arange(dist.shape[-1])
     m[:, diag, diag] = dist.sum(axis=-1)
@@ -85,17 +74,15 @@ class SpectralProfile:
 
 
 def spectral_profile(g: Graph) -> SpectralProfile:
-    dd = distance_data(g)
-    dl = eigenvalues(dist_laplacian(g))
-    dq = eigenvalues(dist_signless_laplacian(g))
-    return SpectralProfile(dl, dq, dd)
+    """Distance data and both distance spectra of one connected graph."""
+    return StackedProfiles([g]).profile(0)
 
 
 class StackedProfiles:
     """Distances and both distance spectra of many connected graphs, computed
-    up front with one stacked BFS and one eigensolve per flavour for each
-    order; profile(k) equals spectral_profile(graphs[k]) and is built from
-    the arrays on demand, so only arrays are kept for the whole corpus."""
+    up front with one stacked distance solve and one eigensolve per flavour
+    for each order; profile(k) is built from the arrays on demand, so only
+    arrays are kept for the whole corpus."""
 
     def __init__(self, graphs):
         self._at: list = [None] * len(graphs)
@@ -103,7 +90,7 @@ class StackedProfiles:
         for k, g in enumerate(graphs):
             by_order.setdefault(g.n, []).append(k)
         for ks in by_order.values():
-            dist = distance_stack(adjacency_stack([graphs[k] for k in ks]))
+            dist = distances(adjacency_stack([graphs[k] for k in ks]))
             group = (dist, eigenvalues_stacked(transmission_stack(dist, -1)),
                      eigenvalues_stacked(transmission_stack(dist, 1)))
             for row, k in enumerate(ks):

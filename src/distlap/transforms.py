@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidGraft, NoSuchEdge
 from .graphs import MAX_ORDER, Graph
-from .linalg import eigenvalues
-from .spectra import dist_laplacian, dist_signless_laplacian
+from .spectra import radii
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
 
 KIND_VERTEX = "TwoPathsAtVertex"
@@ -73,15 +72,15 @@ def apply_graft(spec: GraftSpec) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _compare_radii(spec: GraftSpec, matrix_fn) -> tuple[float, float]:
+def _compare_radii(spec: GraftSpec, sign: int) -> list[float]:
+    """Radii of Tr - D (sign -1) or Tr + D (sign +1) of the (k, l) and the
+    (k+1, l-1) graft, solved as one pair."""
     if spec.l < 2:
         raise InvalidGraft("monotonicity comparison needs k >= l >= 2")
     g_short = apply_graft(spec)
     g_long = apply_graft(GraftSpec(spec.base, spec.kind, spec.anchors,
                                    spec.k + 1, spec.l - 1))
-    a = eigenvalues(matrix_fn(g_short)).radius
-    b = eigenvalues(matrix_fn(g_long)).radius
-    return a, b
+    return radii([g_short, g_long], sign)
 
 
 def _is_degenerate(spec: GraftSpec) -> bool:
@@ -100,7 +99,7 @@ def _witness(spec: GraftSpec, a: float, b: float) -> dict:
 def check_graft_monotone_L(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundVerdict:
     """dl radius of the (k+1, l-1) graft >= that of the (k, l) graft; strict
     when l = 2 and the base is not a bare path seed."""
-    a, b = _compare_radii(spec, dist_laplacian)
+    a, b = _compare_radii(spec, -1)
     theorem_id = "T5.4" if spec.kind == KIND_VERTEX else "T5.3"
     if spec.kind == KIND_TWINS and _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,
@@ -117,7 +116,7 @@ def check_graft_monotone_L(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundV
 def check_graft_monotone_Q(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundVerdict:
     """dq radius of the (k+1, l-1) graft strictly exceeds that of the (k, l)
     graft."""
-    a, b = _compare_radii(spec, dist_signless_laplacian)
+    a, b = _compare_radii(spec, 1)
     theorem_id = "L7.1" if spec.kind == KIND_VERTEX else "L7.2"
     if _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,

@@ -3,8 +3,8 @@
 A scan is one graph-major pass: the corpus is loaded once, every requested
 check runs on each graph in the corpus's canonical order, and the reports
 are built when the pass ends. Distances and both distance spectra are
-solved up front, stacked per order, so the pass itself does no BFS or
-eigensolve except for the edge-deletion lemmas. Reports intentionally
+solved up front, stacked per order, so the pass itself does no distance
+or eigen solve except for the edge-deletion lemmas. Reports intentionally
 exclude wall time from the emitted form to keep runs byte-comparable.
 """
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 from .bounds import CHECKS
 from .errors import CorpusError, InvalidParams, UnknownTheorem
 from .families import FamilySpec, build
-from .graphs import (Graph, adjacency_stack, distance_stack,
-                     enumerate_connected, graph6_records, is_connected,
-                     to_graph6)
-from .linalg import eigenvalues, eigenvalues_stacked
-from .spectra import (StackedProfiles, dist_signless_laplacian, hold_profile,
-                      profile_of, transmission_stack)
+from .graphs import (Graph, adjacency_stack, distances, enumerate_connected,
+                     graph6_records, is_connected, to_graph6)
+from .linalg import eigenvalues_stacked
+from .spectra import (StackedProfiles, hold_profile, profile_of, radii,
+                      transmission_stack)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
@@ -40,14 +39,19 @@ TABLE1_TOL = 5e-4
 @lru_cache(maxsize=1)
 def _kept_deletions(g: Graph) -> np.ndarray:
     """Stacked hop distances of the single-edge deletions of g that stay
-    connected (no unreachable pair). Cached for the last graph only, so L2.3
-    and L2.4 on one graph share a single BFS."""
+    connected. Cached for the last graph only, so L2.3 and L2.4 on one graph
+    share a single distance solve."""
     edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
     adj = np.repeat(adjacency_stack([g]), len(edges), axis=0)
     k = np.arange(len(edges))
     adj[k, edges[:, 0], edges[:, 1]] = adj[k, edges[:, 1], edges[:, 0]] = False
-    dist = distance_stack(adj)
-    return dist[(dist >= 0).all(axis=(1, 2))]
+    # boolean closure: squaring (A + I) ceil(log2 n) times reaches every
+    # vertex within n - 1 steps
+    reach = adj | np.eye(g.n, dtype=bool)
+    for _ in range((g.n - 1).bit_length()):
+        step = reach.astype(np.float32)
+        reach = step @ step > 0
+    return distances(adj[reach[:, 0].all(axis=1)])
 
 
 def _check_edge_deletion(g: Graph, sign: int, theorem_id: str,
@@ -195,8 +199,9 @@ def scan(theorem_id: str, corpus, *, fail_fast: bool = False,
                      tolerance=tolerance)[0]
 
 
-def _family_q_radius(kind: str, n: int) -> float:
-    return eigenvalues(dist_signless_laplacian(build(FamilySpec(kind, (n,))))).radius
+def _kite_tstar_radii(n: int) -> list[float]:
+    """dq radii of the kite and of T* of order n, solved as one pair."""
+    return radii([build(FamilySpec(kind, (n,))) for kind in ("Kite3", "TStar")], 1)
 
 
 def table1_regression() -> ScanReport:
@@ -206,8 +211,7 @@ def table1_regression() -> ScanReport:
     rows = []
     violations = []
     for n in sorted(TABLE1_KITE):
-        kite = _family_q_radius("Kite3", n)
-        tstar = _family_q_radius("TStar", n)
+        kite, tstar = _kite_tstar_radii(n)
         ok = (abs(kite - TABLE1_KITE[n]) <= TABLE1_TOL
               and abs(tstar - TABLE1_TSTAR[n]) <= TABLE1_TOL
               and kite > tstar)
@@ -243,8 +247,7 @@ def compare_kite_tstar(n: int) -> BoundVerdict:
     orders beyond the reference table."""
     if n < 7:
         raise InvalidParams("comparison needs n >= 7")
-    kite = _family_q_radius("Kite3", n)
-    tstar = _family_q_radius("TStar", n)
+    kite, tstar = _kite_tstar_radii(n)
     return BoundVerdict("L7.3", tstar, kite,
                         holds=kite - tstar > SLACK,
                         strict=kite - tstar > SLACK,
@@ -305,8 +308,7 @@ def check_lemma74(n1: int, n2: int) -> BoundVerdict:
     (n1 >= n2 >= 2, order >= 7)."""
     if not (n1 >= n2 >= 2 and n1 + n2 + 2 >= 7):
         raise InvalidParams(f"need n1 >= n2 >= 2 and n1+n2+2 >= 7, got {n1}, {n2}")
-    u4 = eigenvalues(dist_signless_laplacian(build(FamilySpec("U4", (n1, n2))))).radius
-    u3 = eigenvalues(dist_signless_laplacian(build(FamilySpec("U3", (n1, n2))))).radius
+    u4, u3 = radii([build(FamilySpec(kind, (n1, n2))) for kind in ("U4", "U3")], 1)
     return BoundVerdict("L7.4", u3, u4,
                         holds=u3 - u4 > SLACK,
                         strict=u3 - u4 > SLACK,

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from distlap import enumerate_connected
+
+# every run draws the same examples, so tier-1 stays deterministic and fast
+settings.register_profile("distlap", derandomize=True, database=None,
+                          deadline=None, max_examples=50)
+settings.load_profile("distlap")
 
 
 @pytest.fixture(scope="session")

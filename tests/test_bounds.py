@@ -19,7 +19,6 @@ from distlap import (
     bound_Qn_corollary61,
     bound_Qn_theorem63,
     bound_Qn_theorem64,
-    bound_Qn_upper,
     build,
     check_lemma41,
     check_lemma42,
@@ -184,7 +183,9 @@ def test_gap_theorem62_examples():
 def test_qn_bounds_examples():
     v = bound_Qn_theorem63(fam("Complete", 4))
     assert v.bound_value == 2.0 and abs(v.observed - 2.0) < 1e-9 and v.equality
-    t63, c61, t64 = bound_Qn_upper(fam("Star", 5))
+    star = fam("Star", 5)
+    t63, c61, t64 = (bound_Qn_theorem63(star), bound_Qn_corollary61(star),
+                     bound_Qn_theorem64(star))
     assert c61.applicable is False  # unique minimum-transmission vertex
     assert c61.witness["min_trans_multiplicity"] == 1
     minus = (17.0 - math.sqrt(97.0)) / 2.0

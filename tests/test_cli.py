@@ -162,6 +162,18 @@ def test_file_malformed_record_names_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "line 2: malformed graph6 record 'B'" in err
 
 
+@pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])
+def test_file_disconnected_record_names_line(command, tmp_path, capsys):
+    p = tmp_path / "c.g6"
+    p.write_text("Bw\nB_\nBg\n")
+    assert run([*command, "--file", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("Bw") and "Bg" not in out
+    assert err == f"error: {p} line 2: disconnected graph 'B_'\n"
+    # the adjacency and ordinary Laplacian spectra need no connectivity
+    assert run(["spectrum", "--file", str(p), "--matrix", "lap"]) == 0
+
+
 @pytest.mark.parametrize("command", [["scan", "--n", "4"], ["bounds", "--graph6", "Bw"]])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):

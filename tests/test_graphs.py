@@ -46,6 +46,14 @@ def test_graph_validation():
         Graph(2, (0,))
     with pytest.raises(ValueError):
         Graph(2, (1, 0))  # asymmetric
+    # dense rows: the check walks non-edges, either side of the pair may lack
+    # the bit
+    k4 = (0b1110, 0b1101, 0b1011, 0b0111)
+    for row, bit in ((0, 0b0010), (1, 0b0001)):
+        rows = list(k4)
+        rows[row] &= ~bit
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(0,1\)"):
+            Graph(4, tuple(rows))
     with pytest.raises(ValueError):
         Graph(2, (1 | 2, 1))  # loop at 0
     with pytest.raises(ValueError):
@@ -127,6 +135,12 @@ def test_distance_data_examples():
     assert dd.diam == 2
     dd = distance_data(complete(1))
     assert dd.wiener == 0 and dd.diam == 0
+    # order 64: the deepest and the shallowest distance recursion
+    dd = distance_data(path(64))
+    assert dd.diam == 63 and dd.dist[0] == tuple(range(64))
+    assert dd.wiener == 63 * 64 * 65 // 6
+    assert distance_data(cycle(64)).diam == 32
+    assert distance_data(complete(64)).wiener == 64 * 63 // 2
     with pytest.raises(DisconnectedGraph):
         distance_data(from_edges(4, [(0, 1), (2, 3)]))
 

@@ -1,0 +1,120 @@
+"""Property tests: the stacked distance kernel against a reference BFS, pair
+radii against per-graph solves, and the graph6 round trip."""
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from distlap import (MAX_ORDER, DisconnectedGraph, Graph, dist_laplacian,
+                     dist_signless_laplacian, distance_data, eigenvalues,
+                     from_edges, from_graph6, radii, to_graph6)
+from distlap.graphs import adjacency_stack, distances
+
+
+def path(n):
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n):
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def union(a: Graph, b: Graph) -> Graph:
+    """Disjoint union, b's vertices numbered after a's."""
+    return Graph(a.n + b.n, a.adj + tuple(row << a.n for row in b.adj))
+
+
+def bfs_distances(g: Graph) -> list[list[int]]:
+    """Reference all-pairs distances, one plain BFS per source; -1 marks an
+    unreachable pair."""
+    nbrs = [[v for v in range(g.n) if g.has_edge(u, v)] for u in range(g.n)]
+    rows = []
+    for src in range(g.n):
+        row = [-1] * g.n
+        row[src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if row[v] < 0:
+                        row[v] = row[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def connected_graphs(draw, n):
+    """A random spanning tree on n vertices plus up to 2n random edges."""
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    return from_edges(n, [(i, j) for i, j in pairs if i != j])
+
+
+@st.composite
+def same_order_stacks(draw, max_n=MAX_ORDER):
+    """One to four connected graphs sharing one order n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    return draw(st.lists(connected_graphs(n), min_size=1, max_size=4))
+
+
+@st.composite
+def any_graphs(draw):
+    """A uniformly random labeled graph of a random order 1..MAX_ORDER."""
+    n = draw(st.integers(1, MAX_ORDER))
+    mask = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return from_edges(n, [p for k, p in enumerate(pairs) if (mask >> k) & 1])
+
+
+@given(same_order_stacks())
+@example([path(MAX_ORDER), cycle(MAX_ORDER), complete(MAX_ORDER)])
+@example([cycle(63), path(63)])
+@example([complete(1)])
+@example([complete(2)])
+def test_distances_match_bfs(graphs):
+    dist = distances(adjacency_stack(graphs))
+    assert dist.dtype.name == "int16"
+    assert [d.tolist() for d in dist] == [bfs_distances(g) for g in graphs]
+
+
+@given(st.integers(1, MAX_ORDER - 1).flatmap(
+    lambda n1: st.tuples(connected_graphs(n1),
+                         st.integers(1, MAX_ORDER - n1).flatmap(connected_graphs))))
+@example((path(32), path(32)))
+@example((complete(1), complete(1)))
+def test_disconnected_raises(parts):
+    g = union(*parts)
+    with pytest.raises(DisconnectedGraph):
+        distances(adjacency_stack([g]))
+    with pytest.raises(DisconnectedGraph):
+        distance_data(g)
+    # one disconnected graph fails the whole stack
+    with pytest.raises(DisconnectedGraph):
+        distances(adjacency_stack([path(g.n), g]))
+
+
+@given(same_order_stacks(max_n=40))
+@example([path(MAX_ORDER), cycle(MAX_ORDER)])
+def test_radii_equal_per_graph_solves(graphs):
+    for sign, matrix in ((-1, dist_laplacian), (1, dist_signless_laplacian)):
+        assert radii(graphs, sign) == [eigenvalues(matrix(g)).radius for g in graphs]
+
+
+@given(any_graphs())
+@example(complete(62))
+@example(complete(63))
+@example(path(63))
+@example(complete(64))
+@example(cycle(64))
+def test_graph6_round_trip(g):
+    text = to_graph6(g)
+    assert text.startswith("~") == (g.n >= 63)
+    assert from_graph6(text) == g
+    assert from_graph6(text.encode("ascii")) == g
