@@ -83,10 +83,9 @@ def is_complete(g: Graph) -> bool:
 def matching_complement_k(g: Graph):
     """Number of removed matching edges when g = K_n - kK_2 (0 for K_n),
     else None."""
-    comp = complement(g)
-    if any(comp.degree(v) > 1 for v in range(g.n)):
+    if any(g.degree(v) < g.n - 2 for v in range(g.n)):
         return None
-    return comp.m
+    return g.n * (g.n - 1) // 2 - g.m
 
 
 def is_star(g: Graph) -> bool:
@@ -493,7 +492,7 @@ def check_lemma42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
         return not_applicable("L4.2", witness={"n": n})
     obs = p.dl_spectrum.values[1]
     eq = abs(obs - n) <= tol
-    structural = complement(g).m <= 1
+    structural = n * (n - 1) // 2 - g.m <= 1
     return BoundVerdict("L4.2", float(n), obs,
                         holds=obs >= n - SLACK and eq == structural,
                         strict=obs - n > SLACK,

@@ -135,8 +135,8 @@ def adjacency_stack(graphs) -> np.ndarray:
     n = graphs[0].n
     rows = np.array([g.adj for g in graphs], dtype="<u8")  # n <= 64 bits
     bits = np.unpackbits(rows.view(np.uint8).reshape(len(graphs), n, 8),
-                         axis=-1, bitorder="little")
-    return bits[:, :, :n].view(bool)
+                         axis=-1, count=n, bitorder="little")
+    return bits.view(bool)
 
 
 def distances(adj: np.ndarray) -> np.ndarray:
@@ -339,50 +339,21 @@ def _edge_index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
 
 
-def _connected_mask_array(n: int) -> np.ndarray:
-    """Edge bitmasks (colex bit order) of all connected labeled graphs on n vertices."""
-    pairs = _edge_index_pairs(n)
-    masks = np.arange(1 << len(pairs), dtype=np.uint32)
-    dt = np.uint8 if n <= 8 else np.uint16
-    # vertex-major: rows[i] is vertex i's adjacency bitrow in every graph
-    rows = np.zeros((n, masks.size), dtype=dt)
-    for k, (i, j) in enumerate(pairs):
-        bit = ((masks >> np.uint32(k)) & np.uint32(1)).astype(dt)
-        rows[i] |= bit << dt(j)
-        rows[j] |= bit << dt(i)
-    reach = np.ones(masks.size, dtype=dt)  # start at vertex 0
-    for _ in range(n - 1):
-        nxt = reach.copy()
-        for i in range(n):
-            # dense multiply by the 0/1 reach bit beats a boolean-mask gather
-            nxt |= rows[i] * ((reach >> dt(i)) & dt(1))
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-    return masks[reach == dt((1 << n) - 1)]
-
-
-def _perm_chunk_tables(n: int) -> list[np.ndarray]:
-    """Per-permutation lookup tables mapping 7-bit chunks of an edge mask to
-    the permuted mask contribution; OR of chunk lookups = fully permuted mask."""
-    pairs = _edge_index_pairs(n)
-    nedges = len(pairs)
-    index_of = {p: k for k, p in enumerate(pairs)}
-    perms = list(itertools.permutations(range(n)))
-    target = np.empty((len(perms), nedges), dtype=np.int8)
-    for pi, perm in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            target[pi, k] = index_of[(a, b) if a < b else (b, a)]
+def _orbit_tables(n: int) -> list[np.ndarray]:
+    """Orbit lookup tables: row v of table c holds, for every permutation of
+    the vertices, the image of the edge mask whose 7-bit chunk c is v and
+    whose other bits are 0; OR-ing one row per chunk gives a mask's orbit."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # (n!, edges, 2): the ends of each edge's image, in ascending order
+    ends = np.sort(perms[:, _edge_index_pairs(n)], axis=-1).astype(np.uint32)
+    lo, hi = ends[..., 0], ends[..., 1]
+    image = np.uint32(1) << hi * (hi - 1) // 2 + lo
     tables = []
-    for lo in range(0, nedges, 7):
-        width = min(7, nedges - lo)
-        tab = np.zeros((len(perms), 1 << width), dtype=np.uint32)
-        vals = np.arange(1 << width, dtype=np.uint32)
-        for b in range(width):
-            bit = (vals >> b) & 1
-            tab |= bit[None, :].astype(np.uint32) << target[:, lo + b].astype(np.uint32)[:, None]
-        tables.append(tab)
+    for c in range(0, image.shape[1], 7):
+        width = min(7, image.shape[1] - c)
+        bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+        # the images of distinct edges are distinct bits, so the sum is an OR
+        tables.append(bits.astype(np.uint32) @ image[:, c:c + width].T)
     return tables
 
 
@@ -399,22 +370,26 @@ def _mask_to_graph(n: int, mask: int) -> Graph:
 def _connected_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    conn = _connected_mask_array(n)
-    tables = _perm_chunk_tables(n)
-    nedges = n * (n - 1) // 2
-    seen = np.zeros(1 << nedges, dtype=bool)
+    tables = _orbit_tables(n)
+    seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
     reps = []
     # ascending mask order: the first unseen mask is its orbit's minimum, so
     # marking whole orbits seen yields exactly one representative per class
-    for m in conn.tolist():
-        if seen[m]:
+    m = 0
+    while m < seen.size:
+        # the next unseen mask, searched one bounded block at a time
+        k = int(seen[m:m + 4096].argmin())
+        if seen[m + k]:
+            m += 4096
             continue
-        reps.append(m)
-        orbit = tables[0][:, m & 127]
-        for c in range(1, len(tables)):
-            orbit = orbit | tables[c][:, (m >> (7 * c)) & 127]
-        seen[orbit] = True
-    return tuple(_mask_to_graph(n, m) for m in reps)
+        m += k
+        seen[np.bitwise_or.reduce([tab[(m >> (7 * c)) & 127]
+                                   for c, tab in enumerate(tables)])] = True
+        g = _mask_to_graph(n, m)
+        if is_connected(g):
+            reps.append(g)
+        m += 1
+    return tuple(reps)
 
 
 def enumerate_connected(n: int):

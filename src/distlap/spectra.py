@@ -89,10 +89,14 @@ class StackedProfiles:
         by_order: dict[int, list[int]] = {}
         for k, g in enumerate(graphs):
             by_order.setdefault(g.n, []).append(k)
+        # per order: (corpus indices, adjacency, distances, dl rows, dq rows)
+        self.groups = []
         for ks in by_order.values():
-            dist = distances(adjacency_stack([graphs[k] for k in ks]))
+            adj = adjacency_stack([graphs[k] for k in ks])
+            dist = distances(adj)
             group = (dist, eigenvalues_stacked(transmission_stack(dist, -1)),
                      eigenvalues_stacked(transmission_stack(dist, 1)))
+            self.groups.append((np.array(ks), adj, *group))
             for row, k in enumerate(ks):
                 self._at[k] = (group, row)
 

@@ -2,10 +2,11 @@
 
 A scan is one graph-major pass: the corpus is loaded once, every requested
 check runs on each graph in the corpus's canonical order, and the reports
-are built when the pass ends. Distances and both distance spectra are
-solved up front, stacked per order, so the pass itself does no distance
-or eigen solve except for the edge-deletion lemmas. Reports intentionally
-exclude wall time from the emitted form to keep runs byte-comparable.
+are built when the pass ends. Distances, both distance spectra and, when
+an edge-deletion lemma is requested, every single-edge deletion are solved
+up front, stacked per order, so the pass itself does no distance or eigen
+solve. Reports intentionally exclude wall time from the emitted form to
+keep runs byte-comparable.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .families import FamilySpec, build
 from .graphs import (Graph, adjacency_stack, distances, enumerate_connected,
                      graph6_records, is_connected, to_graph6)
 from .linalg import eigenvalues_stacked
-from .spectra import (StackedProfiles, hold_profile, profile_of, radii,
+from .spectra import (StackedProfiles, hold_profile, radii,
                       transmission_stack)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
 
@@ -36,39 +36,75 @@ TABLE1_TSTAR = {7: 29.5507, 8: 38.9173, 9: 50.0328, 10: 62.7797,
 TABLE1_TOL = 5e-4
 
 
-@lru_cache(maxsize=1)
-def _kept_deletions(g: Graph) -> np.ndarray:
-    """Stacked hop distances of the single-edge deletions of g that stay
-    connected. Cached for the last graph only, so L2.3 and L2.4 on one graph
-    share a single distance solve."""
-    edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
-    adj = np.repeat(adjacency_stack([g]), len(edges), axis=0)
-    k = np.arange(len(edges))
-    adj[k, edges[:, 0], edges[:, 1]] = adj[k, edges[:, 1], edges[:, 0]] = False
-    # boolean closure: squaring (A + I) ceil(log2 n) times reaches every
-    # vertex within n - 1 steps
-    reach = adj | np.eye(g.n, dtype=bool)
-    for _ in range((g.n - 1).bit_length()):
-        step = reach.astype(np.float32)
-        reach = step @ step > 0
-    return distances(adj[reach[:, 0].all(axis=1)])
+# matrix entries per stacked deletion solve: the 2,016 deletions of K_64
+DELETION_CHUNK = 2016 * 64 * 64
+
+
+def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> list[tuple]:
+    """For every graph, (kept, {sign: gap}): kept counts its single-edge
+    deletions that stay connected, and gap is the least eigenvalue rise of
+    Tr - D (sign -1) or Tr + D (sign +1) over them (inf when kept is 0).
+    The deletions of all graphs of one order are solved as one stack, in
+    chunks of at most DELETION_CHUNK matrix entries, against the base
+    spectra in profiles (built from the same graphs)."""
+    kept = np.zeros(len(graphs), dtype=np.intp)
+    gaps = np.full((len(graphs), len(signs)), np.inf)
+    for ks, adj, _, dl, dq in profiles.groups:
+        n = adj.shape[-1]
+        # one row per edge: its graph's row in the group, then its two ends
+        edges = np.argwhere(np.triu(adj, 1))
+        size = max(1, DELETION_CHUNK // (n * n))
+        for lo in range(0, len(edges), size):
+            row, i, j = edges[lo:lo + size].T
+            sub = adj[row]
+            e = np.arange(len(row))
+            sub[e, i, j] = sub[e, j, i] = False
+            # boolean closure: squaring (A + I) ceil(log2 n) times reaches
+            # every vertex within n - 1 steps
+            reach = sub | np.eye(n, dtype=bool)
+            for _ in range((n - 1).bit_length()):
+                step = reach.astype(np.float32)
+                reach = step @ step > 0
+            connected = reach[:, 0].all(axis=1)
+            if not connected.any():
+                continue
+            row = row[connected]
+            dist = distances(sub[connected])
+            owner = ks[row]
+            kept += np.bincount(owner, minlength=len(graphs))
+            for col, sign in enumerate(signs):
+                vals = eigenvalues_stacked(transmission_stack(dist, sign))
+                rise = vals - (dl if sign < 0 else dq)[row]
+                np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
+    return [(count, dict(zip(signs, least)))
+            for count, least in zip(kept.tolist(), gaps.tolist())]
+
+
+# the one graph whose deletion gaps are held: [graph, kept, {sign: gap}]
+_held_gaps: list = [None, 0, {}]
+
+
+def _gaps_of(g: Graph, sign: int) -> tuple[int, float]:
+    """kept and gap of g from _deletion_gaps, reusing the held entry when it
+    belongs to g and has sign; a computed entry (both signs) replaces it."""
+    held, _, gaps = _held_gaps
+    if (held is not g and held != g) or sign not in gaps:
+        _held_gaps[:] = g, *_deletion_gaps([g], StackedProfiles([g]), (-1, 1))[0]
+    return _held_gaps[1], _held_gaps[2][sign]
 
 
 def _check_edge_deletion(g: Graph, sign: int, theorem_id: str,
                          tol: float) -> BoundVerdict:
     """Deleting any edge that keeps the graph connected never lowers any
     eigenvalue of Tr - D (sign -1) or Tr + D (sign +1)."""
-    dist = _kept_deletions(g)
-    if not len(dist):
+    kept, min_gap = _gaps_of(g, sign)
+    if not kept:
         return not_applicable(theorem_id, witness={"deletions_checked": 0})
-    p = profile_of(g)
-    base = np.array((p.dl_spectrum if sign < 0 else p.dq_spectrum).values)
-    min_gap = float((eigenvalues_stacked(transmission_stack(dist, sign)) - base).min())
     return BoundVerdict(theorem_id, 0.0, min_gap,
                         holds=min_gap >= -1e-9,
                         strict=min_gap > SLACK,
                         equality=abs(min_gap) <= tol,
-                        witness={"deletions_checked": len(dist)})
+                        witness={"deletions_checked": kept})
 
 
 def check_lemma23(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -149,6 +185,8 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
     t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
     profiles = StackedProfiles(graphs)
+    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
+    deletions = _deletion_gaps(graphs, profiles, signs) if signs else None
     checks = [SCAN_CHECKS[tid] for tid in ids]
     checked = [0] * len(ids)
     hits: list[list[tuple[int, BoundVerdict]]] = [[] for _ in ids]
@@ -158,6 +196,8 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
             if not live:
                 break
             hold_profile(g, profiles.profile(k))
+            if deletions:
+                _held_gaps[:] = g, *deletions[k]
             stopped = []
             for i in live:
                 v = checks[i](g, tolerance)
@@ -170,6 +210,7 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
                 live = [i for i in live if i not in stopped]
     finally:
         hold_profile(None, None)
+        _held_gaps[:] = None, 0, {}
 
     # graph6 strings only for the graphs that a report names
     reported = {k for found in hits for k, _ in found}

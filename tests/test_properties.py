@@ -1,13 +1,16 @@
 """Property tests: the stacked distance kernel against a reference BFS, pair
-radii against per-graph solves, and the graph6 round trip."""
+radii against per-graph solves, the graph6 round trip, and scan verdicts
+against per-graph checks."""
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from distlap import (MAX_ORDER, DisconnectedGraph, Graph, dist_laplacian,
-                     dist_signless_laplacian, distance_data, eigenvalues,
-                     from_edges, from_graph6, radii, to_graph6)
+from distlap import (MAX_ORDER, SCAN_IDS, BoundVerdict, DisconnectedGraph,
+                     Graph, dist_laplacian, dist_signless_laplacian,
+                     distance_data, eigenvalues, from_edges, from_graph6,
+                     radii, scan_many, to_graph6)
 from distlap.graphs import adjacency_stack, distances
+from distlap.verify import SCAN_CHECKS
 
 
 def path(n):
@@ -118,3 +121,24 @@ def test_graph6_round_trip(g):
     assert text.startswith("~") == (g.n >= 63)
     assert from_graph6(text) == g
     assert from_graph6(text.encode("ascii")) == g
+
+
+@given(st.lists(st.integers(1, 12).flatmap(connected_graphs), min_size=1, max_size=6))
+@example([complete(12), path(1), complete(2), cycle(5), complete(5), path(12)])
+def test_scan_verdicts_equal_per_graph_checks(graphs):
+    # every check returns a verdict inside a scan, equal to its own call
+    checks = dict(SCAN_CHECKS)
+    seen = {tid: [] for tid in SCAN_IDS}
+
+    def recorded(tid):
+        return lambda g, tol: seen[tid].append(checks[tid](g, tol)) or seen[tid][-1]
+
+    SCAN_CHECKS.update({tid: recorded(tid) for tid in SCAN_IDS})
+    try:
+        reports = scan_many(SCAN_IDS, [to_graph6(g) for g in graphs])
+    finally:
+        SCAN_CHECKS.update(checks)
+    assert [r.graphs_checked for r in reports] == [len(graphs)] * len(SCAN_IDS)
+    for tid in SCAN_IDS:
+        assert all(isinstance(v, BoundVerdict) for v in seen[tid])
+        assert seen[tid] == [checks[tid](g) for g in graphs]

@@ -24,6 +24,7 @@ from distlap import (
     dist_signless_laplacian,
     eigenvalues,
     emit_report,
+    enumerate_connected,
     family_spec,
     fixture31_determinant,
     fixture61_determinant,
@@ -38,7 +39,7 @@ from distlap import (
     table1_regression,
     to_graph6,
 )
-from distlap.graphs import _connected_mask_array
+from distlap import verify
 from distlap.verify import SCAN_CHECKS, _json_value
 
 # sha256 of the reports of the per-id scan that the one-pass scan replaced:
@@ -49,15 +50,16 @@ REPORTS_CSV_SHA256 = {
     "L2.3": "5de771ea94fa7e89898048691c94df6b63bcc15edd62f49674cc4e1a96c7c410",
 }
 
-# count and sha256 of the little-endian uint32 masks of the boolean-gather
-# connectivity filter that the dense one replaced
-CONNECTED_MASKS = {
-    2: (1, "67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450"),
-    3: (4, "f3fdd5a95080eba154cb9fea94034e80c9c587ac8c55549e5653e782432956f7"),
-    4: (38, "2f74e206a3b6b36dae77efcaf3925e7711717195927064fd8938ecc6873879e9"),
-    5: (728, "df84bb53da4d7c52fc75029b3962fd84111ccd5dfdb779e095a267cd72c5115f"),
-    6: (26704, "540203198363afb736cdfffd66f55fda7f71ddeee2211ce4d82fcaedabb79097"),
-    7: (1866256, "1c71955f60622dfc46fe60a3320bc8b98e59455a04ec7dbf5b104b769ebd3d44"),
+# sha256 of the newline-joined graph6 of enumerate_connected(n) from the
+# enumerator that filtered every labelled connected mask before the sweep
+ENUMERATION_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec",
+    4: "eb3044c0e6b719df19467100993dfd0583066994461626084eb3e46eeb29efe6",
+    5: "bad40746036227cbfdceea3e505f039a6eb2972939b9a2c507f14c088f3ea56e",
+    6: "c727f559e01cb751f9f685b87dea4ce7ba7c7771420f2db80467b8399d689317",
+    7: "b6b2dbb7f539a6e2c86548111920a3ab24e409b4c32f603d87b444536be4c463",
 }
 
 
@@ -212,11 +214,47 @@ def test_stacked_deletions_match_per_edge_oracle():
         assert check_lemma24(g) == _deletion_oracle(g, dist_signless_laplacian, "L2.4")
 
 
-def test_connected_mask_array_pinned():
-    for n, (count, digest) in CONNECTED_MASKS.items():
-        masks = _connected_mask_array(n)
-        assert masks.size == count
-        assert hashlib.sha256(masks.astype("<u4").tobytes()).hexdigest() == digest
+def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
+    # a scan solves every deletion of the corpus in one _deletion_gaps call;
+    # the small chunk splits each order's stack, and the deletions of one
+    # graph, across many solves
+    rng = random.Random(29)
+    graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
+    for n in range(1, 13):
+        graphs += [fam("Path", n), fam("Complete", n)] + ([fam("Star", n)] if n >= 2 else [])
+    want = {"L2.3": [_deletion_oracle(g, dist_laplacian, "L2.3") for g in graphs],
+            "L2.4": [_deletion_oracle(g, dist_signless_laplacian, "L2.4")
+                     for g in graphs]}
+    assert verify.DELETION_CHUNK == 2016 * 64 * 64
+    for chunk in (verify.DELETION_CHUNK, 300):
+        monkeypatch.setattr(verify, "DELETION_CHUNK", chunk)
+        solves, stacks = [], []
+        real_gaps, real_eig = verify._deletion_gaps, verify.eigenvalues_stacked
+        monkeypatch.setattr(verify, "_deletion_gaps",
+                            lambda gs, *a: solves.append(len(gs)) or real_gaps(gs, *a))
+        monkeypatch.setattr(verify, "eigenvalues_stacked",
+                            lambda m: stacks.append(m.size) or real_eig(m))
+        got = {tid: [] for tid in want}
+
+        def recorded(check, out):
+            return lambda g, tol: out.append(check(g, tol)) or out[-1]
+
+        for tid in want:
+            monkeypatch.setitem(SCAN_CHECKS, tid, recorded(SCAN_CHECKS[tid], got[tid]))
+        scan_many(["L2.3", "L2.4"], [to_graph6(g) for g in graphs])
+        monkeypatch.undo()
+        assert solves == [len(graphs)]
+        assert max(stacks) <= chunk
+        # orders 3..12 keep some deletion: one solve per order and flavour,
+        # or many once the chunk is small
+        assert (len(stacks) > 200) if chunk == 300 else (len(stacks) == 20)
+        assert got == want
+
+
+def test_enumerate_connected_pinned():
+    for n, digest in ENUMERATION_SHA256.items():
+        text = "\n".join(to_graph6(g) for g in enumerate_connected(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_edge_deletion_checks():
