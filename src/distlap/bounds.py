@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph, complement
+from .graphs import Graph
 from .spectra import profile_of as _profile
 from .spectra import radii
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
@@ -36,23 +36,22 @@ def clique_number(g: Graph) -> CliqueNumber:
     best = 1
 
     def color_order(cand: int) -> list[tuple[int, int]]:
-        # greedy coloring of the candidate set; returns (vertex, color) with
-        # colors ascending, a valid upper bound for the clique inside cand
-        classes: list[int] = []
+        # greedy coloring of the candidate set, one color class at a time:
+        # each class takes, in ascending order, every remaining vertex with
+        # no neighbour in it (the classes first-fit coloring gives); returns
+        # (vertex, color) with colors ascending, a valid upper bound for the
+        # clique inside cand
         out = []
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            for ci, cl in enumerate(classes):
-                if not (cl & adj[v]):
-                    classes[ci] = cl | (1 << v)
-                    out.append((v, ci + 1))
-                    break
-            else:
-                classes.append(1 << v)
-                out.append((v, len(classes)))
-        out.sort(key=lambda vc: vc[1])
+        color = 0
+        while cand:
+            color += 1
+            free = cand
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                cand ^= low
+                free &= ~adj[v] ^ low
+                out.append((v, color))
         return out
 
     def expand(size: int, cand: int):
@@ -70,6 +69,13 @@ def clique_number(g: Graph) -> CliqueNumber:
 
     expand(0, (1 << n) - 1)
     return CliqueNumber(best)
+
+
+@lru_cache(maxsize=1)
+def _omega(g: Graph) -> int:
+    """clique_number(g).omega, held for the one graph last asked about, so
+    T5.1 and T5.2 on the same graph share one search."""
+    return clique_number(g).omega
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +113,17 @@ def is_turan(g: Graph, omega: int) -> bool:
     n = g.n
     if not 2 <= omega <= n:
         return omega == 1 and n == 1
-    comp = complement(g)
-    # complement must be a disjoint union of omega balanced cliques
+    # the complement must be a disjoint union of omega balanced cliques: each
+    # vertex's block is its non-neighbourhood, itself included
+    full = (1 << n) - 1
     seen = 0
     sizes = []
     for v in range(n):
         if (seen >> v) & 1:
             continue
-        block = comp.adj[v] | (1 << v)
+        block = ~g.adj[v] & full
         for u in range(n):
-            if (block >> u) & 1 and (comp.adj[u] | (1 << u)) != block:
+            if (block >> u) & 1 and (~g.adj[u] & full) != block:
                 return False
         seen |= block
         sizes.append(block.bit_count())
@@ -301,7 +308,7 @@ def bound_L1_theorem42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if n < 3:
         return not_applicable("T4.2", observed=obs, witness={"n": n})
     d1 = max(p.dd.trans)
-    sum_sq = sum(d * d for row in p.dd.dist for d in row) // 2
+    sum_sq = p.dd.sum_sq
     sum_trans_sq = sum(t * t for t in p.dd.trans)
     bound = d1 + math.sqrt(2.0 * sum_sq - sum_trans_sq / n)
     return BoundVerdict("T4.2", bound, obs,
@@ -323,7 +330,7 @@ def bound_L1_clique_lower(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     graph's radius is n."""
     p = _profile(g)
     n = g.n
-    omega = clique_number(g).omega
+    omega = _omega(g)
     obs = p.dl_spectrum.radius
     if omega >= n:
         return not_applicable("T5.1", observed=obs,
@@ -341,7 +348,7 @@ def bound_L1_clique_upper(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     order and clique number; equality iff isomorphic to it."""
     p = _profile(g)
     n = g.n
-    omega = clique_number(g).omega
+    omega = _omega(g)
     obs = p.dl_spectrum.radius
     if n == 1:
         return BoundVerdict("T5.2", 0.0, obs, holds=True, strict=False,

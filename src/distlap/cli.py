@@ -1,12 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success / no violations, 1 at least one violation found,
-2 usage or input error.
+2 usage or input error, 141 (the status SIGPIPE gives) when the reader
+closed stdout before the output ended.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .bounds import CHECKS, THEOREM_IDS
@@ -33,7 +35,11 @@ _EPILOG = "theorem ids: " + " ".join(THEOREM_IDS)
 
 
 def _fmt(x: float, precise: bool) -> str:
-    return f"{x:.12g}" if precise else f"{x:.4f}"
+    if precise:
+        return f"{x:.12g}"
+    # a value that rounds to zero prints unsigned, never as -0.0000
+    text = f"{x:.4f}"
+    return "0.0000" if text == "-0.0000" else text
 
 
 def _input_graphs(args, connected: bool = True):
@@ -257,16 +263,24 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.fn(args)
-    except DistlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except BrokenPipeError:
+        raise  # a closed stdout, which main ends quietly
+    except (DistlapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): stop without a message,
+        # and point stdout at devnull so the interpreter's final flush of
+        # the unwritten output has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

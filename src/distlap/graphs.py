@@ -8,7 +8,7 @@ order (0,1), (0,2), (1,2), (0,3), ... which is also the graph6 bit order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +30,8 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    # number of edges, counted once by the validation below
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_ORDER:
@@ -55,11 +57,7 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency at "
                                      f"({min(i, j)},{max(i, j)})")
                 walk &= walk - 1
-
-    @property
-    def m(self) -> int:
-        """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        object.__setattr__(self, "m", bits // 2)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
@@ -93,19 +91,34 @@ def complement(g: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs hop distances with derived transmissions, Wiener index, diameter."""
+    """All-pairs hop distances with derived transmissions, Wiener index,
+    diameter and sum_sq, the sum of d(i, j)^2 over unordered pairs."""
 
     dist: tuple[tuple[int, ...], ...]
     trans: tuple[int, ...]
     wiener: int
     diam: int
+    sum_sq: int
 
-    @classmethod
-    def from_rows(cls, rows) -> DistanceData:
-        """Derive transmissions, Wiener index and diameter from distance rows."""
-        dist = tuple(map(tuple, rows))
-        trans = tuple(map(sum, dist))
-        return cls(dist, trans, sum(trans) // 2, max(map(max, dist)))
+
+class DistanceStack:
+    """An int16 distance stack (N, n, n) with every graph's transmissions,
+    Wiener index, diameter and sum of squared distances, each reduced once
+    for the whole stack in exact int64; data(k) builds graph k's
+    DistanceData from the arrays."""
+
+    def __init__(self, dist: np.ndarray):
+        self.dist = dist
+        d = dist.astype(np.int64)
+        self.trans = d.sum(axis=-1)
+        self.wiener = self.trans.sum(axis=-1) // 2
+        self.diam = d.max(axis=(-2, -1))
+        self.sum_sq = (d * d).sum(axis=(-2, -1)) // 2
+
+    def data(self, k: int) -> DistanceData:
+        return DistanceData(tuple(map(tuple, self.dist[k].tolist())),
+                            tuple(self.trans[k].tolist()), int(self.wiener[k]),
+                            int(self.diam[k]), int(self.sum_sq[k]))
 
 
 def is_connected(g: Graph) -> bool:
@@ -127,7 +140,7 @@ def is_connected(g: Graph) -> bool:
 def distance_data(g: Graph) -> DistanceData:
     """All-pairs distances of one graph; raises DisconnectedGraph when some
     pair is unreachable."""
-    return DistanceData.from_rows(distances(adjacency_stack([g]))[0].tolist())
+    return DistanceStack(distances(adjacency_stack([g]))).data(0)
 
 
 def adjacency_stack(graphs) -> np.ndarray:
@@ -137,6 +150,19 @@ def adjacency_stack(graphs) -> np.ndarray:
     bits = np.unpackbits(rows.view(np.uint8).reshape(len(graphs), n, 8),
                          axis=-1, count=n, bitorder="little")
     return bits.view(bool)
+
+
+def connected(adj: np.ndarray) -> np.ndarray:
+    """(N,) booleans: which graphs of a (N, n, n) boolean adjacency stack
+    are connected. Boolean closure: squaring (A + I) ceil(log2 n) times
+    reaches every vertex within n - 1 steps; the float32 products count at
+    most n walks per entry, so they are exact."""
+    n = adj.shape[-1]
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        step = reach.astype(np.float32)
+        reach = step @ step > 0
+    return reach[:, 0].all(axis=1)
 
 
 def distances(adj: np.ndarray) -> np.ndarray:
@@ -197,52 +223,79 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(body)
 
 
-def from_graph6(text) -> Graph:
-    if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
-    text = text.strip()
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
+def _graph6_body(text: str) -> tuple[int, bytes]:
+    """Order and body bytes of one stripped graph6 record, after checking
+    its bytes, its order and its length."""
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
     if not text:
         raise MalformedGraph6("empty graph6 record")
-    data = [ord(c) - 63 for c in text]
-    if any(v < 0 or v > 63 for v in data):
+    # every non-ASCII character encodes to bytes >= 128, out of range
+    raw = text.encode("utf-8", "surrogatepass")
+    if raw.translate(None, _GRAPH6_BYTES):
         raise MalformedGraph6(f"byte out of range in {text!r}")
-    if data[0] == 63:
-        if len(data) < 4:
+    if raw[0] == 126:
+        if len(raw) < 4:
             raise MalformedGraph6("truncated long-form order")
-        if data[1] == 63:
+        if raw[1] == 126:
             raise UnsupportedOrder("36-bit graph6 order exceeds the 64-vertex cap")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (raw[1] - 63) << 12 | (raw[2] - 63) << 6 | (raw[3] - 63)
         off = 4
     else:
-        n = data[0]
+        n = raw[0] - 63
         off = 1
     if n == 0 or n > MAX_ORDER:
         raise UnsupportedOrder(f"order {n} outside 1..{MAX_ORDER}")
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(data) - off != nbytes:
-        raise MalformedGraph6(f"expected {nbytes} body bytes, got {len(data) - off}")
-    rows = [0] * n
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            byte = data[off + k // 6]
-            bit = (byte >> (5 - k % 6)) & 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if len(raw) - off != nbytes:
+        raise MalformedGraph6(f"expected {nbytes} body bytes, got {len(raw) - off}")
+    return n, raw[off:]
 
 
-def graph6_records(lines):
-    """Parse a corpus of graph6 records, one per line.
+@lru_cache(maxsize=None)
+def _colex_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, i) index arrays of the edges (i, j), i < j, in colex order: the
+    row-major order below the diagonal."""
+    return np.tril_indices(n, -1)
 
-    lines: an iterable of bytes or str lines, such as a file opened in binary
-    mode. Yields (line number, record, graph) for every nonblank line, where
-    graph is None when the record's order lies outside 1..MAX_ORDER. A
+
+def graph6_stack(n: int, bodies) -> np.ndarray:
+    """(N, n, n) boolean adjacency of N graph6 record bodies of order n (the
+    bytes after the order header), decoded in one numpy step: six bits per
+    byte, most significant first, over the edges in colex order."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    data = np.frombuffer(b"".join(bodies), dtype=np.uint8) - 63
+    bits = np.unpackbits(data.reshape(len(bodies), nbytes, 1), axis=-1)[..., 2:]
+    bits = bits.reshape(len(bodies), 6 * nbytes)
+    j, i = _colex_ends(n)
+    adj = np.zeros((len(bodies), n, n), dtype=bool)
+    adj[:, i, j] = adj[:, j, i] = bits[:, :len(i)]
+    return adj
+
+
+def stack_graphs(adj: np.ndarray) -> list[Graph]:
+    """Graph objects of a (N, n, n) boolean adjacency stack, built from its
+    rows packed into ints; the inverse of adjacency_stack."""
+    count, n = adj.shape[:2]
+    packed = np.zeros((count, n, 8), dtype=np.uint8)
+    packed[..., :(n + 7) // 8] = np.packbits(adj, axis=-1, bitorder="little")
+    return [Graph(n, tuple(rows)) for rows in packed.view("<u8")[..., 0].tolist()]
+
+
+def from_graph6(text) -> Graph:
+    """The graph of one graph6 record: the one-record call of graph6_stack."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="replace")
+    n, body = _graph6_body(text.strip())
+    return stack_graphs(graph6_stack(n, [body]))[0]
+
+
+def _graph6_lines(lines):
+    """(line number, record, order, body) for every nonblank line of a
+    graph6 corpus; the order is None when it lies outside 1..MAX_ORDER. A
     non-ASCII byte or a malformed record raises CorpusError naming its
     1-based line number."""
     for lineno, line in enumerate(lines, 1):
@@ -255,13 +308,64 @@ def graph6_records(lines):
         if not text:
             continue
         try:
-            g = from_graph6(text)
+            n, body = _graph6_body(text)
         except UnsupportedOrder:
-            g = None
+            n, body = None, b""
         except MalformedGraph6 as exc:
             raise CorpusError(f"line {lineno}: malformed graph6 record "
                               f"{text!r}: {exc}") from exc
-        yield lineno, text, g
+        yield lineno, text, n, body
+
+
+def graph6_records(lines):
+    """Parse a corpus of graph6 records, one per line, one record at a time.
+
+    lines: an iterable of bytes or str lines, such as a file opened in binary
+    mode. Yields (line number, record, graph) for every nonblank line, where
+    graph is None when the record's order lies outside 1..MAX_ORDER. A
+    non-ASCII byte or a malformed record raises CorpusError naming its
+    1-based line number."""
+    for lineno, text, n, body in _graph6_lines(lines):
+        yield lineno, text, (None if n is None
+                             else stack_graphs(graph6_stack(n, [body]))[0])
+
+
+def graph6_corpus(lines) -> tuple[list[Graph], list[tuple], int]:
+    """Read a whole corpus of graph6 lines, decoding the records of each
+    order as one stack and testing their connectivity as one closure.
+
+    Returns (graphs, groups, skipped): the connected graphs in file order;
+    per order, (indices into graphs, their (N, n, n) adjacency stack); and
+    the number of disconnected or over-order records. Errors are those of
+    graph6_records, raised at the first bad line in file order."""
+    orders: dict[int, tuple[list, list]] = {}
+    count = skipped = 0
+    for _, _, n, body in _graph6_lines(lines):
+        if n is None:
+            skipped += 1
+            continue
+        at, bodies = orders.setdefault(n, ([], []))
+        at.append(count)
+        bodies.append(body)
+        count += 1
+    keep = np.zeros(count, dtype=bool)
+    stacks = []
+    for n, (at, bodies) in orders.items():
+        adj = graph6_stack(n, bodies)
+        ok = connected(adj)
+        if ok.any():
+            stacks.append((np.array(at)[ok], adj[ok]))
+            keep[stacks[-1][0]] = True
+    # a record's index among the connected ones
+    rank = np.cumsum(keep) - 1
+    graphs: list = [None] * int(keep.sum())
+    groups = []
+    for at, adj in stacks:
+        ks = rank[at]
+        for k, g in zip(ks.tolist(), stack_graphs(adj)):
+            graphs[k] = g
+        groups.append((ks, adj))
+    return graphs, groups, skipped + count - len(graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import DistanceData, Graph, adjacency_stack, distances
+from .graphs import (DistanceData, DistanceStack, Graph, adjacency_stack,
+                     distances)
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict
 
@@ -79,32 +80,39 @@ def spectral_profile(g: Graph) -> SpectralProfile:
 
 
 class StackedProfiles:
-    """Distances and both distance spectra of many connected graphs, computed
-    up front with one stacked distance solve and one eigensolve per flavour
-    for each order; profile(k) is built from the arrays on demand, so only
-    arrays are kept for the whole corpus."""
+    """Distances, distance invariants and both distance spectra of many
+    connected graphs, computed up front with one stacked distance solve,
+    one DistanceStack and one eigensolve per flavour for each order;
+    profile(k) is built from the arrays on demand, so only arrays are kept
+    for the whole corpus.
 
-    def __init__(self, graphs):
+    groups: per order, (indices into graphs, their (N, n, n) adjacency
+    stack), as graphs.graph6_corpus returns them; built from graphs when
+    omitted."""
+
+    def __init__(self, graphs, groups=None):
+        if groups is None:
+            by_order: dict[int, list[int]] = {}
+            for k, g in enumerate(graphs):
+                by_order.setdefault(g.n, []).append(k)
+            groups = [(np.array(ks), adjacency_stack([graphs[k] for k in ks]))
+                      for ks in by_order.values()]
         self._at: list = [None] * len(graphs)
-        by_order: dict[int, list[int]] = {}
-        for k, g in enumerate(graphs):
-            by_order.setdefault(g.n, []).append(k)
-        # per order: (corpus indices, adjacency, distances, dl rows, dq rows)
+        # per order: (corpus indices, adjacency, DistanceStack, dl rows, dq rows)
         self.groups = []
-        for ks in by_order.values():
-            adj = adjacency_stack([graphs[k] for k in ks])
-            dist = distances(adj)
-            group = (dist, eigenvalues_stacked(transmission_stack(dist, -1)),
-                     eigenvalues_stacked(transmission_stack(dist, 1)))
-            self.groups.append((np.array(ks), adj, *group))
-            for row, k in enumerate(ks):
+        for ks, adj in groups:
+            dist = DistanceStack(distances(adj))
+            group = (dist, eigenvalues_stacked(transmission_stack(dist.dist, -1)),
+                     eigenvalues_stacked(transmission_stack(dist.dist, 1)))
+            self.groups.append((ks, adj, *group))
+            for row, k in enumerate(ks.tolist()):
                 self._at[k] = (group, row)
 
     def profile(self, k: int) -> SpectralProfile:
         (dist, dl, dq), row = self._at[k]
         return SpectralProfile(Spectrum(tuple(dl[row].tolist())),
                                Spectrum(tuple(dq[row].tolist())),
-                               DistanceData.from_rows(dist[row].tolist()))
+                               dist.data(row))
 
 
 # the one profile kept alive: (graph, profile), or (None, None)

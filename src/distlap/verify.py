@@ -21,8 +21,8 @@ import numpy as np
 from .bounds import CHECKS
 from .errors import CorpusError, InvalidParams, UnknownTheorem
 from .families import FamilySpec, build
-from .graphs import (Graph, adjacency_stack, distances, enumerate_connected,
-                     graph6_records, is_connected, to_graph6)
+from .graphs import (Graph, connected, distances, enumerate_connected,
+                     graph6_corpus, to_graph6)
 from .linalg import eigenvalues_stacked
 from .spectra import (StackedProfiles, hold_profile, radii,
                       transmission_stack)
@@ -59,17 +59,11 @@ def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> list[tuple]:
             sub = adj[row]
             e = np.arange(len(row))
             sub[e, i, j] = sub[e, j, i] = False
-            # boolean closure: squaring (A + I) ceil(log2 n) times reaches
-            # every vertex within n - 1 steps
-            reach = sub | np.eye(n, dtype=bool)
-            for _ in range((n - 1).bit_length()):
-                step = reach.astype(np.float32)
-                reach = step @ step > 0
-            connected = reach[:, 0].all(axis=1)
-            if not connected.any():
+            keep = connected(sub)
+            if not keep.any():
                 continue
-            row = row[connected]
-            dist = distances(sub[connected])
+            row = row[keep]
+            dist = distances(sub[keep])
             owner = ks[row]
             kept += np.bincount(owner, minlength=len(graphs))
             for col, sign in enumerate(signs):
@@ -140,14 +134,16 @@ class ScanReport:
         return not self.violations
 
 
-def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
-    """Resolve a corpus argument to (descriptor, graphs, skipped count).
+def _load_corpus(corpus) -> tuple[str, list[Graph], list | None, int]:
+    """Resolve a corpus argument to (descriptor, graphs, groups, skipped
+    count), where groups are graph6_corpus's per-order adjacency stacks
+    (None for a native order).
 
     Accepts a native order (int), a file path, or an iterable of graph6
     lines (bytes or str). Disconnected and over-order entries are counted
     as skipped; non-ASCII or malformed lines raise CorpusError."""
     if isinstance(corpus, int):
-        return f"n={corpus}", list(enumerate_connected(corpus)), 0
+        return f"n={corpus}", list(enumerate_connected(corpus)), None, 0
     if isinstance(corpus, (str, os.PathLike)):
         desc = f"file:{corpus}"
         try:
@@ -157,17 +153,10 @@ def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
             raise CorpusError(f"cannot read corpus {corpus}: {exc}") from exc
     else:
         desc, lines = "stream", corpus
-    graphs = []
-    skipped = 0
     try:
-        for _, _, g in graph6_records(lines):
-            if g is None or not is_connected(g):
-                skipped += 1
-            else:
-                graphs.append(g)
+        return desc, *graph6_corpus(lines)
     except CorpusError as exc:
         raise CorpusError(f"{desc} {exc}") from exc
-    return desc, graphs, skipped
 
 
 def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
@@ -183,8 +172,8 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
         if tid not in SCAN_CHECKS:
             raise UnknownTheorem(f"{tid!r}; known: {', '.join(SCAN_IDS)}")
     t0 = time.perf_counter()
-    desc, graphs, skipped = _load_corpus(corpus)
-    profiles = StackedProfiles(graphs)
+    desc, graphs, groups, skipped = _load_corpus(corpus)
+    profiles = StackedProfiles(graphs, groups)
     signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
     deletions = _deletion_gaps(graphs, profiles, signs) if signs else None
     checks = [SCAN_CHECKS[tid] for tid in ids]

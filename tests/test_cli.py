@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from distlap.cli import run
+from distlap.cli import _fmt, run
 
 
 def test_spectrum_family_kite():
@@ -180,3 +184,32 @@ def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):
     assert run([*command, "--check", "T6.3", "--tolerance", value]) == 2
     assert "--tolerance" in capsys.readouterr().err
     assert run([*command, "--check", "T6.3", "--tolerance", "0"]) == 0
+
+
+def test_fmt_never_prints_negative_zero(capsys):
+    assert run(["spectrum", "--graph6", "Bw", "--matrix", "L"]) == 0
+    assert capsys.readouterr().out == "3.0000 3.0000 0.0000\n"
+    for x in (-0.0, -1e-17, -4e-5):
+        assert _fmt(x, False) == "0.0000"
+    assert _fmt(-6e-5, False) == "-0.0001"
+    # the 12-digit form keeps its sign
+    assert _fmt(-0.0, True) == "-0" and _fmt(-1e-17, True) == "-1e-17"
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--family", "path:4", "--check", "all"],
+    ["scan", "--check", "all", "--n", "6", "--format", "csv"],
+])
+def test_closed_stdout_ends_quietly(args):
+    # the reader is gone before the first byte is written, as with `| head`
+    # on a long output
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "distlap.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

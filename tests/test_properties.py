@@ -1,14 +1,16 @@
 """Property tests: the stacked distance kernel against a reference BFS, pair
-radii against per-graph solves, the graph6 round trip, and scan verdicts
-against per-graph checks."""
+radii against per-graph solves, the graph6 round trip, scan verdicts
+against per-graph checks, and two spectral invariances: relabelling keeps
+the L and Q spectra, and a connected edge deletion never lowers a radius."""
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from distlap import (MAX_ORDER, SCAN_IDS, BoundVerdict, DisconnectedGraph,
-                     Graph, dist_laplacian, dist_signless_laplacian,
-                     distance_data, eigenvalues, from_edges, from_graph6,
-                     radii, scan_many, to_graph6)
+                     Graph, delete_edge, dist_laplacian,
+                     dist_signless_laplacian, distance_data, eigenvalues,
+                     from_edges, from_graph6, is_connected, radii, scan_many,
+                     to_graph6)
 from distlap.graphs import adjacency_stack, distances
 from distlap.verify import SCAN_CHECKS
 
@@ -142,3 +144,25 @@ def test_scan_verdicts_equal_per_graph_checks(graphs):
     for tid in SCAN_IDS:
         assert all(isinstance(v, BoundVerdict) for v in seen[tid])
         assert seen[tid] == [checks[tid](g) for g in graphs]
+
+
+@given(st.integers(1, 30).flatmap(
+    lambda n: st.tuples(connected_graphs(n), st.permutations(range(n)))))
+@example((path(30), list(range(29, -1, -1))))
+def test_spectra_invariant_under_relabelling(case):
+    g, perm = case
+    h = from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+    for matrix in (dist_laplacian, dist_signless_laplacian):
+        a, b = eigenvalues(matrix(g)), eigenvalues(matrix(h))
+        tol = 1e-9 * max(1.0, a.radius)
+        assert max(abs(x - y) for x, y in zip(a.values, b.values)) <= tol
+
+
+@given(st.integers(2, 20).flatmap(connected_graphs))
+@example(cycle(20))
+@example(complete(20))
+def test_radii_monotone_under_connected_edge_deletion(g):
+    kept = [h for h in (delete_edge(g, e) for e in g.edges()) if is_connected(h)]
+    for sign in (-1, 1):
+        base, *after = radii([g, *kept], sign)
+        assert all(r >= base - 1e-9 * base for r in after)
