@@ -31,6 +31,9 @@ _MATRICES = {
     "A": adjacency_matrix,
 }
 
+# exit status when the reader closed stdout early: the one SIGPIPE gives
+EXIT_CLOSED = 141
+
 _EPILOG = "theorem ids: " + " ".join(THEOREM_IDS)
 
 
@@ -264,22 +267,23 @@ def run(argv=None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        raise  # a closed stdout, which main ends quietly
+        return EXIT_CLOSED
     except (DistlapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
+    code = run()
     try:
-        code = run()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout (say, `| head`): stop without a message,
-        # and point stdout at devnull so the interpreter's final flush of
-        # the unwritten output has nothing to report
+        code = EXIT_CLOSED
+    if code == EXIT_CLOSED:
+        # the reader closed stdout (say, `| head`): point stdout at devnull
+        # so the interpreter's final flush of the unwritten output has
+        # nothing to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
     sys.exit(code)
 
 

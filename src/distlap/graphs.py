@@ -330,13 +330,12 @@ def graph6_records(lines):
                              else stack_graphs(graph6_stack(n, [body]))[0])
 
 
-def graph6_corpus(lines) -> tuple[list[Graph], list[tuple], int]:
+def graph6_corpus(lines) -> tuple[list[Graph], int]:
     """Read a whole corpus of graph6 lines, decoding the records of each
     order as one stack and testing their connectivity as one closure.
 
-    Returns (graphs, groups, skipped): the connected graphs in file order;
-    per order, (indices into graphs, their (N, n, n) adjacency stack); and
-    the number of disconnected or over-order records. Errors are those of
+    Returns (graphs, skipped): the connected graphs in file order and the
+    number of disconnected or over-order records. Errors are those of
     graph6_records, raised at the first bad line in file order."""
     orders: dict[int, tuple[list, list]] = {}
     count = skipped = 0
@@ -348,24 +347,14 @@ def graph6_corpus(lines) -> tuple[list[Graph], list[tuple], int]:
         at.append(count)
         bodies.append(body)
         count += 1
-    keep = np.zeros(count, dtype=bool)
-    stacks = []
+    graphs: list = [None] * count
     for n, (at, bodies) in orders.items():
         adj = graph6_stack(n, bodies)
         ok = connected(adj)
-        if ok.any():
-            stacks.append((np.array(at)[ok], adj[ok]))
-            keep[stacks[-1][0]] = True
-    # a record's index among the connected ones
-    rank = np.cumsum(keep) - 1
-    graphs: list = [None] * int(keep.sum())
-    groups = []
-    for at, adj in stacks:
-        ks = rank[at]
-        for k, g in zip(ks.tolist(), stack_graphs(adj)):
+        for k, g in zip(np.array(at)[ok].tolist(), stack_graphs(adj[ok])):
             graphs[k] = g
-        groups.append((ks, adj))
-    return graphs, groups, skipped + count - len(graphs)
+    graphs = [g for g in graphs if g is not None]
+    return graphs, skipped + count - len(graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -84,28 +84,22 @@ class StackedProfiles:
     connected graphs, computed up front with one stacked distance solve,
     one DistanceStack and one eigensolve per flavour for each order;
     profile(k) is built from the arrays on demand, so only arrays are kept
-    for the whole corpus.
+    for the whole corpus."""
 
-    groups: per order, (indices into graphs, their (N, n, n) adjacency
-    stack), as graphs.graph6_corpus returns them; built from graphs when
-    omitted."""
-
-    def __init__(self, graphs, groups=None):
-        if groups is None:
-            by_order: dict[int, list[int]] = {}
-            for k, g in enumerate(graphs):
-                by_order.setdefault(g.n, []).append(k)
-            groups = [(np.array(ks), adjacency_stack([graphs[k] for k in ks]))
-                      for ks in by_order.values()]
+    def __init__(self, graphs):
         self._at: list = [None] * len(graphs)
+        by_order: dict[int, list[int]] = {}
+        for k, g in enumerate(graphs):
+            by_order.setdefault(g.n, []).append(k)
         # per order: (corpus indices, adjacency, DistanceStack, dl rows, dq rows)
         self.groups = []
-        for ks, adj in groups:
+        for ks in by_order.values():
+            adj = adjacency_stack([graphs[k] for k in ks])
             dist = DistanceStack(distances(adj))
             group = (dist, eigenvalues_stacked(transmission_stack(dist.dist, -1)),
                      eigenvalues_stacked(transmission_stack(dist.dist, 1)))
-            self.groups.append((ks, adj, *group))
-            for row, k in enumerate(ks.tolist()):
+            self.groups.append((np.array(ks), adj, *group))
+            for row, k in enumerate(ks):
                 self._at[k] = (group, row)
 
     def profile(self, k: int) -> SpectralProfile:

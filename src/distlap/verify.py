@@ -134,16 +134,14 @@ class ScanReport:
         return not self.violations
 
 
-def _load_corpus(corpus) -> tuple[str, list[Graph], list | None, int]:
-    """Resolve a corpus argument to (descriptor, graphs, groups, skipped
-    count), where groups are graph6_corpus's per-order adjacency stacks
-    (None for a native order).
+def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
+    """Resolve a corpus argument to (descriptor, graphs, skipped count).
 
     Accepts a native order (int), a file path, or an iterable of graph6
     lines (bytes or str). Disconnected and over-order entries are counted
     as skipped; non-ASCII or malformed lines raise CorpusError."""
     if isinstance(corpus, int):
-        return f"n={corpus}", list(enumerate_connected(corpus)), None, 0
+        return f"n={corpus}", list(enumerate_connected(corpus)), 0
     if isinstance(corpus, (str, os.PathLike)):
         desc = f"file:{corpus}"
         try:
@@ -172,8 +170,8 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
         if tid not in SCAN_CHECKS:
             raise UnknownTheorem(f"{tid!r}; known: {', '.join(SCAN_IDS)}")
     t0 = time.perf_counter()
-    desc, graphs, groups, skipped = _load_corpus(corpus)
-    profiles = StackedProfiles(graphs, groups)
+    desc, graphs, skipped = _load_corpus(corpus)
+    profiles = StackedProfiles(graphs)
     signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
     deletions = _deletion_gaps(graphs, profiles, signs) if signs else None
     checks = [SCAN_CHECKS[tid] for tid in ids]

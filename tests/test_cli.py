@@ -213,3 +213,28 @@ def test_closed_stdout_ends_quietly(args):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    @property
+    def buffer(self):
+        return self
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--family", "path:4", "--check", "all"],
+    ["scan", "--check", "T6.3", "--n", "4", "--format", "json"],
+])
+def test_run_returns_status_on_closed_stdout(args, monkeypatch, capsys):
+    # an in-process caller of run() gets the exit status, not an exception
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run(args) == 141
+    assert capsys.readouterr().err == ""
