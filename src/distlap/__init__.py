@@ -6,8 +6,8 @@ from .errors import (CorpusError, DisconnectedGraph, DistlapError,
                      DimensionMismatch, InconsistentClassification,
                      InvalidGraft, InvalidParams, InvalidPartition,
                      MalformedGraph6, NoConvergence, NoRootInBracket,
-                     NoSuchEdge, NotUnicyclic, UnknownTheorem,
-                     UnsupportedOrder, UnsupportedQuantity)
+                     NoSuchEdge, UnknownTheorem, UnsupportedOrder,
+                     UnsupportedQuantity)
 from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, DistanceData,
                      Graph, canonical_form, complement, distance_data,
                      enumerate_connected, from_edges, from_graph6,

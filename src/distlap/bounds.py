@@ -10,15 +10,14 @@ violating small case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
 from .graphs import Graph
-from .spectra import profile_of as _profile
-from .spectra import radii
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
+from .spectra import SpectralProfile, held, radii, spectral_profile
+from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable, verdict
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
                "T6.1", "T6.2", "T6.3", "C6.1", "T6.4", "T7.1")
@@ -71,11 +70,15 @@ def clique_number(g: Graph) -> CliqueNumber:
     return CliqueNumber(best)
 
 
-@lru_cache(maxsize=1)
+def _profile(g: Graph) -> SpectralProfile:
+    """spectral_profile(g), held with the graph being checked."""
+    return held(g, "profile", spectral_profile)
+
+
 def _omega(g: Graph) -> int:
-    """clique_number(g).omega, held for the one graph last asked about, so
-    T5.1 and T5.2 on the same graph share one search."""
-    return clique_number(g).omega
+    """clique_number(g).omega, held with the graph being checked, so T5.1
+    and T5.2 on the same graph share one search."""
+    return held(g, "omega", lambda h: clique_number(h).omega)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +201,8 @@ def bound_L1_lemma31(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
         return not_applicable("L3.1", witness={"n": g.n})
     d1 = max(p.dd.trans)
     bound = d1 + d1 / (g.n - 1)
-    obs = p.dl_spectrum.radius
-    return BoundVerdict("L3.1", bound, obs,
-                        holds=obs >= bound - SLACK,
-                        strict=obs - bound > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"D1": d1, "n": g.n})
+    return verdict("L3.1", p.dl_spectrum.radius, ">=", bound, tol,
+                   {"D1": d1, "n": g.n})
 
 
 def bound_L1_theorem31(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -212,15 +211,9 @@ def bound_L1_theorem31(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if is_complete(g):
         return not_applicable("T3.1", witness={"complete": True})
     d1 = max(p.dd.trans)
-    bound = float(d1 + 2)
-    obs = p.dl_spectrum.radius
-    strict = obs - bound > SLACK
-    holds = obs >= bound - SLACK
-    if p.dd.diam >= 3:
-        holds = holds and strict
-    return BoundVerdict("T3.1", bound, obs, holds=holds, strict=strict,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"D1": d1, "diam": p.dd.diam})
+    rel = ">" if p.dd.diam >= 3 else ">="
+    return verdict("T3.1", p.dl_spectrum.radius, rel, float(d1 + 2), tol,
+                   {"D1": d1, "diam": p.dd.diam})
 
 
 def classify_L1_theorem32(g: Graph, tol: float = EQUALITY_TOL) -> str:
@@ -287,14 +280,10 @@ def bound_L1_theorem41(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if n < 4:
         return not_applicable("T4.1", observed=obs, witness={"n": n})
     bound = float(2 * p.dd.wiener - n * (n - 2))
-    eq = abs(obs - bound) <= tol
     comp = is_complete(g)
-    return BoundVerdict("T4.1", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=eq,
-                        witness={"W": p.dd.wiener, "is_complete": comp,
-                                 "structural_mismatch": eq and not comp})
+    v = verdict("T4.1", obs, "<=", bound, tol)
+    return replace(v, witness={"W": p.dd.wiener, "is_complete": comp,
+                               "structural_mismatch": v.equality and not comp})
 
 
 def bound_L1_theorem42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -311,12 +300,8 @@ def bound_L1_theorem42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     sum_sq = p.dd.sum_sq
     sum_trans_sq = sum(t * t for t in p.dd.trans)
     bound = d1 + math.sqrt(2.0 * sum_sq - sum_trans_sq / n)
-    return BoundVerdict("T4.2", bound, obs,
-                        holds=bound - obs > SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"D1": d1, "sum_dij_sq": sum_sq,
-                                 "sum_Di_sq": sum_trans_sq})
+    return verdict("T4.2", obs, "<", bound, tol,
+                   {"D1": d1, "sum_dij_sq": sum_sq, "sum_Di_sq": sum_trans_sq})
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +321,8 @@ def bound_L1_clique_lower(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
         return not_applicable("T5.1", observed=obs,
                               witness={"omega": omega, "n": n})
     bound = float(n + math.ceil(n / omega))
-    return BoundVerdict("T5.1", bound, obs,
-                        holds=obs >= bound - SLACK,
-                        strict=obs - bound > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"omega": omega, "is_turan": is_turan(g, omega)})
+    return verdict("T5.1", obs, ">=", bound, tol,
+                   {"omega": omega, "is_turan": is_turan(g, omega)})
 
 
 def bound_L1_clique_upper(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -353,13 +335,8 @@ def bound_L1_clique_upper(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if n == 1:
         return BoundVerdict("T5.2", 0.0, obs, holds=True, strict=False,
                             equality=True, witness={"omega": 1, "is_clique_path": True})
-    bound = _clique_path_dl_radius(n, omega)
-    structural = is_clique_path(g, omega)
-    return BoundVerdict("T5.2", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"omega": omega, "is_clique_path": structural})
+    return verdict("T5.2", obs, "<=", _clique_path_dl_radius(n, omega), tol,
+                   {"omega": omega, "is_clique_path": is_clique_path(g, omega)})
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +376,8 @@ def bound_gap_theorem62(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
         return not_applicable("T6.2", observed=obs,
                               witness={"diam": p.dd.diam, "n": n})
     bound = (n - 6.0 + math.sqrt(9.0 * n * n - 32.0 * n + 32.0)) / 2.0
-    return BoundVerdict("T6.2", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"diam": p.dd.diam, "is_star": is_star(g)})
+    return verdict("T6.2", obs, "<=", bound, tol,
+                   {"diam": p.dd.diam, "is_star": is_star(g)})
 
 
 def bound_Qn_theorem63(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -413,12 +387,8 @@ def bound_Qn_theorem63(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     obs = p.dq_spectrum.smallest
     if n < 2:
         return not_applicable("T6.3", observed=obs, witness={"n": n})
-    bound = 2.0 * p.dd.wiener / n - 1.0
-    return BoundVerdict("T6.3", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"W": p.dd.wiener, "is_complete": is_complete(g)})
+    return verdict("T6.3", obs, "<=", 2.0 * p.dd.wiener / n - 1.0, tol,
+                   {"W": p.dd.wiener, "is_complete": is_complete(g)})
 
 
 def bound_Qn_corollary61(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -431,12 +401,8 @@ def bound_Qn_corollary61(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if mult < 2:
         return not_applicable("C6.1", observed=obs,
                               witness={"Dn": dn, "min_trans_multiplicity": mult})
-    bound = float(dn - 1)
-    return BoundVerdict("C6.1", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"Dn": dn, "min_trans_multiplicity": mult})
+    return verdict("C6.1", obs, "<=", float(dn - 1), tol,
+                   {"Dn": dn, "min_trans_multiplicity": mult})
 
 
 def bound_Qn_theorem64(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -445,12 +411,8 @@ def bound_Qn_theorem64(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     obs = p.dq_spectrum.smallest
     if g.n < 2:
         return not_applicable("T6.4", observed=obs, witness={"n": g.n})
-    bound = float(min(p.dd.trans))
-    return BoundVerdict("T6.4", bound, obs,
-                        holds=bound - obs > SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"Dn": min(p.dd.trans)})
+    dn = min(p.dd.trans)
+    return verdict("T6.4", obs, "<", float(dn), tol, {"Dn": dn})
 
 
 def bound_Q1_unicyclic(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
@@ -463,12 +425,8 @@ def bound_Q1_unicyclic(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
     if not unicyclic or n < 6:
         return not_applicable("T7.1", observed=obs,
                               witness={"unicyclic": unicyclic, "n": n})
-    bound = _kite_q_radius(n)
-    return BoundVerdict("T7.1", bound, obs,
-                        holds=obs <= bound + SLACK,
-                        strict=bound - obs > SLACK,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"is_kite": is_kite(g)})
+    return verdict("T7.1", obs, "<=", _kite_q_radius(n), tol,
+                   {"is_kite": is_kite(g)})
 
 
 # ---------------------------------------------------------------------------

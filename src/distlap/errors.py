@@ -49,10 +49,6 @@ class NoSuchEdge(DistlapError):
     """Edge not present in the graph."""
 
 
-class NotUnicyclic(DistlapError):
-    """A unicyclic graph (connected, |E| = n) was required."""
-
-
 class UnknownTheorem(DistlapError):
     """Theorem id not in the registry."""
 

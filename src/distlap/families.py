@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParams, UnsupportedQuantity
-from .graphs import Graph, from_edges
+from .graphs import Graph, from_edges, pendant_path
 from .linalg import largest_root
 
 KINDS = (
@@ -116,11 +116,7 @@ def _kite_clique(n: int, omega: int) -> Graph:
     # clique on {0..omega-1} with the path hung off vertex 0
     _need(2 <= omega <= n, "need 2 <= omega <= n")
     edges = [(i, j) for i in range(omega) for j in range(i + 1, omega)]
-    prev = 0
-    for v in range(omega, n):
-        edges.append((prev, v))
-        prev = v
-    return from_edges(n, edges)
+    return from_edges(n, edges + pendant_path(0, omega, n - omega))
 
 
 def _t_shape(n1: int, n2: int, n3: int) -> Graph:
@@ -129,43 +125,20 @@ def _t_shape(n1: int, n2: int, n3: int) -> Graph:
     edges = []
     nxt = 1
     for leg in (n1, n2, n3):
-        prev = 0
-        for _ in range(leg):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+        edges += pendant_path(0, nxt, leg)
+        nxt += leg
     return from_edges(nxt, edges)
 
 
-def _u4(n1: int, n2: int) -> Graph:
-    """C4 on v1=0, w1=1, u1=2, w2=3 with a path of n1-1 extra vertices at v1
-    and a path of n2-1 extra vertices at u1; order n1+n2+2."""
+def _u_graph(n1: int, n2: int, chord: tuple[int, int]) -> Graph:
+    """Vertices v1=0, w1=1, u1=2, w2=3 on the path v1 w1 u1 w2 closed by
+    chord, with a path of n1-1 extra vertices at v1 and a path of n2-1
+    extra vertices at u1; order n1+n2+2. The chord v1w2 (0, 3) gives U4, a
+    C4; the chord w1w2 (1, 3) gives U3, the triangle {w1, u1, w2}
+    carrying the v-path at w1 and the u-path at u1."""
     _need(n1 >= n2 >= 2, "need n1 >= n2 >= 2")
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    prev = 0
-    for v in range(4, 4 + n1 - 1):
-        edges.append((prev, v))
-        prev = v
-    prev = 2
-    for v in range(4 + n1 - 1, 4 + n1 - 1 + n2 - 1):
-        edges.append((prev, v))
-        prev = v
-    return from_edges(n1 + n2 + 2, edges)
-
-
-def _u3(n1: int, n2: int) -> Graph:
-    # same vertices as U4 with edge w1w2 added and v1w2 removed: triangle
-    # {w1, u1, w2} carrying the v-path at w1 and the u-path at u1
-    _need(n1 >= n2 >= 2, "need n1 >= n2 >= 2")
-    edges = [(0, 1), (1, 2), (2, 3), (1, 3)]
-    prev = 0
-    for v in range(4, 4 + n1 - 1):
-        edges.append((prev, v))
-        prev = v
-    prev = 2
-    for v in range(4 + n1 - 1, 4 + n1 - 1 + n2 - 1):
-        edges.append((prev, v))
-        prev = v
+    edges = [(0, 1), (1, 2), (2, 3), chord]
+    edges += pendant_path(0, 4, n1 - 1) + pendant_path(2, 3 + n1, n2 - 1)
     return from_edges(n1 + n2 + 2, edges)
 
 
@@ -200,9 +173,9 @@ def build(spec: FamilySpec) -> Graph:
             _need(len(p) == 1 and p[0] >= 6, "T* needs n >= 6")
             return _t_shape(2, 2, p[0] - 5)
         if kind == "U4":
-            return _u4(*p)
+            return _u_graph(*p, chord=(0, 3))
         if kind == "U3":
-            return _u3(*p)
+            return _u_graph(*p, chord=(1, 3))
     except TypeError as exc:
         raise InvalidParams(f"wrong parameter count for {kind}: {p}") from exc
     raise InvalidParams(f"unknown family kind {kind!r}")

@@ -84,6 +84,13 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def pendant_path(anchor: int, first: int, count: int) -> list[tuple[int, int]]:
+    """Edges of a path of count new vertices first, first + 1, ... hung off
+    anchor (no edges when count is 0)."""
+    ends = [anchor, *range(first, first + count)]
+    return list(zip(ends, ends[1:]))
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((~row & full & ~(1 << i)) for i, row in enumerate(g.adj)))
@@ -269,9 +276,14 @@ def graph6_stack(n: int, bodies) -> np.ndarray:
     nbytes = (n * (n - 1) // 2 + 5) // 6
     data = np.frombuffer(b"".join(bodies), dtype=np.uint8) - 63
     bits = np.unpackbits(data.reshape(len(bodies), nbytes, 1), axis=-1)[..., 2:]
-    bits = bits.reshape(len(bodies), 6 * nbytes)
+    return _colex_adjacency(n, bits.reshape(len(bodies), 6 * nbytes))
+
+
+def _colex_adjacency(n: int, bits: np.ndarray) -> np.ndarray:
+    """(N, n, n) boolean adjacency from N rows of edge bits in colex order
+    (bits past the n(n-1)/2 edges are ignored)."""
     j, i = _colex_ends(n)
-    adj = np.zeros((len(bodies), n, n), dtype=bool)
+    adj = np.zeros((len(bits), n, n), dtype=bool)
     adj[:, i, j] = adj[:, j, i] = bits[:, :len(i)]
     return adj
 
@@ -450,22 +462,14 @@ def _orbit_tables(n: int) -> list[np.ndarray]:
     return tables
 
 
-def _mask_to_graph(n: int, mask: int) -> Graph:
-    rows = [0] * n
-    for k, (i, j) in enumerate(_edge_index_pairs(n)):
-        if (mask >> k) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
-
-
 @lru_cache(maxsize=None)
 def _connected_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     tables = _orbit_tables(n)
-    seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
-    reps = []
+    edges = n * (n - 1) // 2
+    seen = np.zeros(1 << edges, dtype=bool)
+    minima = []
     # ascending mask order: the first unseen mask is its orbit's minimum, so
     # marking whole orbits seen yields exactly one representative per class
     m = 0
@@ -478,11 +482,10 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
         m += k
         seen[np.bitwise_or.reduce([tab[(m >> (7 * c)) & 127]
                                    for c, tab in enumerate(tables)])] = True
-        g = _mask_to_graph(n, m)
-        if is_connected(g):
-            reps.append(g)
+        minima.append(m)
         m += 1
-    return tuple(reps)
+    adj = _colex_adjacency(n, (np.array(minima)[:, None] >> np.arange(edges)) & 1)
+    return tuple(stack_graphs(adj[connected(adj)]))
 
 
 def enumerate_connected(n: int):

@@ -9,7 +9,7 @@ into the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,19 +67,15 @@ class Spectrum:
 
 
 def eigenvalues(m) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, descending."""
-    a = as_sym_matrix(m)
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return Spectrum(tuple(float(v) for v in vals[::-1]))
+    """All eigenvalues of a symmetric matrix, descending: the one-matrix
+    call of eigenvalues_stacked."""
+    return Spectrum(tuple(eigenvalues_stacked(as_sym_matrix(m)[None])[0].tolist()))
 
 
 def eigenvalues_stacked(stack) -> np.ndarray:
     """Eigenvalues of every matrix of a (N, n, n) stack of symmetric matrices,
     one descending row per matrix. LAPACK solves each matrix on its own, so
-    row k equals eigenvalues(stack[k]).values bit for bit."""
+    row k does not depend on the other matrices of the stack."""
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")

@@ -14,7 +14,7 @@ from .errors import DimensionMismatch, InvalidPartition
 from .graphs import (DistanceData, DistanceStack, Graph, adjacency_stack,
                      distances)
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict
+from .verdict import BoundVerdict, verdict
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -109,26 +109,27 @@ class StackedProfiles:
                                dist.data(row))
 
 
-# the one profile kept alive: (graph, profile), or (None, None)
-_held: tuple = (None, None)
+# the facts of the one graph being checked: (graph, {name: value})
+_slot: tuple = (None, {})
 
 
-def hold_profile(g: Graph | None, profile: SpectralProfile | None) -> None:
-    """Make profile_of(g) return profile, releasing the profile held before;
-    hold_profile(None, None) releases it without holding another."""
-    global _held
-    _held = (g, profile)
+def hold(g: Graph | None, **facts) -> None:
+    """Make g the held graph with these facts, releasing the graph held
+    before; hold(None) releases it without holding another."""
+    global _slot
+    _slot = (g, facts)
 
 
-def profile_of(g: Graph) -> SpectralProfile:
-    """spectral_profile(g), reusing the held profile when it belongs to g.
-    A computed profile replaces the held one, so at most one graph's
-    profile stays alive."""
-    held, profile = _held
-    if held is not g and held != g:
-        profile = spectral_profile(g)
-        hold_profile(g, profile)
-    return profile
+def held(g: Graph, name: str, compute):
+    """Fact name of g: the held value when g is the held graph and has it,
+    else compute(g), which is then held. Asking about another graph
+    releases the held one, so at most one graph's facts stay alive."""
+    if _slot[0] is not g and _slot[0] != g:
+        hold(g)
+    facts = _slot[1]
+    if name not in facts:
+        facts[name] = compute(g)
+    return facts[name]
 
 
 def validate_partition(n: int, blocks) -> list[list[int]]:
@@ -186,16 +187,9 @@ def check_quotient_bound(m, blocks) -> BoundVerdict:
     a = as_sym_matrix(m)
     lam_m = eigenvalues(a).radius
     lam_r = quotient_lambda1(a, blocks)
-    return BoundVerdict(
-        theorem_id="L2.2",
-        bound_value=lam_r,
-        observed=lam_m,
-        holds=lam_m >= lam_r - SLACK,
-        strict=lam_m - lam_r > SLACK,
-        equality=abs(lam_m - lam_r) <= EQUALITY_TOL,
-        witness={"lambda1_matrix": lam_m, "lambda1_quotient": lam_r,
-                 "blocks": [len(b) for b in validate_partition(a.shape[0], blocks)]},
-    )
+    return verdict("L2.2", lam_m, ">=", lam_r, witness={
+        "lambda1_matrix": lam_m, "lambda1_quotient": lam_r,
+        "blocks": [len(b) for b in validate_partition(a.shape[0], blocks)]})
 
 
 def check_interlacing(a_spec, b_spec, slack: float = 1e-9) -> bool:

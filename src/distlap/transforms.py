@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidGraft, NoSuchEdge
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, from_edges, is_connected, pendant_path
 from .spectra import radii
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
+from .verdict import (EQUALITY_TOL, SLACK, BoundVerdict, not_applicable,
+                      verdict)
 
 KIND_VERTEX = "TwoPathsAtVertex"
 KIND_TWINS = "TwoPathsAtTwins"
@@ -31,6 +32,9 @@ def _validate(spec: GraftSpec):
     base = spec.base
     if spec.kind not in (KIND_VERTEX, KIND_TWINS):
         raise InvalidGraft(f"unknown graft kind {spec.kind!r}")
+    # the graft lemmas (T5.3, T5.4, L7.1, L7.2) all assume a connected base
+    if not is_connected(base):
+        raise InvalidGraft("graft base must be a connected graph")
     want = 1 if spec.kind == KIND_VERTEX else 2
     if len(spec.anchors) != want:
         raise InvalidGraft(f"{spec.kind} takes {want} anchor(s)")
@@ -54,22 +58,10 @@ def apply_graft(spec: GraftSpec) -> Graph:
     vertices at the second (same vertex for the one-anchor kind). New
     vertices are numbered after the base, k-arm first."""
     _validate(spec)
-    base = spec.base
-    n = base.n + spec.k + spec.l
-    rows = list(base.adj) + [0] * (spec.k + spec.l)
-    u = spec.anchors[0]
-    v = spec.anchors[-1]
-
-    def attach(anchor: int, first: int, count: int):
-        prev = anchor
-        for w in range(first, first + count):
-            rows[prev] |= 1 << w
-            rows[w] |= 1 << prev
-            prev = w
-
-    attach(u, base.n, spec.k)
-    attach(v, base.n + spec.k, spec.l)
-    return Graph(n, tuple(rows))
+    n = spec.base.n
+    return from_edges(n + spec.k + spec.l,
+                      spec.base.edges() + pendant_path(spec.anchors[0], n, spec.k)
+                      + pendant_path(spec.anchors[-1], n + spec.k, spec.l))
 
 
 def _compare_radii(spec: GraftSpec, sign: int) -> list[float]:
@@ -121,10 +113,7 @@ def check_graft_monotone_Q(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundV
     if _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,
                               witness=_witness(spec, a, b))
-    strict = b - a > SLACK
-    return BoundVerdict(theorem_id, a, b, holds=strict, strict=strict,
-                        equality=abs(b - a) <= tol,
-                        witness=_witness(spec, a, b))
+    return verdict(theorem_id, b, ">", a, tol, _witness(spec, a, b))
 
 
 def delete_edge(g: Graph, e) -> Graph:

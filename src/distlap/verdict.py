@@ -26,6 +26,25 @@ class BoundVerdict:
     witness: dict = field(default_factory=dict)
 
 
+def verdict(theorem_id: str, observed: float, rel: str, bound: float,
+            tol: float = EQUALITY_TOL, witness: dict | None = None) -> BoundVerdict:
+    """The verdict of the claim ``observed rel bound``, rel one of >=, <=, >
+    and <. strict means observed clears bound by more than SLACK on the
+    claimed side; >= and <= hold within SLACK of bound, > and < hold only
+    when strict. equality means |observed - bound| <= tol."""
+    if rel in (">=", ">"):
+        strict = observed - bound > SLACK
+        holds = observed >= bound - SLACK if rel == ">=" else strict
+    elif rel in ("<=", "<"):
+        strict = bound - observed > SLACK
+        holds = observed <= bound + SLACK if rel == "<=" else strict
+    else:
+        raise ValueError(f"unknown relation {rel!r}")
+    return BoundVerdict(theorem_id, bound, observed, holds=holds, strict=strict,
+                        equality=abs(observed - bound) <= tol,
+                        witness=witness or {})
+
+
 def not_applicable(theorem_id: str, bound_value: float = 0.0,
                    observed: float = 0.0, witness: dict | None = None) -> BoundVerdict:
     return BoundVerdict(theorem_id, bound_value, observed,

@@ -24,9 +24,9 @@ from .families import FamilySpec, build
 from .graphs import (Graph, connected, distances, enumerate_connected,
                      graph6_corpus, to_graph6)
 from .linalg import eigenvalues_stacked
-from .spectra import (StackedProfiles, hold_profile, radii,
-                      transmission_stack)
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable
+from .spectra import StackedProfiles, held, hold, radii, transmission_stack
+from .verdict import (EQUALITY_TOL, SLACK, BoundVerdict, not_applicable,
+                      verdict)
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
 TABLE1_KITE = {7: 31.1081, 8: 41.6987, 9: 53.7733, 10: 67.3260,
@@ -74,17 +74,12 @@ def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> list[tuple]:
             for count, least in zip(kept.tolist(), gaps.tolist())]
 
 
-# the one graph whose deletion gaps are held: [graph, kept, {sign: gap}]
-_held_gaps: list = [None, 0, {}]
-
-
 def _gaps_of(g: Graph, sign: int) -> tuple[int, float]:
-    """kept and gap of g from _deletion_gaps, reusing the held entry when it
-    belongs to g and has sign; a computed entry (both signs) replaces it."""
-    held, _, gaps = _held_gaps
-    if (held is not g and held != g) or sign not in gaps:
-        _held_gaps[:] = g, *_deletion_gaps([g], StackedProfiles([g]), (-1, 1))[0]
-    return _held_gaps[1], _held_gaps[2][sign]
+    """kept and gap of g from _deletion_gaps, held with the graph being
+    checked; a scan holds the signs it asked for, a lone call solves both."""
+    kept, gaps = held(g, "deletions", lambda h: _deletion_gaps(
+        [h], StackedProfiles([h]), (-1, 1))[0])
+    return kept, gaps[sign]
 
 
 def _check_edge_deletion(g: Graph, sign: int, theorem_id: str,
@@ -182,9 +177,10 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
         for k, g in enumerate(graphs):
             if not live:
                 break
-            hold_profile(g, profiles.profile(k))
+            facts = {"profile": profiles.profile(k)}
             if deletions:
-                _held_gaps[:] = g, *deletions[k]
+                facts["deletions"] = deletions[k]
+            hold(g, **facts)
             stopped = []
             for i in live:
                 v = checks[i](g, tolerance)
@@ -196,8 +192,7 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
             if stopped:
                 live = [i for i in live if i not in stopped]
     finally:
-        hold_profile(None, None)
-        _held_gaps[:] = None, 0, {}
+        hold(None)
 
     # graph6 strings only for the graphs that a report names
     reported = {k for found in hits for k, _ in found}
@@ -276,11 +271,7 @@ def compare_kite_tstar(n: int) -> BoundVerdict:
     if n < 7:
         raise InvalidParams("comparison needs n >= 7")
     kite, tstar = _kite_tstar_radii(n)
-    return BoundVerdict("L7.3", tstar, kite,
-                        holds=kite - tstar > SLACK,
-                        strict=kite - tstar > SLACK,
-                        equality=abs(kite - tstar) <= EQUALITY_TOL,
-                        witness={"n": n})
+    return verdict("L7.3", kite, ">", tstar, witness={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +328,8 @@ def check_lemma74(n1: int, n2: int) -> BoundVerdict:
     if not (n1 >= n2 >= 2 and n1 + n2 + 2 >= 7):
         raise InvalidParams(f"need n1 >= n2 >= 2 and n1+n2+2 >= 7, got {n1}, {n2}")
     u4, u3 = radii([build(FamilySpec(kind, (n1, n2))) for kind in ("U4", "U3")], 1)
-    return BoundVerdict("L7.4", u3, u4,
-                        holds=u3 - u4 > SLACK,
-                        strict=u3 - u4 > SLACK,
-                        equality=abs(u3 - u4) <= EQUALITY_TOL,
-                        witness={"n1": n1, "n2": n2, "u4": u4, "u3": u3})
+    return verdict("L7.4", u4, "<", u3,
+                   witness={"n1": n1, "n2": n2, "u4": u4, "u3": u3})
 
 
 # ---------------------------------------------------------------------------

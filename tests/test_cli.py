@@ -85,6 +85,16 @@ def test_graft_bad_anchor(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_graft_disconnected_base(check, capsys):
+    # the graft lemmas assume a connected base: one error line, no graph6
+    rc = run(["graft", "--base", "A?", "--kind", "vertex", "--anchor", "0",
+              "--k", "2", "--l", "2", *check])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.splitlines() == ["error: graft base must be a connected graph"]
+
+
 def test_scan_json(capsys):
     rc = run(["scan", "--check", "T3.1", "--n", "6", "--format", "json"])
     assert rc == 0

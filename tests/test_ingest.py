@@ -289,7 +289,8 @@ def test_scan_runs_one_clique_search_per_graph(monkeypatch):
     real = bounds.clique_number
     monkeypatch.setattr(bounds, "clique_number",
                         lambda g: searched.append(g) or real(g))
-    bounds._omega.cache_clear()
+    from distlap.spectra import hold
+    hold(None)
     lines = stream(60)
     reports = scan_many(["T5.1", "T5.2"], lines)
     graphs = graph6_corpus(lines)[0]

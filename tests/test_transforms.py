@@ -122,6 +122,15 @@ def test_graft_isomorphic_pair_ties():
     assert is_isomorphic(a, fam("Path", 5)) and is_isomorphic(b, fam("Path", 5))
 
 
+def test_graft_rejects_disconnected_base():
+    base = from_edges(3, [(0, 1)])
+    for spec in (vertex_spec(base, 0, 2, 2), twins_spec(base, 0, 1, 2, 2)):
+        with pytest.raises(InvalidGraft, match="connected"):
+            apply_graft(spec)
+        with pytest.raises(InvalidGraft):
+            check_graft_monotone_Q(spec)
+
+
 def test_delete_edge():
     g = delete_edge(fam("Complete", 3), (0, 1))
     assert is_isomorphic(g, fam("Path", 3))

@@ -62,6 +62,11 @@ ENUMERATION_SHA256 = {
     7: "b6b2dbb7f539a6e2c86548111920a3ab24e409b4c32f603d87b444536be4c463",
 }
 
+# sha256 of every SCAN_CHECKS verdict called per graph on the connected graphs
+# of order 1..6 (enumeration order, ids in SCAN_IDS order), one JSON object
+# per line: witness dicts, non-applicable values and strict flags included
+VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
+
 
 def fam(kind, *params):
     return build(family_spec(kind, *params))
@@ -136,6 +141,19 @@ def test_scan_many_report_digests():
                 csv[r.theorem_id].update(emit_report(r, format="csv"))
     assert reports.hexdigest() == REPORTS_JSON_SHA256
     assert {tid: h.hexdigest() for tid, h in csv.items()} == REPORTS_CSV_SHA256
+
+
+def test_per_graph_verdicts_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for tid in SCAN_IDS:
+                v = SCAN_CHECKS[tid](g)
+                digest.update((_json_value(verify._verdict_dict(v)) + "\n").encode())
+                count += 1
+    assert count == 2431
+    assert digest.hexdigest() == VERDICTS_SHA256
 
 
 def test_scan_many_fail_fast_per_id():
