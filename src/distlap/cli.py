@@ -14,8 +14,7 @@ import sys
 from .bounds import CHECKS, THEOREM_IDS
 from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
-from .graphs import (MAX_ORDER, from_graph6, graph6_records, is_connected,
-                     to_graph6)
+from .graphs import MAX_ORDER, from_graph6, graph6_corpus, to_graph6
 from .linalg import eigenvalues
 from .spectra import adjacency_matrix, dist_laplacian, dist_signless_laplacian, \
     distance_matrix, laplacian
@@ -46,27 +45,28 @@ def _fmt(x: float, precise: bool) -> str:
 
 
 def _input_graphs(args, connected: bool = True):
-    """Yield (label, Graph) for --graph6 / --file / --family. With
-    connected, a disconnected --file record is a CorpusError naming its
-    line, before any distance is solved for it."""
+    """Yield (label, Graph) for --graph6 / --file / --family. A --file
+    corpus is checked whole first; then an over-order record, and with
+    connected a disconnected one, is a CorpusError naming its line."""
     if getattr(args, "graph6", None) is not None:
         yield args.graph6, from_graph6(args.graph6)
     elif getattr(args, "family", None) is not None:
         g = build(parse_family(args.family))
         yield args.family, g
     elif getattr(args, "file", None) is not None:
-        with open(args.file, "rb") as fh:
-            try:
-                for lineno, text, g in graph6_records(fh):
-                    if g is None:
-                        raise CorpusError(f"line {lineno}: order outside "
-                                          f"1..{MAX_ORDER}")
-                    if connected and not is_connected(g):
-                        raise CorpusError(f"line {lineno}: disconnected "
-                                          f"graph {text!r}")
-                    yield text, g
-            except CorpusError as exc:
-                raise CorpusError(f"{args.file} {exc}") from exc
+        try:
+            with open(args.file, "rb") as fh:
+                records = graph6_corpus(fh)
+            for lineno, text, g, ok in records:
+                if g is None:
+                    raise CorpusError(f"line {lineno}: order outside "
+                                      f"1..{MAX_ORDER}")
+                if connected and not ok:
+                    raise CorpusError(f"line {lineno}: disconnected "
+                                      f"graph {text!r}")
+                yield text, g
+        except CorpusError as exc:
+            raise CorpusError(f"{args.file} {exc}") from exc
     else:
         raise DistlapError("one of --graph6, --file, --family is required")
 

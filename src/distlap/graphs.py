@@ -305,11 +305,17 @@ def from_graph6(text) -> Graph:
     return stack_graphs(graph6_stack(n, [body]))[0]
 
 
-def _graph6_lines(lines):
-    """(line number, record, order, body) for every nonblank line of a
-    graph6 corpus; the order is None when it lies outside 1..MAX_ORDER. A
-    non-ASCII byte or a malformed record raises CorpusError naming its
-    1-based line number."""
+def graph6_corpus(lines) -> list[tuple]:
+    """Read a corpus of graph6 lines (bytes or str, such as a file opened
+    in binary mode), decoding the records of each order as one stack and
+    testing their connectivity as one closure. Returns (line number,
+    record, graph, connected) for every nonblank line, in file order; graph
+    is None, and connected False, when the order lies outside 1..MAX_ORDER.
+    Every line is checked before any record is decoded: a non-ASCII byte or
+    a malformed record raises CorpusError naming the first bad line's
+    1-based number."""
+    records = []
+    orders: dict[int, tuple[list, list]] = {}
     for lineno, line in enumerate(lines, 1):
         if isinstance(line, bytes):
             try:
@@ -322,51 +328,20 @@ def _graph6_lines(lines):
         try:
             n, body = _graph6_body(text)
         except UnsupportedOrder:
-            n, body = None, b""
+            records.append((lineno, text, None, False))
+            continue
         except MalformedGraph6 as exc:
             raise CorpusError(f"line {lineno}: malformed graph6 record "
                               f"{text!r}: {exc}") from exc
-        yield lineno, text, n, body
-
-
-def graph6_records(lines):
-    """Parse a corpus of graph6 records, one per line, one record at a time.
-
-    lines: an iterable of bytes or str lines, such as a file opened in binary
-    mode. Yields (line number, record, graph) for every nonblank line, where
-    graph is None when the record's order lies outside 1..MAX_ORDER. A
-    non-ASCII byte or a malformed record raises CorpusError naming its
-    1-based line number."""
-    for lineno, text, n, body in _graph6_lines(lines):
-        yield lineno, text, (None if n is None
-                             else stack_graphs(graph6_stack(n, [body]))[0])
-
-
-def graph6_corpus(lines) -> tuple[list[Graph], int]:
-    """Read a whole corpus of graph6 lines, decoding the records of each
-    order as one stack and testing their connectivity as one closure.
-
-    Returns (graphs, skipped): the connected graphs in file order and the
-    number of disconnected or over-order records. Errors are those of
-    graph6_records, raised at the first bad line in file order."""
-    orders: dict[int, tuple[list, list]] = {}
-    count = skipped = 0
-    for _, _, n, body in _graph6_lines(lines):
-        if n is None:
-            skipped += 1
-            continue
         at, bodies = orders.setdefault(n, ([], []))
-        at.append(count)
+        at.append(len(records))
         bodies.append(body)
-        count += 1
-    graphs: list = [None] * count
+        records.append((lineno, text))
     for n, (at, bodies) in orders.items():
         adj = graph6_stack(n, bodies)
-        ok = connected(adj)
-        for k, g in zip(np.array(at)[ok].tolist(), stack_graphs(adj[ok])):
-            graphs[k] = g
-    graphs = [g for g in graphs if g is not None]
-    return graphs, skipped + count - len(graphs)
+        for k, g, ok in zip(at, stack_graphs(adj), connected(adj).tolist()):
+            records[k] += (g, ok)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,11 @@ def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     else:
         desc, lines = "stream", corpus
     try:
-        return desc, *graph6_corpus(lines)
+        records = graph6_corpus(lines)
     except CorpusError as exc:
         raise CorpusError(f"{desc} {exc}") from exc
+    graphs = [g for *_, g, ok in records if ok]
+    return desc, graphs, len(records) - len(graphs)
 
 
 def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
@@ -400,12 +402,8 @@ def emit_report(r: ScanReport, format: str = "json") -> bytes:
                              f"{'true' if ok else 'false'}")
             return ("\n".join(lines) + "\n").encode("ascii")
         lines = ["theorem_id,graph6,bound,observed,holds,equality"]
-        for g6, v in r.violations:
-            lines.append(f"{v.theorem_id},{g6},{_fmt_float(v.bound_value)},"
-                         f"{_fmt_float(v.observed)},"
-                         f"{'true' if v.holds else 'false'},"
-                         f"{'true' if v.equality else 'false'}")
-        for g6, v in zip(r.equality_witnesses, r.witness_verdicts):
+        for g6, v in [*r.violations,
+                      *zip(r.equality_witnesses, r.witness_verdicts)]:
             lines.append(f"{v.theorem_id},{g6},{_fmt_float(v.bound_value)},"
                          f"{_fmt_float(v.observed)},"
                          f"{'true' if v.holds else 'false'},"

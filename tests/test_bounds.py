@@ -4,6 +4,8 @@ import pytest
 
 from distlap import (
     CHECKS,
+    SpectralProfile,
+    Spectrum,
     THEOREM_IDS,
     UnsupportedOrder,
     bound_gap_theorem62,
@@ -31,8 +33,10 @@ from distlap import (
     is_kite,
     is_star,
     is_turan,
+    spectral_profile,
 )
 from distlap.bounds import is_clique_path, is_path_graph, matching_complement_k
+from distlap.spectra import hold
 
 
 def fam(kind, *params):
@@ -89,6 +93,21 @@ def test_theorem31_examples():
     assert v.holds and v.strict  # diam 3 forces the strict form
     v = bound_L1_theorem31(fam("Cycle", 4))
     assert v.applicable and v.witness["diam"] == 2 and v.holds
+
+
+def test_theorem31_strict_only_at_diameter_3():
+    # a dl radius of exactly D1 + 2 fails the strict form (P4, diameter 3)
+    # and attains the bound (K1,3, diameter 2); no corpus graph comes that close
+    for g, bound, holds in ((fam("Path", 4), 8.0, False), (fam("Star", 4), 7.0, True)):
+        p = spectral_profile(g)
+        dl = Spectrum((bound, *p.dl_spectrum.values[1:]))
+        hold(g, profile=SpectralProfile(dl, p.dq_spectrum, p.dd))
+        try:
+            v = bound_L1_theorem31(g)
+        finally:
+            hold(None)
+        assert (v.bound_value, v.observed) == (bound, bound)
+        assert v.holds is holds and v.equality
 
 
 def test_theorem32_classification():

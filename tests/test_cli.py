@@ -188,6 +188,17 @@ def test_file_disconnected_record_names_line(command, tmp_path, capsys):
     assert run(["spectrum", "--file", str(p), "--matrix", "lap"]) == 0
 
 
+@pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])
+def test_file_bad_line_ends_command_before_output(command, tmp_path, capsys):
+    # the whole file is checked before the first graph is printed
+    p = tmp_path / "c.g6"
+    p.write_text("Bw\nB\n")
+    assert run([*command, "--file", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "line 2: malformed graph6 record 'B'" in err
+
+
 @pytest.mark.parametrize("command", [["scan", "--n", "4"], ["bounds", "--graph6", "Bw"]])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from distlap import (CorpusError, Graph, MalformedGraph6, UnsupportedOrder,
                      complement, distance_data, emit_report,
                      enumerate_connected, from_edges, from_graph6,
-                     graph6_records, scan_many, to_graph6, turan_parts)
+                     graph6_corpus, scan_many, to_graph6, turan_parts)
 from distlap import bounds
 from distlap.bounds import is_turan
-from distlap.graphs import (DistanceStack, adjacency_stack, distances,
-                            graph6_corpus)
+from distlap.graphs import DistanceStack, adjacency_stack, distances
 from distlap.verify import SCAN_IDS
 
 from test_properties import (any_graphs, complete, connected_graphs, cycle,
@@ -138,18 +137,27 @@ def ref_distance_invariants(rows):
 # ---------------------------------------------------------------------------
 
 
+def connected_records(records):
+    """The connected graphs of graph6_corpus records and the skip count."""
+    graphs = [g for *_, g, ok in records if ok]
+    return graphs, len(records) - len(graphs)
+
+
 def check_reader(lines):
-    assert graph6_corpus(lines) == ref_read(lines)
-    records = [g for _, _, g in graph6_records(lines)]
-    for g, line in zip(records, [x for x in lines if x.strip()]):
+    records = graph6_corpus(lines)
+    assert connected_records(records) == ref_read(lines)
+    nonblank = [(k, x) for k, x in enumerate(lines, 1) if x.strip()]
+    assert [lineno for lineno, *_ in records] == [k for k, _ in nonblank]
+    for (_, _, g, ok), (_, line) in zip(records, nonblank):
         try:
             want = ref_from_graph6(line)
         except UnsupportedOrder:
-            assert g is None
+            assert g is None and not ok
             with pytest.raises(UnsupportedOrder):
                 from_graph6(line)
             continue
         assert g == want == from_graph6(line)
+        assert ok == ref_is_connected(want)
         assert g.m == sum(row.bit_count() for row in want.adj) // 2
 
 
@@ -181,7 +189,7 @@ def test_corpus_reader_mixed_orders():
     lines += [to_graph6(path(n)) for n in range(1, 65)] + OVER_ORDER
     rng.shuffle(lines)
     check_reader(lines)
-    graphs, skipped = graph6_corpus(lines)
+    graphs, skipped = connected_records(graph6_corpus(lines))
     assert skipped == 62 + len(OVER_ORDER)
     assert len({g.n for g in graphs}) == 64
 
@@ -202,9 +210,6 @@ def test_corpus_first_error_in_file_order(lines, error):
     with pytest.raises(CorpusError, match=error) as got:
         graph6_corpus(lines)
     assert str(got.value) == str(want.value)
-    with pytest.raises(CorpusError) as records:
-        list(graph6_records(lines))
-    assert str(records.value) == str(want.value)
 
 
 @pytest.mark.parametrize("text", ["", "B", "Bww", "B\x1f", "~B", "?", "~~????",
@@ -293,7 +298,7 @@ def test_scan_runs_one_clique_search_per_graph(monkeypatch):
     hold(None)
     lines = stream(60)
     reports = scan_many(["T5.1", "T5.2"], lines)
-    graphs = graph6_corpus(lines)[0]
+    graphs = connected_records(graph6_corpus(lines))[0]
     assert reports[0].graphs_checked == len(graphs) == len(set(graphs))
     assert searched == graphs
     searched.clear()

@@ -333,6 +333,16 @@ def test_emit_report_violation_serialization():
         del SCAN_CHECKS["X0.1"]
 
 
+def test_emit_report_csv_violations_before_witnesses():
+    # no pinned report has a violation, so the row order is checked here
+    bad = BoundVerdict("X0.1", 2.5, 1.0, holds=False, strict=False, equality=False)
+    tight = BoundVerdict("X0.1", 4.0, 4.0, holds=True, strict=False, equality=True)
+    r = verify.ScanReport("X0.1", "stream", 2, 0, [("Bw", bad)], ["Bg"], 0.0,
+                          1e-7, witness_verdicts=[tight])
+    assert emit_report(r, format="csv").decode().splitlines()[1:] == [
+        "X0.1,Bw,2.5,1,false,false", "X0.1,Bg,4,4,true,true"]
+
+
 def test_json_rejects_non_finite():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
