@@ -1,26 +1,47 @@
 """Per-theorem bound evaluation with equality detection.
 
-Every public checker returns a BoundVerdict. A verdict whose hypotheses fail
-comes back with applicable = False and vacuously true flags; exhaustive scans
-must filter on applicable. Applicability cutoffs that differ from the loose
-prose statements (small orders, the complete graph for the clique lower
-bound) are documented in the README; each was fixed by exhibiting the
-violating small case.
+Each statement is an array formula over an order group (spectra.OrderGroup)
+that returns its Verdicts: every graph's bound, observed value and flags as
+arrays, and a row's witness dict on request. FORMULAS holds the formulas;
+the per-graph checkers (bound_*(g, tol), CHECKS) are the same formulas on a
+one-graph stack. A verdict whose hypotheses fail has applicable = False and
+vacuously true flags; exhaustive scans must filter on applicable. The
+applicability cutoffs that differ from the loose prose statements are
+documented in the README, each fixed by exhibiting the violating small case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
 from .graphs import Graph
-from .spectra import SpectralProfile, held, radii, spectral_profile
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, not_applicable, verdict
+from .spectra import OrderGroup, StackedProfiles, radii
+from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, flags, verdicts
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
                "T6.1", "T6.2", "T6.3", "C6.1", "T6.4", "T7.1")
+
+# theorem id -> array formula (OrderGroup, tol) -> Verdicts, and -> the
+# per-graph checker (Graph, tol) -> BoundVerdict, in registration order
+FORMULAS: dict = {}
+CHECKS: dict = {}
+
+
+def check(theorem_id: str, formulas: dict = FORMULAS, per_graph: dict = CHECKS):
+    """Register the decorated array formula as theorem_id and return its
+    per-graph checker: the formula on a one-graph stack, row 0."""
+    def register(formula):
+        def on_graph(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+            return formula(StackedProfiles([g]).groups[0], tol).verdict(0)
+        on_graph.__name__, on_graph.__doc__ = formula.__name__, formula.__doc__
+        formulas[theorem_id], per_graph[theorem_id] = formula, on_graph
+        return on_graph
+    return register
 
 
 @dataclass(frozen=True)
@@ -70,15 +91,15 @@ def clique_number(g: Graph) -> CliqueNumber:
     return CliqueNumber(best)
 
 
-def _profile(g: Graph) -> SpectralProfile:
-    """spectral_profile(g), held with the graph being checked."""
-    return held(g, "profile", spectral_profile)
+def _omega(s: OrderGroup) -> np.ndarray:
+    """Clique numbers of the group's graphs; the first call searches every
+    graph of the corpus once, in corpus order."""
+    return s.corpus.fact("omega", lambda c: np.array(
+        [clique_number(g).omega for g in c.graphs]))[s.ks]
 
 
-def _omega(g: Graph) -> int:
-    """clique_number(g).omega, held with the graph being checked, so T5.1
-    and T5.2 on the same graph share one search."""
-    return held(g, "omega", lambda h: clique_number(h).omega)
+def _complete(s: OrderGroup) -> np.ndarray:
+    return s.m == s.n * (s.n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +215,57 @@ def _clique_path_dl_radius(n: int, omega: int) -> float:
 # distance Laplacian lower bounds
 
 
-def bound_L1_lemma31(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("L3.1")
+def bound_L1_lemma31(s: OrderGroup, tol: float):
     """dl radius >= D1 + D1/(n-1)."""
-    p = _profile(g)
-    if g.n < 2:
-        return not_applicable("L3.1", witness={"n": g.n})
-    d1 = max(p.dd.trans)
-    bound = d1 + d1 / (g.n - 1)
-    return verdict("L3.1", p.dl_spectrum.radius, ">=", bound, tol,
-                   {"D1": d1, "n": g.n})
+    n = s.n
+    if n < 2:
+        return verdicts("L3.1", np.zeros(len(s.ks)), (True, True, True), 0.0,
+                        lambda r: {"n": n}, False)
+    obs, d1 = s.dl[:, 0], s.trans.max(axis=1)
+    bound = d1 + d1 / (n - 1)
+    return verdicts("L3.1", obs, flags(obs, ">=", bound, tol), bound,
+                    lambda r: {"D1": int(d1[r]), "n": n})
 
 
-def bound_L1_theorem31(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T3.1")
+def bound_L1_theorem31(s: OrderGroup, tol: float):
     """dl radius >= D1 + 2 for non-complete graphs, strict when diam >= 3."""
-    p = _profile(g)
-    if is_complete(g):
-        return not_applicable("T3.1", witness={"complete": True})
-    d1 = max(p.dd.trans)
-    rel = ">" if p.dd.diam >= 3 else ">="
-    return verdict("T3.1", p.dl_spectrum.radius, rel, float(d1 + 2), tol,
-                   {"D1": d1, "diam": p.dd.diam})
+    obs, d1 = s.dl[:, 0], s.trans.max(axis=1)
+    bound = d1 + 2.0
+    holds, strict, equality = flags(obs, ">=", bound, tol)
+    return verdicts("T3.1", obs, (holds & ((s.diam < 3) | strict), strict, equality),
+                    bound, lambda r: {"D1": int(d1[r]), "diam": int(s.diam[r])},
+                    ~_complete(s), lambda r: {"complete": True}, hide=True)
+
+
+@check("T3.2")
+def bound_L1_theorem32(s: OrderGroup, tol: float):
+    """Trichotomy of the dl radius: n for K_n, n+2 for K_n minus a nonempty
+    matching (matching_k edges), above n+2 otherwise. A radius that
+    disagrees with the structure is a failing verdict, classification
+    "inconsistent"."""
+    n, obs = s.n, s.dl[:, 0]
+    # K_n - kK_2 exactly when every degree is at least n - 2; -1 otherwise
+    min_degree = s.adj.sum(axis=2).min(axis=1)
+    k = np.where(min_degree >= n - 2, n * (n - 1) // 2 - s.m, -1)
+    bound = np.where(k == 0, float(n), float(n + 2))
+    fits = np.where(k < 0, ~(obs <= n + 2 + tol), abs(obs - bound) <= tol)
+
+    def witness(r):
+        kr = int(k[r])
+        kind = min(kr, 1) + 1  # above n+2, K_n, K_n minus a matching
+        if fits[r]:
+            return {"classification": ("AboveNPlus2", "EqualsN_Kn",
+                                       "EqualsNPlus2_Matching")[kind],
+                    "matching_k": kr}
+        o = float(obs[r])
+        return {"classification": "inconsistent", "detail": (
+            f"dl radius {o} at or below {n + 2} without matching structure",
+            f"complete graph with dl radius {o} != {n}",
+            f"matching-complement graph with dl radius {o} != {n + 2}")[kind]}
+    return verdicts("T3.2", obs, (fits, fits & (k < 0), fits & (k >= 0)), bound,
+                    witness, n >= 2, lambda r: {"n": n})
 
 
 def classify_L1_theorem32(g: Graph, tol: float = EQUALITY_TOL) -> str:
@@ -221,264 +273,179 @@ def classify_L1_theorem32(g: Graph, tol: float = EQUALITY_TOL) -> str:
 
     Returns "EqualsN_Kn", "EqualsNPlus2_Matching", or "AboveNPlus2"; raises
     InconsistentClassification when spectral value and structure disagree."""
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise UnsupportedOrder("classification needs n >= 2")
-    obs = _profile(g).dl_spectrum.radius
-    k = matching_complement_k(g)
-    if k == 0:
-        if abs(obs - n) > tol:
-            raise InconsistentClassification(
-                f"complete graph with dl radius {obs} != {n}")
-        return "EqualsN_Kn"
-    if k is not None:
-        if abs(obs - (n + 2)) > tol:
-            raise InconsistentClassification(
-                f"matching-complement graph with dl radius {obs} != {n + 2}")
-        return "EqualsNPlus2_Matching"
-    if obs <= n + 2 + tol:
-        raise InconsistentClassification(
-            f"dl radius {obs} at or below {n + 2} without matching structure")
-    return "AboveNPlus2"
-
-
-def bound_L1_theorem32(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-    """Scan wrapper around classify_L1_theorem32; a classification mismatch
-    becomes a failing verdict instead of an exception."""
-    n = g.n
-    obs = _profile(g).dl_spectrum.radius
-    if n < 2:
-        return not_applicable("T3.2", observed=obs, witness={"n": n})
-    k = matching_complement_k(g)
-    bound = float(n if k == 0 else n + 2)
-    try:
-        cls = classify_L1_theorem32(g, tol)
-    except InconsistentClassification as exc:
-        return BoundVerdict("T3.2", bound, obs, holds=False, strict=False,
-                            equality=False,
-                            witness={"classification": "inconsistent",
-                                     "detail": str(exc)})
-    return BoundVerdict(
-        "T3.2", bound, obs,
-        holds=True,
-        strict=cls == "AboveNPlus2",
-        equality=cls in ("EqualsN_Kn", "EqualsNPlus2_Matching"),
-        witness={"classification": cls,
-                 "matching_k": -1 if k is None else k})
+    w = bound_L1_theorem32(g, tol).witness
+    if w["classification"] == "inconsistent":
+        raise InconsistentClassification(w["detail"])
+    return w["classification"]
 
 
 # ---------------------------------------------------------------------------
 # distance Laplacian upper bounds
 
 
-def bound_L1_theorem41(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T4.1")
+def bound_L1_theorem41(s: OrderGroup, tol: float):
     """dl radius <= 2W - n(n-2) for n >= 4; spectral equality also occurs for
     K_n - e, which is reported in the witness rather than suppressed."""
-    p = _profile(g)
-    n = g.n
-    obs = p.dl_spectrum.radius
-    if n < 4:
-        return not_applicable("T4.1", observed=obs, witness={"n": n})
-    bound = float(2 * p.dd.wiener - n * (n - 2))
-    comp = is_complete(g)
-    v = verdict("T4.1", obs, "<=", bound, tol)
-    return replace(v, witness={"W": p.dd.wiener, "is_complete": comp,
-                               "structural_mismatch": v.equality and not comp})
+    n, obs = s.n, s.dl[:, 0]
+    bound = 2 * s.wiener - n * (n - 2)
+    triple = flags(obs, "<=", bound, tol)
+    comp = _complete(s)
+    return verdicts("T4.1", obs, triple, bound, lambda r: {
+        "W": int(s.wiener[r]), "is_complete": bool(comp[r]),
+        "structural_mismatch": bool(triple[2][r] and not comp[r])},
+        n >= 4, lambda r: {"n": n})
 
 
-def bound_L1_theorem42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T4.2")
+def bound_L1_theorem42(s: OrderGroup, tol: float):
     """Strict upper bound D1 + sqrt(2*sum d_ij^2 - (1/n)*sum D_i^2).
 
     Applicable from n = 3: K_2 meets the right side with equality (bound 2,
     radius 2), so the strict claim fails below that."""
-    p = _profile(g)
-    n = g.n
-    obs = p.dl_spectrum.radius
-    if n < 3:
-        return not_applicable("T4.2", observed=obs, witness={"n": n})
-    d1 = max(p.dd.trans)
-    sum_sq = p.dd.sum_sq
-    sum_trans_sq = sum(t * t for t in p.dd.trans)
-    bound = d1 + math.sqrt(2.0 * sum_sq - sum_trans_sq / n)
-    return verdict("T4.2", obs, "<", bound, tol,
-                   {"D1": d1, "sum_dij_sq": sum_sq, "sum_Di_sq": sum_trans_sq})
+    n, obs = s.n, s.dl[:, 0]
+    d1 = s.trans.max(axis=1)
+    sum_trans_sq = (s.trans * s.trans).sum(axis=1)
+    bound = d1 + np.sqrt(2.0 * s.sum_sq - sum_trans_sq / n)
+    return verdicts("T4.2", obs, flags(obs, "<", bound, tol), bound, lambda r: {
+        "D1": int(d1[r]), "sum_dij_sq": int(s.sum_sq[r]),
+        "sum_Di_sq": int(sum_trans_sq[r])}, n >= 3, lambda r: {"n": n})
 
 
 # ---------------------------------------------------------------------------
 # clique-number bounds
 
 
-def bound_L1_clique_lower(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T5.1")
+def bound_L1_clique_lower(s: OrderGroup, tol: float):
     """dl radius >= n + ceil(n/omega), the Turan-graph radius.
 
     Not applicable when omega = n: the formula gives n+1 but the complete
     graph's radius is n."""
-    p = _profile(g)
-    n = g.n
-    omega = _omega(g)
-    obs = p.dl_spectrum.radius
-    if omega >= n:
-        return not_applicable("T5.1", observed=obs,
-                              witness={"omega": omega, "n": n})
-    bound = float(n + math.ceil(n / omega))
-    return verdict("T5.1", obs, ">=", bound, tol,
-                   {"omega": omega, "is_turan": is_turan(g, omega)})
+    n, obs, omega = s.n, s.dl[:, 0], _omega(s)
+    bound = n + np.ceil(n / omega)
+    return verdicts("T5.1", obs, flags(obs, ">=", bound, tol), bound,
+                    lambda r: {"omega": int(omega[r]),
+                               "is_turan": is_turan(s.graphs[r], int(omega[r]))},
+                    omega < n, lambda r: {"omega": int(omega[r]), "n": n})
 
 
-def bound_L1_clique_upper(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T5.2")
+def bound_L1_clique_upper(s: OrderGroup, tol: float):
     """dl radius <= that of the clique-with-path K_omega^{n-omega} of the same
     order and clique number; equality iff isomorphic to it."""
-    p = _profile(g)
-    n = g.n
-    omega = _omega(g)
-    obs = p.dl_spectrum.radius
-    if n == 1:
-        return BoundVerdict("T5.2", 0.0, obs, holds=True, strict=False,
-                            equality=True, witness={"omega": 1, "is_clique_path": True})
-    return verdict("T5.2", obs, "<=", _clique_path_dl_radius(n, omega), tol,
-                   {"omega": omega, "is_clique_path": is_clique_path(g, omega)})
+    obs, omega = s.dl[:, 0], _omega(s)
+    bound = np.array([_clique_path_dl_radius(s.n, w) for w in omega.tolist()])
+    return verdicts("T5.2", obs, flags(obs, "<=", bound, tol), bound, lambda r: {
+        "omega": int(omega[r]),
+        "is_clique_path": is_clique_path(s.graphs[r], int(omega[r]))})
 
 
 # ---------------------------------------------------------------------------
 # distance signless Laplacian bounds
 
 
-def bound_Q1_diameter(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T6.1")
+def bound_Q1_diameter(s: OrderGroup, tol: float):
     """dq radius > 2n-4+2d when diam d >= 3; additionally > d(n+2)/2 when
     d >= 4."""
-    p = _profile(g)
-    n, d = g.n, p.dd.diam
-    obs = p.dq_spectrum.radius
-    if d < 3:
-        return not_applicable("T6.1", observed=obs, witness={"diam": d})
-    bound = float(2 * n - 4 + 2 * d)
-    holds = obs - bound > SLACK
-    second = None
-    if d >= 4:
-        second = d * (n + 2) / 2.0
-        holds = holds and obs - second > SLACK
-    return BoundVerdict("T6.1", bound, obs, holds=holds, strict=holds,
-                        equality=abs(obs - bound) <= tol,
-                        witness={"diam": d, "bound_2n_4_2d": bound,
-                                 "bound_d_n2_half": second})
+    n, d, obs = s.n, s.diam, s.dq[:, 0]
+    bound = 2 * n - 4 + 2 * d
+    second = d * (n + 2) / 2.0
+    holds = (obs - bound > SLACK) & ((d < 4) | (obs - second > SLACK))
+
+    def witness(r):
+        return {"diam": int(d[r]), "bound_2n_4_2d": float(bound[r]),
+                "bound_d_n2_half": float(second[r]) if d[r] >= 4 else None}
+    return verdicts("T6.1", obs, (holds, holds, abs(obs - bound) <= tol), bound,
+                    witness, d >= 3, lambda r: {"diam": int(d[r])})
 
 
-def bound_gap_theorem62(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T6.2")
+def bound_gap_theorem62(s: OrderGroup, tol: float):
     """dq radius - dl radius <= (n-6+sqrt(9n^2-32n+32))/2 when diam <= 2,
     equality iff the star.
 
     Applicable from n = 4: K_3 exceeds the right side (gap 1 vs about 0.56),
     so the claim fails below that."""
-    p = _profile(g)
-    n = g.n
-    obs = p.dq_spectrum.radius - p.dl_spectrum.radius
-    if p.dd.diam > 2 or n < 4:
-        return not_applicable("T6.2", observed=obs,
-                              witness={"diam": p.dd.diam, "n": n})
+    n, obs = s.n, s.dq[:, 0] - s.dl[:, 0]
     bound = (n - 6.0 + math.sqrt(9.0 * n * n - 32.0 * n + 32.0)) / 2.0
-    return verdict("T6.2", obs, "<=", bound, tol,
-                   {"diam": p.dd.diam, "is_star": is_star(g)})
+    return verdicts("T6.2", obs, flags(obs, "<=", bound, tol), bound,
+                    lambda r: {"diam": int(s.diam[r]), "is_star": is_star(s.graphs[r])},
+                    (s.diam <= 2) & (n >= 4),
+                    lambda r: {"diam": int(s.diam[r]), "n": n})
 
 
-def bound_Qn_theorem63(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T6.3")
+def bound_Qn_theorem63(s: OrderGroup, tol: float):
     """Smallest dq eigenvalue <= 2W/n - 1 (n >= 2)."""
-    p = _profile(g)
-    n = g.n
-    obs = p.dq_spectrum.smallest
-    if n < 2:
-        return not_applicable("T6.3", observed=obs, witness={"n": n})
-    return verdict("T6.3", obs, "<=", 2.0 * p.dd.wiener / n - 1.0, tol,
-                   {"W": p.dd.wiener, "is_complete": is_complete(g)})
+    n, obs = s.n, s.dq[:, -1]
+    bound = 2.0 * s.wiener / n - 1.0
+    comp = _complete(s)
+    return verdicts("T6.3", obs, flags(obs, "<=", bound, tol), bound,
+                    lambda r: {"W": int(s.wiener[r]), "is_complete": bool(comp[r])},
+                    n >= 2, lambda r: {"n": n})
 
 
-def bound_Qn_corollary61(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("C6.1")
+def bound_Qn_corollary61(s: OrderGroup, tol: float):
     """Smallest dq eigenvalue <= Dn - 1 when the minimum transmission is
     attained by at least two vertices."""
-    p = _profile(g)
-    dn = min(p.dd.trans)
-    mult = sum(1 for t in p.dd.trans if t == dn)
-    obs = p.dq_spectrum.smallest
-    if mult < 2:
-        return not_applicable("C6.1", observed=obs,
-                              witness={"Dn": dn, "min_trans_multiplicity": mult})
-    return verdict("C6.1", obs, "<=", float(dn - 1), tol,
-                   {"Dn": dn, "min_trans_multiplicity": mult})
+    obs, dn = s.dq[:, -1], s.trans.min(axis=1)
+    mult = (s.trans == dn[:, None]).sum(axis=1)
+    bound = dn - 1
+    return verdicts("C6.1", obs, flags(obs, "<=", bound, tol), bound,
+                    lambda r: {"Dn": int(dn[r]),
+                               "min_trans_multiplicity": int(mult[r])}, mult >= 2)
 
 
-def bound_Qn_theorem64(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T6.4")
+def bound_Qn_theorem64(s: OrderGroup, tol: float):
     """Smallest dq eigenvalue < Dn strictly (n >= 2)."""
-    p = _profile(g)
-    obs = p.dq_spectrum.smallest
-    if g.n < 2:
-        return not_applicable("T6.4", observed=obs, witness={"n": g.n})
-    dn = min(p.dd.trans)
-    return verdict("T6.4", obs, "<", float(dn), tol, {"Dn": dn})
+    n, obs, dn = s.n, s.dq[:, -1], s.trans.min(axis=1)
+    return verdicts("T6.4", obs, flags(obs, "<", dn, tol), dn,
+                    lambda r: {"Dn": int(dn[r])}, n >= 2, lambda r: {"n": n})
 
 
-def bound_Q1_unicyclic(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("T7.1")
+def bound_Q1_unicyclic(s: OrderGroup, tol: float):
     """Among unicyclic graphs of order n >= 6 the kite maximizes the dq
     radius; equality iff the kite itself."""
-    p = _profile(g)
-    n = g.n
-    obs = p.dq_spectrum.radius
-    unicyclic = g.m == n
-    if not unicyclic or n < 6:
-        return not_applicable("T7.1", observed=obs,
-                              witness={"unicyclic": unicyclic, "n": n})
-    return verdict("T7.1", obs, "<=", _kite_q_radius(n), tol,
-                   {"is_kite": is_kite(g)})
+    n, obs = s.n, s.dq[:, 0]
+    unicyclic = s.m == n
+    bound = _kite_q_radius(n) if n >= 6 else 0.0  # no kite below order 6
+    return verdicts("T7.1", obs, flags(obs, "<=", bound, tol), bound,
+                    lambda r: {"is_kite": is_kite(s.graphs[r])}, unicyclic & (n >= 6),
+                    lambda r: {"unicyclic": bool(unicyclic[r]), "n": n})
 
 
 # ---------------------------------------------------------------------------
 # scan-only spectrum lemmas
 
 
-def check_lemma41(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("L4.1")
+def check_lemma41(s: OrderGroup, tol: float):
     """All dl eigenvalues except the last are >= n (n >= 3), the last is 0."""
-    p = _profile(g)
-    n = g.n
-    vals = p.dl_spectrum.values
-    if n < 3:
-        return not_applicable("L4.1", witness={"n": n})
-    obs = vals[n - 2]
-    holds = obs >= n - SLACK and abs(vals[-1]) <= tol
-    return BoundVerdict("L4.1", float(n), obs,
-                        holds=holds,
-                        strict=obs - n > SLACK,
-                        equality=abs(obs - n) <= tol,
-                        witness={"smallest": vals[-1]})
+    n, vals = s.n, s.dl
+    obs = vals[:, n - 2]
+    holds = (obs >= n - SLACK) & (abs(vals[:, -1]) <= tol)
+    return verdicts("L4.1", obs, (holds, obs - n > SLACK, abs(obs - n) <= tol),
+                    float(n), lambda r: {"smallest": float(vals[r, -1])},
+                    n >= 3, lambda r: {"n": n}, hide=True)
 
 
-def check_lemma42(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
+@check("L4.2")
+def check_lemma42(s: OrderGroup, tol: float):
     """Second dl eigenvalue >= n (n >= 4), equality iff K_n or K_n - e."""
-    p = _profile(g)
-    n = g.n
+    n = s.n
     if n < 4:
-        return not_applicable("L4.2", witness={"n": n})
-    obs = p.dl_spectrum.values[1]
+        return verdicts("L4.2", np.zeros(len(s.ks)), (True, True, True), 0.0,
+                        lambda r: {"n": n}, False)
+    obs = s.dl[:, 1]
     eq = abs(obs - n) <= tol
-    structural = n * (n - 1) // 2 - g.m <= 1
-    return BoundVerdict("L4.2", float(n), obs,
-                        holds=obs >= n - SLACK and eq == structural,
-                        strict=obs - n > SLACK,
-                        equality=eq,
-                        witness={"is_Kn_or_Kn_minus_e": structural})
-
-
-CHECKS = {
-    "L3.1": bound_L1_lemma31,
-    "T3.1": bound_L1_theorem31,
-    "T3.2": bound_L1_theorem32,
-    "T4.1": bound_L1_theorem41,
-    "T4.2": bound_L1_theorem42,
-    "T5.1": bound_L1_clique_lower,
-    "T5.2": bound_L1_clique_upper,
-    "T6.1": bound_Q1_diameter,
-    "T6.2": bound_gap_theorem62,
-    "T6.3": bound_Qn_theorem63,
-    "C6.1": bound_Qn_corollary61,
-    "T6.4": bound_Qn_theorem64,
-    "T7.1": bound_Q1_unicyclic,
-    "L4.1": check_lemma41,
-    "L4.2": check_lemma42,
-}
+    structural = n * (n - 1) // 2 - s.m <= 1
+    return verdicts("L4.2", obs, ((obs >= n - SLACK) & (eq == structural),
+                                  obs - n > SLACK, eq), float(n),
+                    lambda r: {"is_Kn_or_Kn_minus_e": bool(structural[r])})

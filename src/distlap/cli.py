@@ -11,13 +11,13 @@ import math
 import os
 import sys
 
-from .bounds import CHECKS, THEOREM_IDS
+from .bounds import FORMULAS, THEOREM_IDS
 from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
 from .graphs import MAX_ORDER, from_graph6, graph6_corpus, to_graph6
 from .linalg import eigenvalues
-from .spectra import adjacency_matrix, dist_laplacian, dist_signless_laplacian, \
-    distance_matrix, laplacian
+from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
+    dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
 from .verify import SCAN_IDS, emit_report, scan_many, table1_regression
@@ -92,13 +92,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bounds(args) -> int:
     ids = THEOREM_IDS if "all" in args.check else tuple(args.check)
     for tid in ids:
-        if tid not in CHECKS:
+        if tid not in FORMULAS:
             raise DistlapError(f"unknown theorem id {tid!r}")
     bad = 0
     for label, g in _input_graphs(args):
         prefix = f"{label} " if args.file is not None else ""
+        group = StackedProfiles([g]).groups[0]  # shared by every id
         for tid in ids:
-            v = CHECKS[tid](g, args.tolerance)
+            v = FORMULAS[tid](group, args.tolerance).verdict(0)
             print(prefix + _verdict_line(v, args.precise))
             if v.applicable and not v.holds:
                 bad += 1

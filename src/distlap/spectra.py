@@ -79,57 +79,51 @@ def spectral_profile(g: Graph) -> SpectralProfile:
     return StackedProfiles([g]).profile(0)
 
 
+class OrderGroup(DistanceStack):
+    """The graphs of one order in a StackedProfiles, as arrays: their corpus
+    indices ks, order n, edge counts m, adjacency (N, n, n), the distance
+    invariants of DistanceStack, and the dl (Tr - D) and dq (Tr + D)
+    eigenvalue rows (N, n), descending; corpus is the StackedProfiles."""
+
+    def __init__(self, corpus: StackedProfiles, ks: list[int]):
+        self.corpus, self.ks = corpus, np.array(ks)
+        self.graphs = [corpus.graphs[k] for k in ks]
+        self.n = self.graphs[0].n
+        self.adj = adjacency_stack(self.graphs)
+        super().__init__(distances(self.adj))
+        self.m = self.adj.sum(axis=(1, 2)) // 2
+        self.dl = eigenvalues_stacked(transmission_stack(self.dist, -1))
+        self.dq = eigenvalues_stacked(transmission_stack(self.dist, 1))
+
+
 class StackedProfiles:
     """Distances, distance invariants and both distance spectra of many
-    connected graphs, computed up front with one stacked distance solve,
-    one DistanceStack and one eigensolve per flavour for each order;
-    profile(k) is built from the arrays on demand, so only arrays are kept
-    for the whole corpus."""
+    connected graphs, computed up front as one OrderGroup per order (one
+    stacked distance solve and one eigensolve per flavour); profile(k) is
+    built from the arrays on demand, so only arrays are kept for the whole
+    corpus. facts holds corpus-order arrays that checks compute on first
+    use, such as the clique numbers."""
 
     def __init__(self, graphs):
-        self._at: list = [None] * len(graphs)
+        self.graphs = graphs
+        self.facts: dict = {}
         by_order: dict[int, list[int]] = {}
         for k, g in enumerate(graphs):
             by_order.setdefault(g.n, []).append(k)
-        # per order: (corpus indices, adjacency, DistanceStack, dl rows, dq rows)
-        self.groups = []
-        for ks in by_order.values():
-            adj = adjacency_stack([graphs[k] for k in ks])
-            dist = DistanceStack(distances(adj))
-            group = (dist, eigenvalues_stacked(transmission_stack(dist.dist, -1)),
-                     eigenvalues_stacked(transmission_stack(dist.dist, 1)))
-            self.groups.append((np.array(ks), adj, *group))
-            for row, k in enumerate(ks):
-                self._at[k] = (group, row)
+        self.groups = [OrderGroup(self, ks) for ks in by_order.values()]
 
     def profile(self, k: int) -> SpectralProfile:
-        (dist, dl, dq), row = self._at[k]
-        return SpectralProfile(Spectrum(tuple(dl[row].tolist())),
-                               Spectrum(tuple(dq[row].tolist())),
-                               dist.data(row))
+        group = next(s for s in self.groups if s.n == self.graphs[k].n)
+        row = int(np.searchsorted(group.ks, k))
+        return SpectralProfile(Spectrum(tuple(group.dl[row].tolist())),
+                               Spectrum(tuple(group.dq[row].tolist())),
+                               group.data(row))
 
-
-# the facts of the one graph being checked: (graph, {name: value})
-_slot: tuple = (None, {})
-
-
-def hold(g: Graph | None, **facts) -> None:
-    """Make g the held graph with these facts, releasing the graph held
-    before; hold(None) releases it without holding another."""
-    global _slot
-    _slot = (g, facts)
-
-
-def held(g: Graph, name: str, compute):
-    """Fact name of g: the held value when g is the held graph and has it,
-    else compute(g), which is then held. Asking about another graph
-    releases the held one, so at most one graph's facts stay alive."""
-    if _slot[0] is not g and _slot[0] != g:
-        hold(g)
-    facts = _slot[1]
-    if name not in facts:
-        facts[name] = compute(g)
-    return facts[name]
+    def fact(self, name, compute):
+        """facts[name], set to compute(self) on first use."""
+        if name not in self.facts:
+            self.facts[name] = compute(self)
+        return self.facts[name]
 
 
 def validate_partition(n: int, blocks) -> list[list[int]]:

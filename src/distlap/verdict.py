@@ -1,7 +1,11 @@
-"""Structured result of evaluating one bound on one graph."""
+"""Structured result of evaluating one bound on one graph, or on every
+graph of an order group at once."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 EQUALITY_TOL = 1e-7  # |observed - bound| below this counts as equality
 SLACK = 1e-8         # numeric slack granted to every inequality
@@ -26,12 +30,12 @@ class BoundVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def verdict(theorem_id: str, observed: float, rel: str, bound: float,
-            tol: float = EQUALITY_TOL, witness: dict | None = None) -> BoundVerdict:
-    """The verdict of the claim ``observed rel bound``, rel one of >=, <=, >
-    and <. strict means observed clears bound by more than SLACK on the
-    claimed side; >= and <= hold within SLACK of bound, > and < hold only
-    when strict. equality means |observed - bound| <= tol."""
+def flags(observed, rel: str, bound, tol: float = EQUALITY_TOL) -> tuple:
+    """(holds, strict, equality) of the claim ``observed rel bound``, rel one
+    of >=, <=, > and <, for floats and numpy arrays alike. strict means
+    observed clears bound by more than SLACK on the claimed side; >= and <=
+    hold within SLACK of bound, > and < hold only when strict. equality
+    means |observed - bound| <= tol."""
     if rel in (">=", ">"):
         strict = observed - bound > SLACK
         holds = observed >= bound - SLACK if rel == ">=" else strict
@@ -40,9 +44,52 @@ def verdict(theorem_id: str, observed: float, rel: str, bound: float,
         holds = observed <= bound + SLACK if rel == "<=" else strict
     else:
         raise ValueError(f"unknown relation {rel!r}")
+    return holds, strict, abs(observed - bound) <= tol
+
+
+def verdict(theorem_id: str, observed: float, rel: str, bound: float,
+            tol: float = EQUALITY_TOL, witness: dict | None = None) -> BoundVerdict:
+    """The verdict of the claim ``observed rel bound``; see flags."""
+    holds, strict, equality = flags(observed, rel, bound, tol)
     return BoundVerdict(theorem_id, bound, observed, holds=holds, strict=strict,
-                        equality=abs(observed - bound) <= tol,
-                        witness=witness or {})
+                        equality=equality, witness=witness or {})
+
+
+@dataclass(frozen=True)
+class Verdicts:
+    """One bound on every graph of an order group: bound, observed and the
+    four flags as arrays in the group's row order. witness(row) builds one
+    row's witness dict, so only the rows that are reported pay for it."""
+
+    theorem_id: str
+    bound: np.ndarray
+    observed: np.ndarray
+    holds: np.ndarray
+    strict: np.ndarray
+    equality: np.ndarray
+    applicable: np.ndarray
+    witness: Callable[[int], dict]
+
+    def verdict(self, row: int) -> BoundVerdict:
+        """Row's BoundVerdict, holding only Python floats and bools."""
+        flags4 = (self.holds, self.strict, self.equality, self.applicable)
+        return BoundVerdict(self.theorem_id, float(self.bound[row]),
+                            float(self.observed[row]),
+                            *(bool(f[row]) for f in flags4), self.witness(row))
+
+
+def verdicts(theorem_id: str, observed, triple, bound, witness,
+             applicable=True, inapplicable=None, hide=False) -> Verdicts:
+    """Verdicts of rows with these observed values, triple of (holds,
+    strict, equality) flags and bounds. The rows outside applicable follow
+    not_applicable: bound 0.0, every flag True, observed 0.0 when hide, and
+    the witness inapplicable(row) when that is given."""
+    na = ~np.asarray(applicable) | np.zeros(np.shape(observed), dtype=bool)
+    pick = witness if inapplicable is None else (
+        lambda r: inapplicable(r) if na[r] else witness(r))
+    return Verdicts(theorem_id, np.where(na, 0.0, bound),
+                    np.where(na & hide, 0.0, observed),
+                    *(f | na for f in triple), ~na, pick)
 
 
 def not_applicable(theorem_id: str, bound_value: float = 0.0,

@@ -1,12 +1,13 @@
 """Exhaustive and streamed theorem verification with structured reports.
 
-A scan is one graph-major pass: the corpus is loaded once, every requested
-check runs on each graph in the corpus's canonical order, and the reports
-are built when the pass ends. Distances, both distance spectra and, when
-an edge-deletion lemma is requested, every single-edge deletion are solved
-up front, stacked per order, so the pass itself does no distance or eigen
-solve. Reports intentionally exclude wall time from the emitted form to
-keep runs byte-comparable.
+A scan loads the corpus once and stacks it per order: distances, both
+distance spectra and, when an edge-deletion lemma is requested, every
+single-edge deletion are solved up front for each order. Each requested
+check is then one array formula evaluated once per order group; its hits
+(applicable equalities and failures) are put back in the corpus's order,
+and BoundVerdicts, witnesses and graph6 strings are built only for the
+graphs a report names. Reports intentionally exclude wall time from the
+emitted form to keep runs byte-comparable.
 """
 from __future__ import annotations
 
@@ -14,19 +15,19 @@ import json
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import CHECKS
+from .bounds import CHECKS, FORMULAS, check
 from .errors import CorpusError, InvalidParams, UnknownTheorem
 from .families import FamilySpec, build
 from .graphs import (Graph, connected, distances, enumerate_connected,
                      graph6_corpus, to_graph6)
 from .linalg import eigenvalues_stacked
-from .spectra import StackedProfiles, held, hold, radii, transmission_stack
-from .verdict import (EQUALITY_TOL, SLACK, BoundVerdict, not_applicable,
-                      verdict)
+from .spectra import OrderGroup, StackedProfiles, radii, transmission_stack
+from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, verdict, verdicts
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
 TABLE1_KITE = {7: 31.1081, 8: 41.6987, 9: 53.7733, 10: 67.3260,
@@ -40,17 +41,18 @@ TABLE1_TOL = 5e-4
 DELETION_CHUNK = 2016 * 64 * 64
 
 
-def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> list[tuple]:
-    """For every graph, (kept, {sign: gap}): kept counts its single-edge
-    deletions that stay connected, and gap is the least eigenvalue rise of
-    Tr - D (sign -1) or Tr + D (sign +1) over them (inf when kept is 0).
-    The deletions of all graphs of one order are solved as one stack, in
-    chunks of at most DELETION_CHUNK matrix entries, against the base
-    spectra in profiles (built from the same graphs)."""
+def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> dict:
+    """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
+    counts graph k's single-edge deletions that stay connected, and gap[k]
+    is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
+    over them (inf when kept[k] is 0). The deletions of all graphs of one
+    order are solved as one stack, in chunks of at most DELETION_CHUNK
+    matrix entries, against the base spectra in profiles (built from the
+    same graphs)."""
     kept = np.zeros(len(graphs), dtype=np.intp)
     gaps = np.full((len(graphs), len(signs)), np.inf)
-    for ks, adj, _, dl, dq in profiles.groups:
-        n = adj.shape[-1]
+    for group in profiles.groups:
+        ks, adj, n = group.ks, group.adj, group.n
         # one row per edge: its graph's row in the group, then its two ends
         edges = np.argwhere(np.triu(adj, 1))
         size = max(1, DELETION_CHUNK // (n * n))
@@ -68,45 +70,36 @@ def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> list[tuple]:
             kept += np.bincount(owner, minlength=len(graphs))
             for col, sign in enumerate(signs):
                 vals = eigenvalues_stacked(transmission_stack(dist, sign))
-                rise = vals - (dl if sign < 0 else dq)[row]
+                rise = vals - (group.dl if sign < 0 else group.dq)[row]
                 np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
-    return [(count, dict(zip(signs, least)))
-            for count, least in zip(kept.tolist(), gaps.tolist())]
+    return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
 
 
-def _gaps_of(g: Graph, sign: int) -> tuple[int, float]:
-    """kept and gap of g from _deletion_gaps, held with the graph being
-    checked; a scan holds the signs it asked for, a lone call solves both."""
-    kept, gaps = held(g, "deletions", lambda h: _deletion_gaps(
-        [h], StackedProfiles([h]), (-1, 1))[0])
-    return kept, gaps[sign]
-
-
-def _check_edge_deletion(g: Graph, sign: int, theorem_id: str,
-                         tol: float) -> BoundVerdict:
+def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1)."""
-    kept, min_gap = _gaps_of(g, sign)
-    if not kept:
-        return not_applicable(theorem_id, witness={"deletions_checked": 0})
-    return BoundVerdict(theorem_id, 0.0, min_gap,
-                        holds=min_gap >= -1e-9,
-                        strict=min_gap > SLACK,
-                        equality=abs(min_gap) <= tol,
-                        witness={"deletions_checked": kept})
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). A scan stores the
+    gaps of the signs it asked for; otherwise this sign's are solved here."""
+    name = ("gaps", sign)
+    kept, gap = s.corpus.fact(name, lambda c: _deletion_gaps(c.graphs, c, [sign])[name])
+    kept, gap = kept[s.ks], gap[s.ks]
+    return verdicts(theorem_id, gap, (gap >= -1e-9, gap > SLACK, abs(gap) <= tol),
+                    0.0, lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
+                    hide=True)
 
 
-def check_lemma23(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-    return _check_edge_deletion(g, -1, "L2.3", tol)
-
-
-def check_lemma24(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-    return _check_edge_deletion(g, 1, "L2.4", tol)
-
-
+SCAN_FORMULAS = dict(FORMULAS)
 SCAN_CHECKS = dict(CHECKS)
-SCAN_CHECKS["L2.3"] = check_lemma23
-SCAN_CHECKS["L2.4"] = check_lemma24
+
+
+@check("L2.3", SCAN_FORMULAS, SCAN_CHECKS)
+def check_lemma23(s: OrderGroup, tol: float):
+    return _edge_deletion(s, -1, "L2.3", tol)
+
+
+@check("L2.4", SCAN_FORMULAS, SCAN_CHECKS)
+def check_lemma24(s: OrderGroup, tol: float):
+    return _edge_deletion(s, 1, "L2.4", tol)
+
 
 SCAN_IDS = tuple(SCAN_CHECKS)
 
@@ -133,25 +126,43 @@ def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     """Resolve a corpus argument to (descriptor, graphs, skipped count).
 
     Accepts a native order (int), a file path, or an iterable of graph6
-    lines (bytes or str). Disconnected and over-order entries are counted
-    as skipped; non-ASCII or malformed lines raise CorpusError."""
+    lines (bytes or str); a file's lines end only at LF bytes.
+    Disconnected and over-order entries are counted as skipped; non-ASCII or
+    malformed lines raise CorpusError."""
     if isinstance(corpus, int):
         return f"n={corpus}", list(enumerate_connected(corpus)), 0
-    if isinstance(corpus, (str, os.PathLike)):
-        desc = f"file:{corpus}"
-        try:
-            with open(corpus, "rb") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CorpusError(f"cannot read corpus {corpus}: {exc}") from exc
-    else:
-        desc, lines = "stream", corpus
+    path = isinstance(corpus, (str, os.PathLike))
+    desc = f"file:{corpus}" if path else "stream"
     try:
-        records = graph6_corpus(lines)
+        with open(corpus, "rb") if path else nullcontext(corpus) as lines:
+            records = graph6_corpus(lines)
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus {corpus}: {exc}") from exc
     except CorpusError as exc:
         raise CorpusError(f"{desc} {exc}") from exc
     graphs = [g for *_, g, ok in records if ok]
     return desc, graphs, len(records) - len(graphs)
+
+
+def _stack(graphs, ids) -> StackedProfiles:
+    """graphs stacked per order, with the deletion gaps of the edge-deletion
+    lemmas among ids solved up front in one _deletion_gaps call."""
+    profiles = StackedProfiles(graphs)
+    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
+    if signs:
+        profiles.facts.update(_deletion_gaps(graphs, profiles, signs))
+    return profiles
+
+
+def _hits(formula, profiles: StackedProfiles, tol: float) -> list[tuple]:
+    """(corpus index, Verdicts, row) of every graph that formula's report
+    names, in corpus order; the formula runs once per order group."""
+    found = []
+    for group in profiles.groups:
+        v = formula(group, tol)
+        rows = np.flatnonzero(v.applicable & (v.equality | ~v.holds))
+        found += [(k, v, row) for k, row in zip(group.ks[rows].tolist(), rows.tolist())]
+    return sorted(found, key=lambda hit: hit[0])
 
 
 def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
@@ -161,54 +172,33 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
 
     corpus: a native enumeration order (int 1..7), a path to a graph6 file,
     or an iterable of graph6 lines. With fail_fast, each id stops at its
-    own first violation; the pass ends when every id has stopped."""
+    own first violation in corpus order."""
     ids = list(theorem_ids)
     for tid in ids:
-        if tid not in SCAN_CHECKS:
+        if tid not in SCAN_FORMULAS:
             raise UnknownTheorem(f"{tid!r}; known: {', '.join(SCAN_IDS)}")
     t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
-    profiles = StackedProfiles(graphs)
-    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
-    deletions = _deletion_gaps(graphs, profiles, signs) if signs else None
-    checks = [SCAN_CHECKS[tid] for tid in ids]
-    checked = [0] * len(ids)
-    hits: list[list[tuple[int, BoundVerdict]]] = [[] for _ in ids]
-    live = list(range(len(ids)))
-    try:
-        for k, g in enumerate(graphs):
-            if not live:
-                break
-            facts = {"profile": profiles.profile(k)}
-            if deletions:
-                facts["deletions"] = deletions[k]
-            hold(g, **facts)
-            stopped = []
-            for i in live:
-                v = checks[i](g, tolerance)
-                checked[i] += 1
-                if v.applicable and (v.equality or not v.holds):
-                    hits[i].append((k, v))
-                    if fail_fast and not v.holds:
-                        stopped.append(i)
-            if stopped:
-                live = [i for i in live if i not in stopped]
-    finally:
-        hold(None)
-
-    # graph6 strings only for the graphs that a report names
-    reported = {k for found in hits for k, _ in found}
-    names = {k: to_graph6(graphs[k]) for k in reported}
+    profiles = _stack(graphs, ids)
+    found = {tid: _hits(SCAN_FORMULAS[tid], profiles, tolerance)
+             for tid in dict.fromkeys(ids)}
     wall = time.perf_counter() - t0
+    # graph6 strings only for the graphs that a report names
+    names = {k: to_graph6(graphs[k]) for hits in found.values() for k, _, _ in hits}
     reports = []
-    for tid, n_checked, found in zip(ids, checked, hits):
-        witnesses = [(names[k], v) for k, v in found if v.equality]
+    for tid in ids:
+        hits, checked = found[tid], len(graphs)
+        bad = [i for i, (_, v, row) in enumerate(hits) if not v.holds[row]]
+        if fail_fast and bad:
+            hits, checked = hits[:bad[0] + 1], hits[bad[0]][0] + 1
+        named = [(names[k], v.verdict(row)) for k, v, row in hits]
+        witnesses = [(g6, v) for g6, v in named if v.equality]
         reports.append(ScanReport(
             theorem_id=tid,
             corpus=desc,
-            graphs_checked=n_checked,
+            graphs_checked=checked,
             skipped=skipped,
-            violations=[(names[k], v) for k, v in found if not v.holds],
+            violations=[(g6, v) for g6, v in named if not v.holds],
             equality_witnesses=[g6 for g6, _ in witnesses],
             wall_time=wall,
             tolerance=tolerance,

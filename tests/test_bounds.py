@@ -4,8 +4,9 @@ import pytest
 
 from distlap import (
     CHECKS,
-    SpectralProfile,
-    Spectrum,
+    EQUALITY_TOL,
+    FORMULAS,
+    StackedProfiles,
     THEOREM_IDS,
     UnsupportedOrder,
     bound_gap_theorem62,
@@ -33,10 +34,8 @@ from distlap import (
     is_kite,
     is_star,
     is_turan,
-    spectral_profile,
 )
 from distlap.bounds import is_clique_path, is_path_graph, matching_complement_k
-from distlap.spectra import hold
 
 
 def fam(kind, *params):
@@ -97,15 +96,12 @@ def test_theorem31_examples():
 
 def test_theorem31_strict_only_at_diameter_3():
     # a dl radius of exactly D1 + 2 fails the strict form (P4, diameter 3)
-    # and attains the bound (K1,3, diameter 2); no corpus graph comes that close
+    # and attains the bound (K1,3, diameter 2); no corpus graph comes that
+    # close, so each case is a one-row group whose radius is set to D1 + 2
     for g, bound, holds in ((fam("Path", 4), 8.0, False), (fam("Star", 4), 7.0, True)):
-        p = spectral_profile(g)
-        dl = Spectrum((bound, *p.dl_spectrum.values[1:]))
-        hold(g, profile=SpectralProfile(dl, p.dq_spectrum, p.dd))
-        try:
-            v = bound_L1_theorem31(g)
-        finally:
-            hold(None)
+        group = StackedProfiles([g]).groups[0]
+        group.dl[0, 0] = bound
+        v = FORMULAS["T3.1"](group, EQUALITY_TOL).verdict(0)
         assert (v.bound_value, v.observed) == (bound, bound)
         assert v.holds is holds and v.equality
 

@@ -199,6 +199,19 @@ def test_file_bad_line_ends_command_before_output(command, tmp_path, capsys):
     assert "line 2: malformed graph6 record 'B'" in err
 
 
+@pytest.mark.parametrize("command", [["scan", "--check", "T6.3"],
+                                     ["bounds", "--check", "T6.3"]])
+def test_file_lines_end_only_at_newline(command, tmp_path, capsys):
+    # a lone carriage return does not end a line, so both commands read
+    # one malformed record on line 1
+    p = tmp_path / "cr.g6"
+    p.write_bytes(b"Bw\rBg\n")
+    assert run([*command, "--file", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "line 1: malformed graph6 record 'Bw\\rBg'" in err
+
+
 @pytest.mark.parametrize("command", [["scan", "--n", "4"], ["bounds", "--graph6", "Bw"]])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):

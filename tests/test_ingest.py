@@ -26,6 +26,8 @@ STREAM_DENSITIES = (0.0, 0.05, 0.15, 0.3, 0.6)
 # sha256 of the concatenated JSON reports of scan_many(STREAM_IDS, stream())
 # from the per-record reader and per-graph invariants this scan replaced
 STREAM_REPORT_SHA256 = "28fb092a40a7815d8986cc1d85884dc1566d92f3c0bb0e93cdc73b92aea60569"
+# the same reports as CSV, which pins each witness's bound and observed value
+STREAM_CSV_SHA256 = "e29cd5c9eedac1c398b9275b20f048a8367861e62f3e9ba9efec65ccbe92d0fa"
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,8 @@ def test_stream_report_pinned():
     assert [r.skipped for r in reports] == [8] * len(STREAM_IDS)
     digest = hashlib.sha256(b"".join(emit_report(r) for r in reports))
     assert digest.hexdigest() == STREAM_REPORT_SHA256
+    csv = hashlib.sha256(b"".join(emit_report(r, "csv") for r in reports))
+    assert csv.hexdigest() == STREAM_CSV_SHA256
 
 
 def ref_clique_number(g: Graph) -> int:
@@ -294,8 +298,6 @@ def test_scan_runs_one_clique_search_per_graph(monkeypatch):
     real = bounds.clique_number
     monkeypatch.setattr(bounds, "clique_number",
                         lambda g: searched.append(g) or real(g))
-    from distlap.spectra import hold
-    hold(None)
     lines = stream(60)
     reports = scan_many(["T5.1", "T5.2"], lines)
     graphs = connected_records(graph6_corpus(lines))[0]

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from distlap import (MAX_ORDER, SCAN_IDS, BoundVerdict, DisconnectedGraph,
-                     Graph, delete_edge, dist_laplacian,
+from distlap import (EQUALITY_TOL, MAX_ORDER, SCAN_IDS, BoundVerdict,
+                     DisconnectedGraph, Graph, delete_edge, dist_laplacian,
                      dist_signless_laplacian, distance_data, eigenvalues,
                      from_edges, from_graph6, is_connected, radii, scan_many,
                      to_graph6)
 from distlap.graphs import adjacency_stack, distances
-from distlap.verify import SCAN_CHECKS
+from distlap import verify
+from distlap.verify import SCAN_CHECKS, SCAN_FORMULAS
 
 
 def path(n):
@@ -128,22 +129,35 @@ def test_graph6_round_trip(g):
 @given(st.lists(st.integers(1, 12).flatmap(connected_graphs), min_size=1, max_size=6))
 @example([complete(12), path(1), complete(2), cycle(5), complete(5), path(12)])
 def test_scan_verdicts_equal_per_graph_checks(graphs):
-    # every check returns a verdict inside a scan, equal to its own call
-    checks = dict(SCAN_CHECKS)
-    seen = {tid: [] for tid in SCAN_IDS}
-
-    def recorded(tid):
-        return lambda g, tol: seen[tid].append(checks[tid](g, tol)) or seen[tid][-1]
-
-    SCAN_CHECKS.update({tid: recorded(tid) for tid in SCAN_IDS})
-    try:
-        reports = scan_many(SCAN_IDS, [to_graph6(g) for g in graphs])
-    finally:
-        SCAN_CHECKS.update(checks)
+    # every graph's verdict from a check's stacked, mixed-order evaluation,
+    # made by the helper that builds a scan's reported verdicts, equals the
+    # check's own per-graph call; each report names exactly the applicable
+    # equalities and failures among them, in corpus order
+    lines = [to_graph6(g) for g in graphs]
+    reports = scan_many(SCAN_IDS, lines)
     assert [r.graphs_checked for r in reports] == [len(graphs)] * len(SCAN_IDS)
-    for tid in SCAN_IDS:
-        assert all(isinstance(v, BoundVerdict) for v in seen[tid])
-        assert seen[tid] == [checks[tid](g) for g in graphs]
+    profiles = verify._stack(graphs, SCAN_IDS)
+    for tid, r in zip(SCAN_IDS, reports):
+        seen = stacked_verdicts(profiles, tid)
+        assert all(isinstance(v, BoundVerdict) for v in seen)
+        assert seen == [SCAN_CHECKS[tid](g) for g in graphs]
+        named = [(g6, v) for g6, v in zip(lines, seen)
+                 if v.applicable and (v.equality or not v.holds)]
+        assert r.violations == [(g6, v) for g6, v in named if not v.holds]
+        assert list(zip(r.equality_witnesses, r.witness_verdicts)) == [
+            (g6, v) for g6, v in named if v.equality]
+
+
+def stacked_verdicts(profiles, tid, tol=EQUALITY_TOL):
+    """tid's verdict on every graph of profiles, in corpus order: its
+    formula once per order group, then Verdicts.verdict for each row, the
+    helper that builds the verdicts a scan reports."""
+    out = [None] * len(profiles.graphs)
+    for group in profiles.groups:
+        v = SCAN_FORMULAS[tid](group, tol)
+        for row, k in enumerate(group.ks.tolist()):
+            out[k] = v.verdict(row)
+    return out
 
 
 @given(st.integers(1, 30).flatmap(

@@ -9,6 +9,7 @@ from distlap import (
     EQUALITY_TOL,
     SLACK,
     BoundVerdict,
+    Verdicts,
     CorpusError,
     InvalidParams,
     SCAN_IDS,
@@ -40,14 +41,33 @@ from distlap import (
     to_graph6,
 )
 from distlap import verify
-from distlap.verify import SCAN_CHECKS, _json_value
+from distlap.verify import SCAN_CHECKS, SCAN_FORMULAS, _json_value
+
+from test_properties import stacked_verdicts
 
 # sha256 of the reports of the per-id scan that the one-pass scan replaced:
-# every id's JSON report for n = 1..7 concatenated, and two ids' CSV reports
+# every id's JSON report for n = 1..7 concatenated, and each id's CSV reports
+# for n = 1..7 concatenated, which pin every witness's bound and observed
+# value (T4.2, T6.1 and T6.4 name no graph: seven header lines each)
 REPORTS_JSON_SHA256 = "152dfd91665a12c049a0373451cec742b4ea8936d92c254b8a1ba0f82ad869ef"
 REPORTS_CSV_SHA256 = {
+    "L3.1": "898a25db24780cea60c4622736769c060f23ec26e20bcea067ebf08d35f9538c",
+    "T3.1": "4980fda85cbdfbc4108b6e037339eb81c026bbfac533f0a29c5e10f5d39079a5",
+    "T3.2": "1aca650685127e3bcd858ad896f7c0105658648a576fad71a2531063ab0e5691",
+    "T4.1": "37cdafaab8206356bc9b72b101288b751a537f91d7fbf908298829e170652c3e",
+    "T4.2": "7e7b47a3fc3fb3ce6fe1b9d557a9f4f86a13ebe13506bdbc45f3757cb8f59d83",
+    "T5.1": "e27209600c47b16118b0bc0899d5a70eb8f25f19d5d40bf60e91940b04254843",
+    "T5.2": "52b59eac26f81d82951390f11c5f0024b349ca1bb0feebe0ac1ce7a06127c647",
+    "T6.1": "7e7b47a3fc3fb3ce6fe1b9d557a9f4f86a13ebe13506bdbc45f3757cb8f59d83",
+    "T6.2": "f8e77330d4f3c7f1321925fb6adda505b46c2079d315ef7713c1dee6fefb73f1",
     "T6.3": "f32d81f4680a2642deaedf186faa80800737f82e24de57da0b4e9e56635524f2",
+    "C6.1": "db7e2ece634885c5fe677dd8e08ff1f96b08fc1235150bedbdb1101c7442f0ee",
+    "T6.4": "7e7b47a3fc3fb3ce6fe1b9d557a9f4f86a13ebe13506bdbc45f3757cb8f59d83",
+    "T7.1": "f4c6bb707b0ab270a0cf7e3a92e1fe44617cca1c10a5c4b9d0054a6435c012a8",
+    "L4.1": "7c9702be46290ee5c2688b776acf6da5f18494c6755fd36aad48a7dcf12fd3a3",
+    "L4.2": "059ab13abec780e420cc4400eb9cc6056c24e0cbf5490670ef0eb00bc97ac1da",
     "L2.3": "5de771ea94fa7e89898048691c94df6b63bcc15edd62f49674cc4e1a96c7c410",
+    "L2.4": "397bdb8cb35b7cb80bd3a7b681538fbfdeb76136ea5b5bfae27e409312032715",
 }
 
 # sha256 of the newline-joined graph6 of enumerate_connected(n) from the
@@ -70,6 +90,18 @@ VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66
 
 def fam(kind, *params):
     return build(family_spec(kind, *params))
+
+
+def fake_formula(tid, holds, equality=lambda s: False, bound=1.0,
+                 observed=0.0, witness=None):
+    """An array-form check that applies to every graph: holds(s) and
+    equality(s) give the flags of order group s's rows, strict is False."""
+    def formula(s, tol):
+        ones = np.ones(len(s.ks), dtype=bool)
+        return Verdicts(tid, np.full(len(ones), bound), np.full(len(ones), observed),
+                        holds(s) & ones, ~ones, equality(s) & ones, ones,
+                        lambda r: dict(witness or {}))
+    return formula
 
 
 def test_scan_ids():
@@ -158,11 +190,10 @@ def test_per_graph_verdicts_pinned():
 
 def test_scan_many_fail_fast_per_id():
     def fails_from(order):
-        return lambda g, tol: BoundVerdict("X", 1.0, 0.0, holds=g.n < order,
-                                           strict=False, equality=False)
+        return fake_formula("X", lambda s: s.n < order)
 
-    SCAN_CHECKS.update({"X1.0": fails_from(3), "X1.1": fails_from(5),
-                        "X1.2": fails_from(99)})
+    SCAN_FORMULAS.update({"X1.0": fails_from(3), "X1.1": fails_from(5),
+                          "X1.2": fails_from(99)})
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5, 6)]
         ids = ["X1.0", "X1.1", "X1.2", "T6.4", "X1.0"]
@@ -175,7 +206,7 @@ def test_scan_many_fail_fast_per_id():
             assert emit_report(r) == emit_report(single)
     finally:
         for tid in ("X1.0", "X1.1", "X1.2"):
-            del SCAN_CHECKS[tid]
+            del SCAN_FORMULAS[tid]
 
 
 def test_scan_non_ascii_stream():
@@ -186,8 +217,7 @@ def test_scan_non_ascii_stream():
 
 
 def test_scan_fail_fast_stops_early():
-    SCAN_CHECKS["X0.0"] = lambda g, tol: __import__("distlap").BoundVerdict(
-        "X0.0", 1.0, 0.0, holds=False, strict=False, equality=False)
+    SCAN_FORMULAS["X0.0"] = fake_formula("X0.0", lambda s: False)
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5)]
         r = scan("X0.0", lines, fail_fast=True)
@@ -195,7 +225,28 @@ def test_scan_fail_fast_stops_early():
         r = scan("X0.0", lines)
         assert r.graphs_checked == 4 and len(r.violations) == 4
     finally:
-        del SCAN_CHECKS["X0.0"]
+        del SCAN_FORMULAS["X0.0"]
+
+
+def test_fail_fast_and_report_order_follow_the_file():
+    # orders 5, 3, 4, 3: the order groups run 5, 3, 4, so a pass in group
+    # order would meet K3 (position 3) before P4 (position 2)
+    lines = [to_graph6(g) for g in (fam("Path", 5), fam("Path", 3),
+                                    fam("Path", 4), fam("Complete", 3))]
+    SCAN_FORMULAS["X2.0"] = fake_formula(
+        "X2.0", lambda s: ~((s.n == 4) | (s.m == s.n)), equality=lambda s: True)
+    try:
+        r = scan("X2.0", lines)
+        assert r.graphs_checked == 4
+        assert [g6 for g6, _ in r.violations] == lines[2:]
+        assert r.equality_witnesses == lines
+        # the first violation in file order is P4, at position 2
+        r = scan("X2.0", lines, fail_fast=True)
+        assert r.graphs_checked == 2 + 1
+        assert [g6 for g6, _ in r.violations] == [lines[2]]
+        assert r.equality_witnesses == lines[:3]
+    finally:
+        del SCAN_FORMULAS["X2.0"]
 
 
 def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
@@ -235,7 +286,8 @@ def test_stacked_deletions_match_per_edge_oracle():
 def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     # a scan solves every deletion of the corpus in one _deletion_gaps call;
     # the small chunk splits each order's stack, and the deletions of one
-    # graph, across many solves
+    # graph, across many solves; every graph's verdict from the scan's stack
+    # and the scan's reports agree with the per-edge oracle
     rng = random.Random(29)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
     for n in range(1, 13):
@@ -252,14 +304,8 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
                             lambda gs, *a: solves.append(len(gs)) or real_gaps(gs, *a))
         monkeypatch.setattr(verify, "eigenvalues_stacked",
                             lambda m: stacks.append(m.size) or real_eig(m))
-        got = {tid: [] for tid in want}
-
-        def recorded(check, out):
-            return lambda g, tol: out.append(check(g, tol)) or out[-1]
-
-        for tid in want:
-            monkeypatch.setitem(SCAN_CHECKS, tid, recorded(SCAN_CHECKS[tid], got[tid]))
-        scan_many(["L2.3", "L2.4"], [to_graph6(g) for g in graphs])
+        profiles = verify._stack(graphs, ["L2.3", "L2.4"])
+        got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
         assert solves == [len(graphs)]
         assert max(stacks) <= chunk
@@ -267,6 +313,13 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         # or many once the chunk is small
         assert (len(stacks) > 200) if chunk == 300 else (len(stacks) == 20)
         assert got == want
+    lines = [to_graph6(g) for g in graphs]
+    for r in scan_many(["L2.3", "L2.4"], lines):
+        named = [(g6, v) for g6, v in zip(lines, want[r.theorem_id])
+                 if v.applicable and (v.equality or not v.holds)]
+        assert r.violations == [(g6, v) for g6, v in named if not v.holds]
+        assert list(zip(r.equality_witnesses, r.witness_verdicts)) == [
+            (g6, v) for g6, v in named if v.equality]
 
 
 def test_enumerate_connected_pinned():
@@ -315,8 +368,8 @@ def test_emit_report_csv():
 
 
 def test_emit_report_violation_serialization():
-    SCAN_CHECKS["X0.1"] = lambda g, tol: __import__("distlap").BoundVerdict(
-        "X0.1", 2.5, 1.0, holds=False, strict=False, equality=False,
+    SCAN_FORMULAS["X0.1"] = fake_formula(
+        "X0.1", lambda s: False, bound=2.5, observed=1.0,
         witness={"flag": True, "count": 3, "note": "x"})
     try:
         r = scan("X0.1", ["Bw"])
@@ -330,7 +383,7 @@ def test_emit_report_violation_serialization():
         csv = emit_report(r, format="csv").decode().splitlines()
         assert csv[1] == "X0.1,Bw,2.5,1,false,false"
     finally:
-        del SCAN_CHECKS["X0.1"]
+        del SCAN_FORMULAS["X0.1"]
 
 
 def test_emit_report_csv_violations_before_witnesses():
