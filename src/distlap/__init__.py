@@ -15,17 +15,17 @@ from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, DistanceData,
 from .linalg import (Spectrum, as_sym_matrix, eigenvalues, eigenvalues_jacobi,
                      eigenvalues_stacked, largest_root)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, Verdicts, not_applicable
-from .spectra import (OrderGroup, SpectralProfile, StackedProfiles,
-                      adjacency_matrix, algebraic_connectivity,
-                      check_interlacing, check_quotient_bound, dist_laplacian,
+from .spectra import (OrderGroup, StackedProfiles, adjacency_matrix,
+                      algebraic_connectivity, check_interlacing,
+                      check_quotient_bound, dist_laplacian,
                       dist_signless_laplacian, distance_matrix, laplacian,
                       quotient_lambda1, quotient_matrix, radii,
-                      spectral_profile, validate_partition)
+                      validate_partition)
 from .families import (KINDS, QUANTITIES, FamilySpec, build, closed_form,
                        dl_charpoly_multipartite, family_spec, parse_family,
                        star_q_extremes, turan_parts)
-from .bounds import (CHECKS, FORMULAS, THEOREM_IDS, CliqueNumber,
-                     bound_gap_theorem62, bound_L1_clique_lower, bound_L1_clique_upper,
+from .bounds import (CHECKS, FORMULAS, THEOREM_IDS, bound_gap_theorem62,
+                     bound_L1_clique_lower, bound_L1_clique_upper,
                      bound_L1_lemma31, bound_L1_theorem31, bound_L1_theorem32,
                      bound_L1_theorem41, bound_L1_theorem42,
                      bound_Q1_diameter, bound_Q1_unicyclic,

@@ -12,7 +12,6 @@ documented in the README, each fixed by exhibiting the violating small case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,12 +43,7 @@ def check(theorem_id: str, formulas: dict = FORMULAS, per_graph: dict = CHECKS):
     return register
 
 
-@dataclass(frozen=True)
-class CliqueNumber:
-    omega: int
-
-
-def clique_number(g: Graph) -> CliqueNumber:
+def clique_number(g: Graph) -> int:
     """Exact clique number via branch and bound on bitset candidate sets with
     a greedy coloring upper bound."""
     n, adj = g.n, g.adj
@@ -88,14 +82,14 @@ def clique_number(g: Graph) -> CliqueNumber:
             cand &= ~(1 << v)
 
     expand(0, (1 << n) - 1)
-    return CliqueNumber(best)
+    return best
 
 
 def _omega(s: OrderGroup) -> np.ndarray:
     """Clique numbers of the group's graphs; the first call searches every
     graph of the corpus once, in corpus order."""
     return s.corpus.fact("omega", lambda c: np.array(
-        [clique_number(g).omega for g in c.graphs]))[s.ks]
+        [clique_number(g) for g in c.graphs]))[s.ks]
 
 
 def _complete(s: OrderGroup) -> np.ndarray:
@@ -108,14 +102,6 @@ def _complete(s: OrderGroup) -> np.ndarray:
 
 def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
-
-
-def matching_complement_k(g: Graph):
-    """Number of removed matching edges when g = K_n - kK_2 (0 for K_n),
-    else None."""
-    if any(g.degree(v) < g.n - 2 for v in range(g.n)):
-        return None
-    return g.n * (g.n - 1) // 2 - g.m
 
 
 def is_star(g: Graph) -> bool:

@@ -20,7 +20,8 @@ from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
-from .verify import SCAN_IDS, emit_report, scan_many, table1_regression
+from .verify import SCAN_IDS, emit_report, evaluate, scan_many, \
+    table1_regression
 
 _MATRICES = {
     "D": distance_matrix,
@@ -94,15 +95,25 @@ def _cmd_bounds(args) -> int:
     for tid in ids:
         if tid not in FORMULAS:
             raise DistlapError(f"unknown theorem id {tid!r}")
+    # the records before an unusable --file line print, then its error
+    labels, graphs, error = [], [], None
+    try:
+        for label, g in _input_graphs(args):
+            labels.append(label)
+            graphs.append(g)
+    except CorpusError as exc:
+        error = exc
+    profiles = StackedProfiles(graphs)
+    found = [evaluate(FORMULAS[tid], profiles, args.tolerance) for tid in ids]
     bad = 0
-    for label, g in _input_graphs(args):
+    for label, *hits in zip(labels, *found):
         prefix = f"{label} " if args.file is not None else ""
-        group = StackedProfiles([g]).groups[0]  # shared by every id
-        for tid in ids:
-            v = FORMULAS[tid](group, args.tolerance).verdict(0)
-            print(prefix + _verdict_line(v, args.precise))
-            if v.applicable and not v.holds:
-                bad += 1
+        for _, v, row in hits:
+            verdict = v.verdict(row)
+            print(prefix + _verdict_line(verdict, args.precise))
+            bad += verdict.applicable and not verdict.holds
+    if error is not None:
+        raise error
     return 1 if bad else 0
 
 

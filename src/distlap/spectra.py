@@ -1,4 +1,5 @@
-"""Matrix assembly from graphs, spectral profiles, quotient matrices, interlacing.
+"""Matrix assembly from graphs, stacked distance spectra, quotient matrices,
+interlacing.
 
 Distance matrices are assembled from exact integer distances, so structural
 identities (zero row sums of the distance Laplacian, trace = 2W) hold exactly
@@ -6,13 +7,10 @@ before any float arithmetic happens.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import (DistanceData, DistanceStack, Graph, adjacency_stack,
-                     distances)
+from .graphs import DistanceStack, Graph, adjacency_stack, distances
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
@@ -65,20 +63,6 @@ def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """The two distance spectra of one connected graph plus its distance data."""
-
-    dl_spectrum: Spectrum
-    dq_spectrum: Spectrum
-    dd: DistanceData
-
-
-def spectral_profile(g: Graph) -> SpectralProfile:
-    """Distance data and both distance spectra of one connected graph."""
-    return StackedProfiles([g]).profile(0)
-
-
 class OrderGroup(DistanceStack):
     """The graphs of one order in a StackedProfiles, as arrays: their corpus
     indices ks, order n, edge counts m, adjacency (N, n, n), the distance
@@ -99,10 +83,9 @@ class OrderGroup(DistanceStack):
 class StackedProfiles:
     """Distances, distance invariants and both distance spectra of many
     connected graphs, computed up front as one OrderGroup per order (one
-    stacked distance solve and one eigensolve per flavour); profile(k) is
-    built from the arrays on demand, so only arrays are kept for the whole
-    corpus. facts holds corpus-order arrays that checks compute on first
-    use, such as the clique numbers."""
+    stacked distance solve and one eigensolve per flavour), so only arrays
+    are kept for the whole corpus. facts holds corpus-order arrays that
+    checks compute on first use, such as the clique numbers."""
 
     def __init__(self, graphs):
         self.graphs = graphs
@@ -111,13 +94,6 @@ class StackedProfiles:
         for k, g in enumerate(graphs):
             by_order.setdefault(g.n, []).append(k)
         self.groups = [OrderGroup(self, ks) for ks in by_order.values()]
-
-    def profile(self, k: int) -> SpectralProfile:
-        group = next(s for s in self.groups if s.n == self.graphs[k].n)
-        row = int(np.searchsorted(group.ks, k))
-        return SpectralProfile(Spectrum(tuple(group.dl[row].tolist())),
-                               Spectrum(tuple(group.dq[row].tolist())),
-                               group.data(row))
 
     def fact(self, name, compute):
         """facts[name], set to compute(self) on first use."""

@@ -154,13 +154,14 @@ def _stack(graphs, ids) -> StackedProfiles:
     return profiles
 
 
-def _hits(formula, profiles: StackedProfiles, tol: float) -> list[tuple]:
-    """(corpus index, Verdicts, row) of every graph that formula's report
-    names, in corpus order; the formula runs once per order group."""
+def evaluate(formula, profiles: StackedProfiles, tol: float, pick=None) -> list[tuple]:
+    """(corpus index, Verdicts, row) of every graph of profiles, or only of
+    those whose row is set in the mask pick(Verdicts), in corpus order; the
+    formula runs once per order group."""
     found = []
     for group in profiles.groups:
         v = formula(group, tol)
-        rows = np.flatnonzero(v.applicable & (v.equality | ~v.holds))
+        rows = np.arange(len(group.ks)) if pick is None else np.flatnonzero(pick(v))
         found += [(k, v, row) for k, row in zip(group.ks[rows].tolist(), rows.tolist())]
     return sorted(found, key=lambda hit: hit[0])
 
@@ -180,7 +181,9 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
     t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
     profiles = _stack(graphs, ids)
-    found = {tid: _hits(SCAN_FORMULAS[tid], profiles, tolerance)
+    # a report names the applicable equalities and failures
+    found = {tid: evaluate(SCAN_FORMULAS[tid], profiles, tolerance,
+                           lambda v: v.applicable & (v.equality | ~v.holds))
              for tid in dict.fromkeys(ids)}
     wall = time.perf_counter() - t0
     # graph6 strings only for the graphs that a report names

@@ -35,7 +35,7 @@ from distlap import (
     is_star,
     is_turan,
 )
-from distlap.bounds import is_clique_path, is_path_graph, matching_complement_k
+from distlap.bounds import is_clique_path, is_path_graph
 
 
 def fam(kind, *params):
@@ -51,18 +51,19 @@ def test_registry():
 
 
 def test_clique_number():
-    assert clique_number(fam("Complete", 5)).omega == 5
-    assert clique_number(fam("Cycle", 5)).omega == 2
-    assert clique_number(fam("Kite3", 7)).omega == 3
-    assert clique_number(fam("Path", 1)).omega == 1
-    assert clique_number(fam("Turan", 9, 4)).omega == 4
+    assert clique_number(fam("Complete", 5)) == 5
+    assert clique_number(fam("Cycle", 5)) == 2
+    assert clique_number(fam("Kite3", 7)) == 3
+    assert clique_number(fam("Path", 1)) == 1
+    assert clique_number(fam("Turan", 9, 4)) == 4
 
 
 def test_recognizers():
     assert is_complete(fam("Complete", 4)) and not is_complete(fam("Cycle", 4))
-    assert matching_complement_k(fam("Complete", 6)) == 0
-    assert matching_complement_k(fam("CompleteMinusMatching", 6, 2)) == 2
-    assert matching_complement_k(fam("Path", 4)) is None
+    # K_n - kK_2 is recognised by T3.2, which reports k (P_4, not of that
+    # form, is classified "AboveNPlus2" in test_theorem32_classification)
+    assert bound_L1_theorem32(fam("Complete", 6)).witness["matching_k"] == 0
+    assert bound_L1_theorem32(fam("CompleteMinusMatching", 6, 2)).witness["matching_k"] == 2
     assert is_star(fam("Star", 5)) and not is_star(fam("Path", 4))
     assert is_path_graph(fam("Path", 4)) and not is_path_graph(fam("Star", 4))
     assert is_turan(fam("Turan", 6, 3), 3)

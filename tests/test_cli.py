@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from distlap import StackedProfiles, enumerate_connected, to_graph6
 from distlap.cli import _fmt, run
 
 
@@ -188,6 +191,58 @@ def test_file_disconnected_record_names_line(command, tmp_path, capsys):
     assert run(["spectrum", "--file", str(p), "--matrix", "lap"]) == 0
 
 
+# stdout of bounds --check all over the 996 connected graphs with n <= 7 in a
+# seeded shuffle (ORDERS_1_7), and with the disconnected B_ after its first
+# 50 records; digests computed before bounds evaluated its input as one stack
+BOUNDS_PRECISE_SHA256 = "db5e8fc0907ee74353c3ec1e7d51ad172cbe0ebd60adefef5201724a99f0a540"
+BOUNDS_CUT_SHA256 = "97d420c835080811250877c56f7e36b7d1df5ab27f1a1ca6f25c27e393e2df44"
+
+
+@pytest.fixture(scope="module")
+def orders_1_7():
+    records = [to_graph6(g) for n in range(1, 8) for g in enumerate_connected(n)]
+    random.Random(2017).shuffle(records)
+    return records
+
+
+def _write(path, records):
+    path.write_text("\n".join(records) + "\n")
+    return str(path)
+
+
+def test_bounds_file_pinned_across_orders(orders_1_7, tmp_path, capsys):
+    p = _write(tmp_path / "all.g6", orders_1_7)
+    assert run(["bounds", "--check", "all", "--precise", "--file", p]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 13 * 996
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_PRECISE_SHA256
+
+
+def test_bounds_file_prints_records_before_disconnected_line(orders_1_7, tmp_path,
+                                                             capsys):
+    head = orders_1_7[:50]
+    assert len({len(r) for r in head}) > 1  # the records span several orders
+    p = _write(tmp_path / "cut.g6", [*head, "B_", *orders_1_7[50:]])
+    assert run(["bounds", "--check", "all", "--file", p]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 13 * 50
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_CUT_SHA256
+    assert err == f"error: {p} line 51: disconnected graph 'B_'\n"
+
+
+def test_bounds_file_builds_one_stack(orders_1_7, tmp_path, monkeypatch, capsys):
+    built = []
+    init = StackedProfiles.__init__
+
+    def counted(self, graphs):
+        built.append(len(graphs))
+        init(self, graphs)
+    monkeypatch.setattr(StackedProfiles, "__init__", counted)
+    p = _write(tmp_path / "some.g6", orders_1_7[:40])
+    assert run(["bounds", "--check", "all", "--file", p]) == 0
+    assert built == [40]
+
+
 @pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])
 def test_file_bad_line_ends_command_before_output(command, tmp_path, capsys):
     # the whole file is checked before the first graph is printed
@@ -244,7 +299,8 @@ def test_closed_stdout_ends_quietly(args):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
 

@@ -66,7 +66,7 @@ def test_multipartite_and_turan():
     assert turan_parts(6, 3) == (2, 2, 2)
     assert turan_parts(10, 3) == (4, 3, 3)
     assert is_isomorphic(fam("Turan", 6, 3), g)
-    assert clique_number(fam("Turan", 7, 3)).omega == 3
+    assert clique_number(fam("Turan", 7, 3)) == 3
     # omega = n collapses to the complete graph
     assert is_isomorphic(fam("Turan", 5, 5), fam("Complete", 5))
 
@@ -75,13 +75,13 @@ def test_turan_edge_maximality():
     # no connected 6-vertex graph with clique number <= 3 has more edges
     best = fam("Turan", 6, 3).m
     for g in enumerate_connected(6):
-        if clique_number(g).omega <= 3:
+        if clique_number(g) <= 3:
             assert g.m <= best
 
 
 def test_kite_and_tstar():
     g = fam("KiteClique", 7, 4)
-    assert g.n == 7 and clique_number(g).omega == 4
+    assert g.n == 7 and clique_number(g) == 4
     # Kite3 with the path absorbed: n = 4 is the star plus one edge
     assert is_isomorphic(fam("Kite3", 4), fam("StarPlus", 4))
     assert is_isomorphic(fam("Kite3", 3), fam("Complete", 3))
@@ -108,7 +108,7 @@ def test_u4_u3_structure():
     assert canonical_form(g) != canonical_form(fam("U3", 4, 3))
     h = fam("U3", 4, 3)
     assert h.n == 9 and h.m == 9
-    assert clique_number(h).omega == 3 and clique_number(g).omega == 2
+    assert clique_number(h) == 3 and clique_number(g) == 2
     assert fam("U4", 2, 2).n == 6
 
 

@@ -18,7 +18,6 @@ from distlap import (
     eigenvalues,
     laplacian,
     quotient_matrix,
-    spectral_profile,
 )
 from distlap.families import build, family_spec
 
@@ -77,24 +76,35 @@ def test_psd_and_kernel(corpus):
 
 
 def test_spectral_profile_examples():
-    prof = spectral_profile(fam("Complete", 4))
-    assert np.allclose(prof.dl_spectrum.values, [4, 4, 4, 0], atol=1e-9)
-    assert abs(prof.dq_spectrum.radius - 6.0) < 1e-9
-    assert abs(algebraic_connectivity(fam("Complete", 4)) - 4.0) < 1e-9
-    assert prof.dd.diam == 1
-    prof = spectral_profile(fam("Path", 3))
-    assert np.allclose(prof.dl_spectrum.values, [5, 3, 0], atol=1e-9)
+    k4 = fam("Complete", 4)
+    assert np.allclose(eigenvalues(dist_laplacian(k4)).values, [4, 4, 4, 0], atol=1e-9)
+    assert abs(eigenvalues(dist_signless_laplacian(k4)).radius - 6.0) < 1e-9
+    assert abs(algebraic_connectivity(k4) - 4.0) < 1e-9
+    assert distance_data(k4).diam == 1
+    p3 = fam("Path", 3)
+    assert np.allclose(eigenvalues(dist_laplacian(p3)).values, [5, 3, 0], atol=1e-9)
 
 
 def test_stacked_profiles_match_per_graph(corpus):
     # mixed orders in shuffled order: each order is solved as one stack, and
-    # every profile equals the per-graph one bit for bit
+    # every row equals the graph's own distance data and eigensolves bit for bit
     graphs = [g for n in corpus for g in corpus[n]]
     graphs += [fam("Path", 30), fam("Cycle", 17), fam("Kite3", 20), fam("Star", 64)]
     random.Random(5).shuffle(graphs)
     stacked = StackedProfiles(graphs)
-    for k, g in enumerate(graphs):
-        assert stacked.profile(k) == spectral_profile(g)
+    ks = [k for group in stacked.groups for k in group.ks.tolist()]
+    assert sorted(ks) == list(range(len(graphs)))
+    assert len({group.n for group in stacked.groups}) == len(stacked.groups)
+    for group in stacked.groups:
+        for row, k in enumerate(group.ks.tolist()):
+            g, dd = graphs[k], distance_data(graphs[k])
+            assert (group.n, int(group.m[row])) == (g.n, g.m)
+            assert group.dist[row].tolist() == [list(r) for r in dd.dist]
+            assert tuple(group.trans[row].tolist()) == dd.trans
+            assert (int(group.wiener[row]), int(group.diam[row]),
+                    int(group.sum_sq[row])) == (dd.wiener, dd.diam, dd.sum_sq)
+            assert tuple(group.dl[row].tolist()) == eigenvalues(dist_laplacian(g)).values
+            assert tuple(group.dq[row].tolist()) == eigenvalues(dist_signless_laplacian(g)).values
 
 
 def test_quotient_matrix_examples():
@@ -164,6 +174,6 @@ def test_diam2_radius_formula(corpus):
     # diameter <= 2 forces the distance Laplacian radius to 2n - alpha
     for n in range(2, 7):
         for g in corpus[n]:
-            prof = spectral_profile(g)
-            if prof.dd.diam <= 2:
-                assert abs(prof.dl_spectrum.radius - (2 * n - algebraic_connectivity(g))) < 1e-7
+            if distance_data(g).diam <= 2:
+                radius = eigenvalues(dist_laplacian(g)).radius
+                assert abs(radius - (2 * n - algebraic_connectivity(g))) < 1e-7
