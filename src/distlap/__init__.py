@@ -19,8 +19,7 @@ from .spectra import (OrderGroup, StackedProfiles, adjacency_matrix,
                       algebraic_connectivity, check_interlacing,
                       check_quotient_bound, dist_laplacian,
                       dist_signless_laplacian, distance_matrix, laplacian,
-                      quotient_lambda1, quotient_matrix, radii,
-                      validate_partition)
+                      quotient_matrix, radii, validate_partition)
 from .families import (KINDS, QUANTITIES, FamilySpec, build, closed_form,
                        dl_charpoly_multipartite, family_spec, parse_family,
                        star_q_extremes, turan_parts)

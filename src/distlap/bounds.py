@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InconsistentClassification, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph
+from .graphs import Graph, is_connected
 from .spectra import OrderGroup, StackedProfiles, radii
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, flags, verdicts
 
@@ -112,10 +112,9 @@ def is_star(g: Graph) -> bool:
 
 
 def is_path_graph(g: Graph) -> bool:
-    if g.n == 1:
-        return g.m == 0
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return g.m == g.n - 1 and degs[0] == degs[1] == 1 and all(d == 2 for d in degs[2:])
+    # a tree (connected, n - 1 edges) with no vertex of degree above 2
+    return (g.m == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
+            and is_connected(g))
 
 
 def is_turan(g: Graph, omega: int) -> bool:

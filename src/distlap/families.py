@@ -3,6 +3,12 @@
 Vertex 0 is always placed on the distinguished vertex of the family (clique
 to path junction, branch vertex, cycle vertex carrying the longer path) so
 snapshots and cross-module comparisons are reproducible.
+
+FAMILIES declares each kind once, with its CLI name and its builder; a
+builder runs the family's only parameter checks and returns (n, edges), the
+quadratic edge sets as generators, so checking costs no edge list.
+CLOSED_FORMS holds the known formulas by (kind, quantity); closed_form runs
+the builder's checks first, so it rejects exactly what build rejects.
 """
 from __future__ import annotations
 
@@ -12,23 +18,6 @@ from dataclasses import dataclass
 from .errors import InvalidParams, UnsupportedQuantity
 from .graphs import Graph, from_edges, pendant_path
 from .linalg import largest_root
-
-KINDS = (
-    "Path", "Cycle", "Complete", "Star", "StarPlus", "CompleteMinusMatching",
-    "CompleteMultipartite", "Turan", "KiteClique", "Kite3", "TShape", "TStar",
-    "U4", "U3",
-)
-
-QUANTITIES = ("DLRadius", "QRadius", "QMinEig", "Wiener")
-
-# CLI short names
-_CLI_KINDS = {
-    "path": "Path", "cycle": "Cycle", "complete": "Complete", "star": "Star",
-    "starplus": "StarPlus", "kminus": "CompleteMinusMatching",
-    "multipartite": "CompleteMultipartite", "turan": "Turan",
-    "kiteclique": "KiteClique", "kite": "Kite3", "t": "TShape",
-    "tstar": "TStar", "u4": "U4", "u3": "U3",
-}
 
 
 @dataclass(frozen=True)
@@ -61,48 +50,46 @@ def _need(cond: bool, msg: str):
         raise InvalidParams(msg)
 
 
-def _path(n: int) -> Graph:
+def _path(n: int):
     _need(n >= 1, "path needs n >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return n, [(i, i + 1) for i in range(n - 1)]
 
 
-def _cycle(n: int) -> Graph:
+def _cycle(n: int):
     _need(n >= 3, "cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return n, [(i, (i + 1) % n) for i in range(n)]
 
 
-def _complete(n: int) -> Graph:
+def _complete(n: int):
     _need(n >= 1, "complete graph needs n >= 1")
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return n, ((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _star(n: int) -> Graph:
+def _star(n: int):
     _need(n >= 2, "star needs n >= 2")
-    return from_edges(n, [(0, i) for i in range(1, n)])
+    return n, [(0, i) for i in range(1, n)]
 
 
-def _star_plus(n: int) -> Graph:
+def _star_plus(n: int):
     # star with one extra edge between two leaves; triangle is {0,1,2}
     _need(n >= 3, "star plus edge needs n >= 3")
-    return from_edges(n, [(0, i) for i in range(1, n)] + [(1, 2)])
+    return n, [(0, i) for i in range(1, n)] + [(1, 2)]
 
 
-def _complete_minus_matching(n: int, k: int) -> Graph:
-    _need(n >= 2 and 1 <= k <= n // 2, "need 1 <= k <= n/2")
+def _complete_minus_matching(n: int, k: int):
+    # K_2 minus its edge would be two isolated vertices
+    _need(n >= 3, "complete minus matching needs n >= 3")
+    _need(1 <= k <= n // 2, "need 1 <= k <= n/2")
     removed = {(2 * i, 2 * i + 1) for i in range(k)}
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in removed]
-    return from_edges(n, edges)
+    return n, ((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in removed)
 
 
-def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
+def _complete_multipartite(*parts: int):
     _need(len(parts) >= 2 and all(p >= 1 for p in parts),
           "need at least two parts, all nonempty")
-    n = sum(parts)
-    label = []
-    for idx, p in enumerate(parts):
-        label.extend([idx] * p)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if label[i] != label[j]]
-    return from_edges(n, edges)
+    label = [idx for idx, p in enumerate(parts) for _ in range(p)]
+    n = len(label)
+    return n, ((i, j) for i in range(n) for j in range(i + 1, n) if label[i] != label[j])
 
 
 def turan_parts(n: int, omega: int) -> tuple[int, ...]:
@@ -112,14 +99,19 @@ def turan_parts(n: int, omega: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (omega - r))
 
 
-def _kite_clique(n: int, omega: int) -> Graph:
+def _kite_clique(n: int, omega: int):
     # clique on {0..omega-1} with the path hung off vertex 0
     _need(2 <= omega <= n, "need 2 <= omega <= n")
     edges = [(i, j) for i in range(omega) for j in range(i + 1, omega)]
-    return from_edges(n, edges + pendant_path(0, omega, n - omega))
+    return n, edges + pendant_path(0, omega, n - omega)
 
 
-def _t_shape(n1: int, n2: int, n3: int) -> Graph:
+def _kite3(n: int):
+    _need(n >= 3, "kite needs n >= 3")
+    return _kite_clique(n, 3)
+
+
+def _t_shape(n1: int, n2: int, n3: int):
     # branch vertex 0 with three pendant paths of n1, n2, n3 vertices
     _need(n1 >= 0 and n2 >= 0 and n3 >= 0, "leg lengths must be nonnegative")
     edges = []
@@ -127,10 +119,15 @@ def _t_shape(n1: int, n2: int, n3: int) -> Graph:
     for leg in (n1, n2, n3):
         edges += pendant_path(0, nxt, leg)
         nxt += leg
-    return from_edges(nxt, edges)
+    return nxt, edges
 
 
-def _u_graph(n1: int, n2: int, chord: tuple[int, int]) -> Graph:
+def _t_star(n: int):
+    _need(n >= 6, "T* needs n >= 6")
+    return _t_shape(2, 2, n - 5)
+
+
+def _u_graph(n1: int, n2: int, chord: tuple[int, int]):
     """Vertices v1=0, w1=1, u1=2, w2=3 on the path v1 w1 u1 w2 closed by
     chord, with a path of n1-1 extra vertices at v1 and a path of n2-1
     extra vertices at u1; order n1+n2+2. The chord v1w2 (0, 3) gives U4, a
@@ -139,46 +136,45 @@ def _u_graph(n1: int, n2: int, chord: tuple[int, int]) -> Graph:
     _need(n1 >= n2 >= 2, "need n1 >= n2 >= 2")
     edges = [(0, 1), (1, 2), (2, 3), chord]
     edges += pendant_path(0, 4, n1 - 1) + pendant_path(2, 3 + n1, n2 - 1)
-    return from_edges(n1 + n2 + 2, edges)
+    return n1 + n2 + 2, edges
+
+
+# kind -> (CLI name, builder); the one list of family kinds
+FAMILIES = {
+    "Path": ("path", _path),
+    "Cycle": ("cycle", _cycle),
+    "Complete": ("complete", _complete),
+    "Star": ("star", _star),
+    "StarPlus": ("starplus", _star_plus),
+    "CompleteMinusMatching": ("kminus", _complete_minus_matching),
+    "CompleteMultipartite": ("multipartite", _complete_multipartite),
+    "Turan": ("turan", lambda n, omega: _complete_multipartite(*turan_parts(n, omega))),
+    "KiteClique": ("kiteclique", _kite_clique),
+    "Kite3": ("kite", _kite3),
+    "TShape": ("t", _t_shape),
+    "TStar": ("tstar", _t_star),
+    "U4": ("u4", lambda n1, n2: _u_graph(n1, n2, (0, 3))),
+    "U3": ("u3", lambda n1, n2: _u_graph(n1, n2, (1, 3))),
+}
+
+KINDS = tuple(FAMILIES)
+
+_CLI_KINDS = {cli: kind for kind, (cli, _) in FAMILIES.items()}
+
+
+def _order_edges(spec: FamilySpec):
+    """Run the family's builder: its parameter checks, then (n, edges)."""
+    kind, p = spec.kind, spec.params
+    if kind not in FAMILIES:
+        raise InvalidParams(f"unknown family kind {kind!r}")
+    try:
+        return FAMILIES[kind][1](*p)
+    except TypeError as exc:
+        raise InvalidParams(f"wrong parameter count for {kind}: {p}") from exc
 
 
 def build(spec: FamilySpec) -> Graph:
-    kind, p = spec.kind, spec.params
-    try:
-        if kind == "Path":
-            return _path(*p)
-        if kind == "Cycle":
-            return _cycle(*p)
-        if kind == "Complete":
-            return _complete(*p)
-        if kind == "Star":
-            return _star(*p)
-        if kind == "StarPlus":
-            return _star_plus(*p)
-        if kind == "CompleteMinusMatching":
-            return _complete_minus_matching(*p)
-        if kind == "CompleteMultipartite":
-            return _complete_multipartite(p)
-        if kind == "Turan":
-            _need(len(p) == 2, "Turan takes n, omega")
-            return _complete_multipartite(turan_parts(*p))
-        if kind == "KiteClique":
-            return _kite_clique(*p)
-        if kind == "Kite3":
-            _need(len(p) == 1 and p[0] >= 3, "kite needs n >= 3")
-            return _kite_clique(p[0], 3)
-        if kind == "TShape":
-            return _t_shape(*p)
-        if kind == "TStar":
-            _need(len(p) == 1 and p[0] >= 6, "T* needs n >= 6")
-            return _t_shape(2, 2, p[0] - 5)
-        if kind == "U4":
-            return _u_graph(*p, chord=(0, 3))
-        if kind == "U3":
-            return _u_graph(*p, chord=(1, 3))
-    except TypeError as exc:
-        raise InvalidParams(f"wrong parameter count for {kind}: {p}") from exc
-    raise InvalidParams(f"unknown family kind {kind!r}")
+    return from_edges(*_order_edges(spec))
 
 
 def dl_charpoly_multipartite(parts) -> list[tuple[int, int]]:
@@ -214,61 +210,48 @@ def star_q_extremes(n: int) -> tuple[float, float]:
     return (5.0 * n - 8.0 + disc) / 2.0, (5.0 * n - 8.0 - disc) / 2.0
 
 
+def _star_q_min(n: int) -> float:
+    minus = star_q_extremes(n)[1]
+    # the middle eigenvalue 2n-5 dips below the minus root at n = 3
+    return min(minus, 2.0 * n - 5.0) if n >= 3 else minus
+
+
+# (kind, quantity) -> formula over the spec's parameters, which the kind's
+# builder has already checked
+CLOSED_FORMS = {
+    # spectrum {n^(n-1), 0}; at n = 1 only the 0 remains
+    ("Complete", "DLRadius"): lambda n: float(n) if n >= 2 else 0.0,
+    ("CompleteMinusMatching", "DLRadius"): lambda n, k: float(n + 2),
+    # T_{n,n} = K_n where the ceiling formula overshoots; the true radius is n
+    ("Turan", "DLRadius"):
+        lambda n, omega: float(n) if omega == n else float(n + math.ceil(n / omega)),
+    ("CompleteMultipartite", "DLRadius"):
+        lambda *parts: float(dl_charpoly_multipartite(parts)[0][0]),
+    # spectrum {(2n-1)^(n-2), n, 0}; at n = 2 (K_2) only n and 0 remain
+    ("Star", "DLRadius"): lambda n: float(2 * n - 1) if n >= 3 else float(n),
+    ("Complete", "QRadius"): lambda n: float(2 * n - 2) if n >= 2 else 0.0,
+    ("Cycle", "QRadius"): lambda n: n * n / 2.0 if n % 2 == 0 else (n * n - 1) / 2.0,
+    ("StarPlus", "QRadius"): lambda n: largest_root(_snplus_cubic(n), (0.0, 4.0 * n * n)),
+    ("Star", "QRadius"): lambda n: star_q_extremes(n)[0],
+    ("Star", "QMinEig"): _star_q_min,
+    # the stated kite formula; note it sits one above the summed distances
+    # of the generated graph for every n (see README)
+    ("Kite3", "Wiener"):
+        lambda n: n * (n - 1) * (n - 2) / 6.0 + (n - 1) * (n - 2) / 2.0 + 2.0,
+}
+
+QUANTITIES = tuple(dict.fromkeys(q for _, q in CLOSED_FORMS))
+
+
 def closed_form(spec: FamilySpec, quantity: str) -> float:
     """Closed-form spectral value for the family, when one is known.
 
-    Raises UnsupportedQuantity for pairs with no stated formula."""
-    kind, p = spec.kind, spec.params
+    Raises UnsupportedQuantity for pairs with no stated formula, and
+    InvalidParams for whatever build rejects (the order may exceed 64)."""
     if quantity not in QUANTITIES:
         raise UnsupportedQuantity(f"unknown quantity {quantity!r}")
-
-    if quantity == "DLRadius":
-        if kind == "Complete":
-            # spectrum {n^(n-1), 0}; at n = 1 only the 0 remains
-            return float(p[0]) if p[0] >= 2 else 0.0
-        if kind == "CompleteMinusMatching":
-            _need(len(p) == 2 and p[0] >= 2 and 1 <= p[1] <= p[0] // 2, f"bad params {p}")
-            return float(p[0] + 2)
-        if kind == "Turan":
-            n, omega = p
-            _need(2 <= omega <= n, f"bad params {p}")
-            if omega == n:
-                # T_{n,n} = K_n where the ceiling formula overshoots; the
-                # true radius is n
-                return float(n)
-            return float(n + math.ceil(n / omega))
-        if kind == "CompleteMultipartite":
-            roots = dl_charpoly_multipartite(p)
-            return float(roots[0][0])
-        if kind == "Star":
-            _need(p[0] >= 2, "star needs n >= 2")
-            return float(2 * p[0] - 1)
-    elif quantity == "QRadius":
-        if kind == "Complete":
-            _need(p[0] >= 1, "needs n >= 1")
-            return float(2 * p[0] - 2) if p[0] >= 2 else 0.0
-        if kind == "Cycle":
-            n = p[0]
-            _need(n >= 3, "cycle needs n >= 3")
-            return n * n / 2.0 if n % 2 == 0 else (n * n - 1) / 2.0
-        if kind == "StarPlus":
-            n = p[0]
-            _need(n >= 3, "star plus edge needs n >= 3")
-            return largest_root(_snplus_cubic(n), (0.0, 4.0 * n * n))
-        if kind == "Star":
-            _need(p[0] >= 2, "star needs n >= 2")
-            return star_q_extremes(p[0])[0]
-    elif quantity == "QMinEig":
-        if kind == "Star":
-            _need(p[0] >= 2, "star needs n >= 2")
-            minus = star_q_extremes(p[0])[1]
-            # the middle eigenvalue 2n-5 dips below the minus root at n = 3
-            return min(minus, 2.0 * p[0] - 5.0) if p[0] >= 3 else minus
-    elif quantity == "Wiener":
-        if kind == "Kite3":
-            n = p[0]
-            _need(n >= 3, "kite needs n >= 3")
-            # the stated kite formula; note it sits one above the summed
-            # distances of the generated graph for every n (see README)
-            return n * (n - 1) * (n - 2) / 6.0 + (n - 1) * (n - 2) / 2.0 + 2.0
-    raise UnsupportedQuantity(f"no closed form for {kind}/{quantity}")
+    formula = CLOSED_FORMS.get((spec.kind, quantity))
+    if formula is None:
+        raise UnsupportedQuantity(f"no closed form for {spec.kind}/{quantity}")
+    _order_edges(spec)
+    return formula(*spec.params)

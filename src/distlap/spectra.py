@@ -140,25 +140,16 @@ def quotient_matrix(m, blocks) -> np.ndarray:
     return sums / np.array(sizes)[:, None]
 
 
-def _quotient_radius(sums: np.ndarray, sizes: list[int]) -> float:
-    """Largest eigenvalue of the quotient matrix of these block sums, via
-    the symmetric similarity S^(1/2) R S^(-1/2) with S = diag(block sizes)."""
-    sym = sums / np.sqrt(np.outer(sizes, sizes))
-    sym = (sym + sym.T) / 2.0  # kill roundoff asymmetry
-    return eigenvalues(sym).radius
-
-
-def quotient_lambda1(m, blocks) -> float:
-    """Largest eigenvalue of the quotient matrix of m over blocks."""
-    return _quotient_radius(*_block_sums(m, blocks))
-
-
 def check_quotient_bound(m, blocks) -> BoundVerdict:
     """lambda1 of the full matrix dominates lambda1 of any quotient matrix."""
     a = as_sym_matrix(m)
     sums, sizes = _block_sums(a, blocks)
     lam_m = eigenvalues(a).radius
-    lam_r = _quotient_radius(sums, sizes)
+    # the quotient's largest eigenvalue, via the symmetric similarity
+    # S^(1/2) R S^(-1/2) with S = diag(block sizes)
+    sym = sums / np.sqrt(np.outer(sizes, sizes))
+    sym = (sym + sym.T) / 2.0  # kill roundoff asymmetry
+    lam_r = eigenvalues(sym).radius
     return verdict("L2.2", lam_m, ">=", lam_r, witness={
         "lambda1_matrix": lam_m, "lambda1_quotient": lam_r, "blocks": sizes})
 

@@ -30,6 +30,7 @@ from distlap import (
     dist_laplacian,
     eigenvalues,
     family_spec,
+    from_edges,
     is_complete,
     is_kite,
     is_star,
@@ -66,6 +67,9 @@ def test_recognizers():
     assert bound_L1_theorem32(fam("CompleteMinusMatching", 6, 2)).witness["matching_k"] == 2
     assert is_star(fam("Star", 5)) and not is_star(fam("Path", 4))
     assert is_path_graph(fam("Path", 4)) and not is_path_graph(fam("Star", 4))
+    # P_2 + C_3 has n - 1 edges and path-like degrees but is disconnected
+    p2_c3 = from_edges(5, [(0, 1), (2, 3), (3, 4), (4, 2)])
+    assert not is_path_graph(p2_c3) and not is_clique_path(p2_c3, 2)
     assert is_turan(fam("Turan", 6, 3), 3)
     assert not is_turan(fam("Path", 4), 2)
     assert is_clique_path(fam("Kite3", 6), 3)

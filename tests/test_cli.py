@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from distlap import StackedProfiles, enumerate_connected, to_graph6
+from distlap import (StackedProfiles, build, enumerate_connected, family_spec,
+                     to_graph6)
 from distlap.cli import _fmt, run
+from distlap.families import FAMILIES
 
 
 def test_spectrum_family_kite():
@@ -67,6 +69,24 @@ def test_family_command(capsys):
     assert run(["family", "--family", "cycle:7", "--quantity", "QRadius"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "24.0000"
+
+
+# one valid member of each family kind
+FAMILY_SAMPLES = {
+    "Path": (5,), "Cycle": (6,), "Complete": (4,), "Star": (6,), "StarPlus": (5,),
+    "CompleteMinusMatching": (7, 2), "CompleteMultipartite": (3, 2, 2),
+    "Turan": (8, 3), "KiteClique": (9, 4), "Kite3": (7,), "TShape": (2, 2, 5),
+    "TStar": (9,), "U4": (4, 3), "U3": (5, 4),
+}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, (name, _) in FAMILIES.items()],
+                         ids=[name for name, _ in FAMILIES.values()])
+def test_family_command_each_name(kind, name, capsys):
+    params = FAMILY_SAMPLES[kind]
+    spec = f"{name}:{','.join(map(str, params))}"
+    assert run(["family", "--family", spec]) == 0
+    assert capsys.readouterr().out == to_graph6(build(family_spec(kind, *params))) + "\n"
 
 
 def test_graft_command(capsys):

@@ -21,6 +21,7 @@ from distlap import (
     star_q_extremes,
     turan_parts,
 )
+from distlap.families import CLOSED_FORMS
 
 
 def fam(kind, *params):
@@ -45,6 +46,7 @@ def test_builder_param_errors():
         ("Star", (1,)),
         ("StarPlus", (2,)),
         ("CompleteMinusMatching", (5, 3)),
+        ("CompleteMinusMatching", (2, 1)),  # two isolated vertices
         ("CompleteMultipartite", (4,)),
         ("Turan", (5, 1)),
         ("Turan", (5, 6)),
@@ -53,6 +55,7 @@ def test_builder_param_errors():
         ("U4", (2, 3)),
         ("U3", (1, 1)),
         ("Path", (0,)),
+        ("Turan", (5,)),
     ]:
         with pytest.raises(InvalidParams):
             build(family_spec(kind, *params))
@@ -147,6 +150,8 @@ def test_multipartite_charpoly_matches_spectrum():
 def test_closed_form_examples():
     assert closed_form(family_spec("Cycle", 7), "QRadius") == 24.0
     assert closed_form(family_spec("Complete", 6), "DLRadius") == 6.0
+    # the star S_2 is K_2: spectrum {2, 0}, no 2n-1 = 3
+    assert closed_form(family_spec("Star", 2), "DLRadius") == 2.0
     assert closed_form(family_spec("CompleteMinusMatching", 8, 3), "DLRadius") == 10.0
     assert closed_form(family_spec("Turan", 10, 3), "DLRadius") == 14.0
     assert closed_form(family_spec("Turan", 5, 5), "DLRadius") == 5.0
@@ -160,20 +165,53 @@ def test_closed_form_examples():
         closed_form(family_spec("Path", 5), "QRadius")
     with pytest.raises(UnsupportedQuantity):
         closed_form(family_spec("Cycle", 5), "Volume")
+    # the builder's checks run first, so what build rejects is rejected here
+    for kind, params, quantity in [
+        ("Turan", (5,), "DLRadius"),
+        ("Complete", (), "DLRadius"),
+        ("Complete", (0,), "DLRadius"),
+        ("Cycle", (3, 4), "QRadius"),
+        ("Star", (2, 5), "DLRadius"),
+    ]:
+        with pytest.raises(InvalidParams):
+            closed_form(family_spec(kind, *params), quantity)
+    # build stops at order 64; the formulas need no graph
+    assert closed_form(family_spec("Complete", 100), "DLRadius") == 100.0
+    assert closed_form(family_spec("Cycle", 101), "QRadius") == 5100.0
+
+
+# what each quantity is, computed from the built graph
+OBSERVED = {
+    "DLRadius": lambda g: eigenvalues(dist_laplacian(g)).radius,
+    "QRadius": lambda g: eigenvalues(dist_signless_laplacian(g)).radius,
+    "QMinEig": lambda g: eigenvalues(dist_signless_laplacian(g)).smallest,
+    # the stated kite formula sits one above the summed distances (README)
+    "Wiener": lambda g: distance_data(g).wiener + 1,
+}
+
+# parameter tuples of every arity the families take, valid or not
+PARAM_GRID = ([(), (0,)] + [(n,) for n in range(1, 13)]
+              + [(a, b) for a in range(0, 13) for b in range(0, 7)]
+              + [(a, b, c) for a in range(1, 4) for b in range(1, 4) for c in range(0, 4)])
 
 
 def test_closed_forms_match_eigensolver():
-    for n in range(3, 13):
-        for kind, quantity in [("Cycle", "QRadius"), ("StarPlus", "QRadius")]:
-            want = closed_form(family_spec(kind, n), quantity)
-            got = eigenvalues(dist_signless_laplacian(fam(kind, n))).radius
-            assert abs(want - got) < 1e-7, (kind, n)
-        want = closed_form(family_spec("Complete", n), "DLRadius")
-        got = eigenvalues(dist_laplacian(fam("Complete", n))).radius
-        assert abs(want - got) < 1e-9
-        want = closed_form(family_spec("Star", n), "DLRadius")
-        got = eigenvalues(dist_laplacian(fam("Star", n))).radius
-        assert abs(want - got) < 1e-7
+    for kind, quantity in CLOSED_FORMS:
+        compared = 0
+        for params in PARAM_GRID:
+            spec = family_spec(kind, *params)
+            try:
+                g = build(spec)
+            except InvalidParams:
+                # closed_form rejects exactly what build rejects
+                with pytest.raises(InvalidParams):
+                    closed_form(spec, quantity)
+                continue
+            want = closed_form(spec, quantity)
+            got = OBSERVED[quantity](g)
+            assert abs(want - got) < 1e-9, (kind, params, quantity)
+            compared += 1
+        assert compared >= 10, (kind, quantity)
 
 
 def test_star_q_structure():
