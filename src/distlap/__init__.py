@@ -29,14 +29,13 @@ from .bounds import (CHECKS, FORMULAS, THEOREM_IDS, bound_gap_theorem62,
                      bound_L1_theorem41, bound_L1_theorem42,
                      bound_Q1_diameter, bound_Q1_unicyclic,
                      bound_Qn_corollary61, bound_Qn_theorem63,
-                     bound_Qn_theorem64, check_lemma41,
-                     check_lemma42, classify_L1_theorem32, clique_number,
-                     is_complete, is_kite, is_star, is_turan)
+                     bound_Qn_theorem64, check_lemma23, check_lemma24,
+                     check_lemma41, check_lemma42, classify_L1_theorem32,
+                     clique_number, is_complete, is_kite, is_star, is_turan)
 from .transforms import (KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft,
                          check_graft_monotone_L, check_graft_monotone_Q,
                          delete_edge)
-from .verify import (SCAN_CHECKS, SCAN_FORMULAS, SCAN_IDS, ScanReport,
-                     check_lemma23, check_lemma24, check_lemma74, compare_kite_tstar,
+from .verify import (SCAN_IDS, ScanReport, check_lemma74, compare_kite_tstar,
                      emit_report, fixture31_determinant, fixture61_determinant,
                      proof_fixture_theorem31, proof_fixture_theorem61, scan,
                      scan_many, table1_regression)

@@ -1,13 +1,14 @@
-"""Per-theorem bound evaluation with equality detection.
+"""Per-statement evaluation with equality detection.
 
-Each statement is an array formula over an order group (spectra.OrderGroup)
-that returns its Verdicts: every graph's bound, observed value and flags as
-arrays, and a row's witness dict on request. FORMULAS holds the formulas;
-the per-graph checkers (bound_*(g, tol), CHECKS) are the same formulas on a
-one-graph stack. A verdict whose hypotheses fail has applicable = False and
-vacuously true flags; exhaustive scans must filter on applicable. The
-applicability cutoffs that differ from the loose prose statements are
-documented in the README, each fixed by exhibiting the violating small case.
+Each checked statement (bound, spectrum or edge-deletion lemma) is an array
+formula over an order group (spectra.OrderGroup) that returns its Verdicts:
+every graph's bound, observed value and flags as arrays, and a row's
+witness dict on request. @check registers each once, in FORMULAS, and its
+per-graph checker (CHECKS), the formula on a one-graph stack. A verdict
+whose hypotheses fail has applicable = False and vacuously true flags;
+exhaustive scans must filter on applicable. The applicability cutoffs that
+differ from the loose prose statements are documented in the README, each
+fixed by exhibiting the violating small case.
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconsistentClassification, UnsupportedOrder
+from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph, is_connected
-from .spectra import OrderGroup, StackedProfiles, radii
+from .graphs import Graph, connected, distances, is_connected
+from .linalg import eigenvalues_stacked
+from .spectra import OrderGroup, StackedProfiles, radii, transmission_stack
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, flags, verdicts
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
@@ -31,16 +33,24 @@ FORMULAS: dict = {}
 CHECKS: dict = {}
 
 
-def check(theorem_id: str, formulas: dict = FORMULAS, per_graph: dict = CHECKS):
+def check(theorem_id: str):
     """Register the decorated array formula as theorem_id and return its
     per-graph checker: the formula on a one-graph stack, row 0."""
     def register(formula):
         def on_graph(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
             return formula(StackedProfiles([g]).groups[0], tol).verdict(0)
         on_graph.__name__, on_graph.__doc__ = formula.__name__, formula.__doc__
-        formulas[theorem_id], per_graph[theorem_id] = formula, on_graph
+        FORMULAS[theorem_id], CHECKS[theorem_id] = formula, on_graph
         return on_graph
     return register
+
+
+def require_known(ids) -> None:
+    """Raise UnknownTheorem for the first of ids that no check registered."""
+    for tid in ids:
+        if tid not in FORMULAS:
+            raise UnknownTheorem(f"unknown theorem id {tid!r}; "
+                                 f"known: {', '.join(FORMULAS)}")
 
 
 def clique_number(g: Graph) -> int:
@@ -185,15 +195,10 @@ def is_kite(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=8192)
-def _kite_q_radius(n: int) -> float:
-    return radii([build(FamilySpec("Kite3", (n,)))], 1)[0]
-
-
-@lru_cache(maxsize=8192)
-def _clique_path_dl_radius(n: int, omega: int) -> float:
-    if n == 1:
-        return 0.0
-    return radii([build(FamilySpec("KiteClique", (n, omega)))], -1)[0]
+def _radius(kind: str, params: tuple, sign: int) -> float:
+    """Largest eigenvalue of Tr - D (sign -1) or Tr + D (sign +1) of the
+    family member kind(*params)."""
+    return radii([build(FamilySpec(kind, params))], sign)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,8 @@ def bound_L1_clique_upper(s: OrderGroup, tol: float):
     """dl radius <= that of the clique-with-path K_omega^{n-omega} of the same
     order and clique number; equality iff isomorphic to it."""
     obs, omega = s.dl[:, 0], _omega(s)
-    bound = np.array([_clique_path_dl_radius(s.n, w) for w in omega.tolist()])
+    bound = np.array([0.0 if s.n == 1 else _radius("KiteClique", (s.n, w), -1)
+                      for w in omega.tolist()])
     return verdicts("T5.2", obs, flags(obs, "<=", bound, tol), bound, lambda r: {
         "omega": int(omega[r]),
         "is_clique_path": is_clique_path(s.graphs[r], int(omega[r]))})
@@ -400,14 +406,14 @@ def bound_Q1_unicyclic(s: OrderGroup, tol: float):
     radius; equality iff the kite itself."""
     n, obs = s.n, s.dq[:, 0]
     unicyclic = s.m == n
-    bound = _kite_q_radius(n) if n >= 6 else 0.0  # no kite below order 6
+    bound = _radius("Kite3", (n,), 1) if n >= 6 else 0.0  # no kite below order 6
     return verdicts("T7.1", obs, flags(obs, "<=", bound, tol), bound,
                     lambda r: {"is_kite": is_kite(s.graphs[r])}, unicyclic & (n >= 6),
                     lambda r: {"unicyclic": bool(unicyclic[r]), "n": n})
 
 
 # ---------------------------------------------------------------------------
-# scan-only spectrum lemmas
+# spectrum lemmas
 
 
 @check("L4.1")
@@ -434,3 +440,78 @@ def check_lemma42(s: OrderGroup, tol: float):
     return verdicts("L4.2", obs, ((obs >= n - SLACK) & (eq == structural),
                                   obs - n > SLACK, eq), float(n),
                     lambda r: {"is_Kn_or_Kn_minus_e": bool(structural[r])})
+
+
+# ---------------------------------------------------------------------------
+# edge-deletion lemmas
+
+
+# matrix entries per stacked deletion solve: the 2,016 deletions of K_64
+DELETION_CHUNK = 2016 * 64 * 64
+
+
+def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
+    """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
+    counts graph k's single-edge deletions that stay connected, and gap[k]
+    is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
+    over them (inf when kept[k] is 0). The deletions of all graphs of one
+    order are solved as one stack, in chunks of at most DELETION_CHUNK
+    matrix entries, against the base spectra in profiles."""
+    count = len(profiles.graphs)
+    kept = np.zeros(count, dtype=np.intp)
+    gaps = np.full((count, len(signs)), np.inf)
+    for group in profiles.groups:
+        ks, adj, n = group.ks, group.adj, group.n
+        # one row per edge: its graph's row in the group, then its two ends
+        edges = np.argwhere(np.triu(adj, 1))
+        size = max(1, DELETION_CHUNK // (n * n))
+        for lo in range(0, len(edges), size):
+            row, i, j = edges[lo:lo + size].T
+            sub = adj[row]
+            e = np.arange(len(row))
+            sub[e, i, j] = sub[e, j, i] = False
+            keep = connected(sub)
+            if not keep.any():
+                continue
+            row = row[keep]
+            dist = distances(sub[keep])
+            owner = ks[row]
+            kept += np.bincount(owner, minlength=count)
+            for col, sign in enumerate(signs):
+                vals = eigenvalues_stacked(transmission_stack(dist, sign))
+                rise = vals - (group.dl if sign < 0 else group.dq)[row]
+                np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
+    return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
+
+
+def _stack(graphs, ids) -> StackedProfiles:
+    """graphs stacked per order, with the deletion gaps of the edge-deletion
+    lemmas among ids solved up front in one _deletion_gaps call."""
+    profiles = StackedProfiles(graphs)
+    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
+    if signs:
+        profiles.facts.update(_deletion_gaps(profiles, signs))
+    return profiles
+
+
+def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
+    """Deleting any edge that keeps the graph connected never lowers any
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). A stack from _stack
+    holds the gaps of the signs asked for; otherwise this sign's are solved
+    here."""
+    name = ("gaps", sign)
+    kept, gap = s.corpus.fact(name, lambda c: _deletion_gaps(c, [sign])[name])
+    kept, gap = kept[s.ks], gap[s.ks]
+    return verdicts(theorem_id, gap, (gap >= -1e-9, gap > SLACK, abs(gap) <= tol),
+                    0.0, lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
+                    hide=True)
+
+
+@check("L2.3")
+def check_lemma23(s: OrderGroup, tol: float):
+    return _edge_deletion(s, -1, "L2.3", tol)
+
+
+@check("L2.4")
+def check_lemma24(s: OrderGroup, tol: float):
+    return _edge_deletion(s, 1, "L2.4", tol)

@@ -11,12 +11,12 @@ import math
 import os
 import sys
 
-from .bounds import FORMULAS, THEOREM_IDS
+from .bounds import FORMULAS, THEOREM_IDS, _stack, require_known
 from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
 from .graphs import MAX_ORDER, from_graph6, graph6_corpus, to_graph6
 from .linalg import eigenvalues
-from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
+from .spectra import adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
@@ -34,7 +34,8 @@ _MATRICES = {
 # exit status when the reader closed stdout early: the one SIGPIPE gives
 EXIT_CLOSED = 141
 
-_EPILOG = "theorem ids: " + " ".join(THEOREM_IDS)
+_EPILOG = (f"theorem ids: {' '.join(SCAN_IDS)} (bounds --check all: "
+           f"the first {len(THEOREM_IDS)})")
 
 
 def _fmt(x: float, precise: bool) -> str:
@@ -49,12 +50,11 @@ def _input_graphs(args, connected: bool = True):
     """Yield (label, Graph) for --graph6 / --file / --family. A --file
     corpus is checked whole first; then an over-order record, and with
     connected a disconnected one, is a CorpusError naming its line."""
-    if getattr(args, "graph6", None) is not None:
+    if args.graph6 is not None:
         yield args.graph6, from_graph6(args.graph6)
-    elif getattr(args, "family", None) is not None:
-        g = build(parse_family(args.family))
-        yield args.family, g
-    elif getattr(args, "file", None) is not None:
+    elif args.family is not None:
+        yield args.family, build(parse_family(args.family))
+    else:
         try:
             with open(args.file, "rb") as fh:
                 records = graph6_corpus(fh)
@@ -68,8 +68,6 @@ def _input_graphs(args, connected: bool = True):
                 yield text, g
         except CorpusError as exc:
             raise CorpusError(f"{args.file} {exc}") from exc
-    else:
-        raise DistlapError("one of --graph6, --file, --family is required")
 
 
 def _verdict_line(v, precise: bool) -> str:
@@ -92,9 +90,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_bounds(args) -> int:
     ids = THEOREM_IDS if "all" in args.check else tuple(args.check)
-    for tid in ids:
-        if tid not in FORMULAS:
-            raise DistlapError(f"unknown theorem id {tid!r}")
+    require_known(ids)
     # the records before an unusable --file line print, then its error
     labels, graphs, error = [], [], None
     try:
@@ -103,7 +99,7 @@ def _cmd_bounds(args) -> int:
             graphs.append(g)
     except CorpusError as exc:
         error = exc
-    profiles = StackedProfiles(graphs)
+    profiles = _stack(graphs, ids)
     found = [evaluate(FORMULAS[tid], profiles, args.tolerance) for tid in ids]
     bad = 0
     for label, *hits in zip(labels, *found):
@@ -167,8 +163,6 @@ def _emit(report, fmt: str, precise: bool) -> None:
 def _cmd_scan(args) -> int:
     ids = SCAN_IDS if "all" in args.check else tuple(args.check)
     corpus = args.n if args.n is not None else args.file
-    if corpus is None:
-        raise DistlapError("one of --n, --file is required")
     reports = scan_many(ids, corpus, fail_fast=args.fail_fast,
                         tolerance=args.tolerance)
     for r in reports:
@@ -202,6 +196,13 @@ def _add_common(p, tolerance: bool = False) -> None:
                        help="equality detection tolerance (default 1e-7)")
 
 
+def _add_input(p) -> None:
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--graph6")
+    one.add_argument("--file")
+    one.add_argument("--family")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="distlap",
@@ -211,18 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="print a spectrum", epilog=_EPILOG)
-    p.add_argument("--graph6")
-    p.add_argument("--file")
-    p.add_argument("--family")
+    _add_input(p)
     p.add_argument("--matrix", choices=sorted(_MATRICES), default="L")
     _add_common(p)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("bounds", help="evaluate bound checks on one graph",
                        epilog=_EPILOG)
-    p.add_argument("--graph6")
-    p.add_argument("--file")
-    p.add_argument("--family")
+    _add_input(p)
     p.add_argument("--check", action="append", required=True,
                    help="theorem id, repeatable, or 'all'")
     _add_common(p, tolerance=True)
@@ -253,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_EPILOG)
     p.add_argument("--check", action="append", required=True,
                    help="theorem id, repeatable, or 'all'")
-    p.add_argument("--n", type=int, help="native corpus: all connected graphs "
-                                         "of this order")
-    p.add_argument("--file", help="graph6 file, one graph per line")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--n", type=int, help="native corpus: all connected "
+                                              "graphs of this order")
+    corpus.add_argument("--file", help="graph6 file, one graph per line")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--fail-fast", action="store_true")
     _add_common(p, tolerance=True)

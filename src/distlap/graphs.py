@@ -44,20 +44,16 @@ class Graph:
                 raise ValueError(f"row {i} has bits beyond vertex range")
             if (row >> i) & 1:
                 raise ValueError(f"loop at vertex {i}")
-        # symmetry in O(min(m, non-edges)), not over all pairs: every set
-        # bit has its mirror set or, in a dense graph, every unset bit has
-        # its mirror unset
-        bits = sum(row.bit_count() for row in self.adj)
-        dense = 2 * bits > self.n * (self.n - 1)
+        # symmetry in O(m), not over all pairs: every set bit has its mirror
         for i, row in enumerate(self.adj):
-            walk = ~row & full & ~(1 << i) if dense else row
-            while walk:
-                j = (walk & -walk).bit_length() - 1
-                if ((self.adj[j] >> i) & 1) == dense:
+            while row:
+                j = (row & -row).bit_length() - 1
+                if not (self.adj[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency at "
                                      f"({min(i, j)},{max(i, j)})")
-                walk &= walk - 1
-        object.__setattr__(self, "m", bits // 2)
+                row &= row - 1
+        object.__setattr__(self, "m",
+                           sum(row.bit_count() for row in self.adj) // 2)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)

@@ -16,18 +16,16 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import CHECKS, FORMULAS, check
-from .errors import CorpusError, InvalidParams, UnknownTheorem
+from .bounds import CHECKS, FORMULAS, _stack, require_known
+from .errors import CorpusError, InvalidParams
 from .families import FamilySpec, build
-from .graphs import (Graph, connected, distances, enumerate_connected,
-                     graph6_corpus, to_graph6)
-from .linalg import eigenvalues_stacked
-from .spectra import OrderGroup, StackedProfiles, radii, transmission_stack
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, verdict, verdicts
+from .graphs import Graph, enumerate_connected, graph6_corpus, to_graph6
+from .spectra import StackedProfiles, radii
+from .verdict import EQUALITY_TOL, BoundVerdict, verdict
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
 TABLE1_KITE = {7: 31.1081, 8: 41.6987, 9: 53.7733, 10: 67.3260,
@@ -36,72 +34,10 @@ TABLE1_TSTAR = {7: 29.5507, 8: 38.9173, 9: 50.0328, 10: 62.7797,
                 11: 77.0989, 12: 92.9528, 13: 110.3381}
 TABLE1_TOL = 5e-4
 
-
-# matrix entries per stacked deletion solve: the 2,016 deletions of K_64
-DELETION_CHUNK = 2016 * 64 * 64
-
-
-def _deletion_gaps(graphs, profiles: StackedProfiles, signs) -> dict:
-    """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
-    counts graph k's single-edge deletions that stay connected, and gap[k]
-    is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
-    over them (inf when kept[k] is 0). The deletions of all graphs of one
-    order are solved as one stack, in chunks of at most DELETION_CHUNK
-    matrix entries, against the base spectra in profiles (built from the
-    same graphs)."""
-    kept = np.zeros(len(graphs), dtype=np.intp)
-    gaps = np.full((len(graphs), len(signs)), np.inf)
-    for group in profiles.groups:
-        ks, adj, n = group.ks, group.adj, group.n
-        # one row per edge: its graph's row in the group, then its two ends
-        edges = np.argwhere(np.triu(adj, 1))
-        size = max(1, DELETION_CHUNK // (n * n))
-        for lo in range(0, len(edges), size):
-            row, i, j = edges[lo:lo + size].T
-            sub = adj[row]
-            e = np.arange(len(row))
-            sub[e, i, j] = sub[e, j, i] = False
-            keep = connected(sub)
-            if not keep.any():
-                continue
-            row = row[keep]
-            dist = distances(sub[keep])
-            owner = ks[row]
-            kept += np.bincount(owner, minlength=len(graphs))
-            for col, sign in enumerate(signs):
-                vals = eigenvalues_stacked(transmission_stack(dist, sign))
-                rise = vals - (group.dl if sign < 0 else group.dq)[row]
-                np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
-    return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
-
-
-def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
-    """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). A scan stores the
-    gaps of the signs it asked for; otherwise this sign's are solved here."""
-    name = ("gaps", sign)
-    kept, gap = s.corpus.fact(name, lambda c: _deletion_gaps(c.graphs, c, [sign])[name])
-    kept, gap = kept[s.ks], gap[s.ks]
-    return verdicts(theorem_id, gap, (gap >= -1e-9, gap > SLACK, abs(gap) <= tol),
-                    0.0, lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
-                    hide=True)
-
-
-SCAN_FORMULAS = dict(FORMULAS)
-SCAN_CHECKS = dict(CHECKS)
-
-
-@check("L2.3", SCAN_FORMULAS, SCAN_CHECKS)
-def check_lemma23(s: OrderGroup, tol: float):
-    return _edge_deletion(s, -1, "L2.3", tol)
-
-
-@check("L2.4", SCAN_FORMULAS, SCAN_CHECKS)
-def check_lemma24(s: OrderGroup, tol: float):
-    return _edge_deletion(s, 1, "L2.4", tol)
-
-
-SCAN_IDS = tuple(SCAN_CHECKS)
+SCAN_IDS = tuple(FORMULAS)
+# another name for bounds.CHECKS, under which perfbench/spans.py traces the
+# per-graph checkers
+SCAN_CHECKS = CHECKS
 
 
 @dataclass
@@ -144,16 +80,6 @@ def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     return desc, graphs, len(records) - len(graphs)
 
 
-def _stack(graphs, ids) -> StackedProfiles:
-    """graphs stacked per order, with the deletion gaps of the edge-deletion
-    lemmas among ids solved up front in one _deletion_gaps call."""
-    profiles = StackedProfiles(graphs)
-    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
-    if signs:
-        profiles.facts.update(_deletion_gaps(graphs, profiles, signs))
-    return profiles
-
-
 def evaluate(formula, profiles: StackedProfiles, tol: float, pick=None) -> list[tuple]:
     """(corpus index, Verdicts, row) of every graph of profiles, or only of
     those whose row is set in the mask pick(Verdicts), in corpus order; the
@@ -175,14 +101,12 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
     or an iterable of graph6 lines. With fail_fast, each id stops at its
     own first violation in corpus order."""
     ids = list(theorem_ids)
-    for tid in ids:
-        if tid not in SCAN_FORMULAS:
-            raise UnknownTheorem(f"{tid!r}; known: {', '.join(SCAN_IDS)}")
+    require_known(ids)
     t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
     profiles = _stack(graphs, ids)
     # a report names the applicable equalities and failures
-    found = {tid: evaluate(SCAN_FORMULAS[tid], profiles, tolerance,
+    found = {tid: evaluate(FORMULAS[tid], profiles, tolerance,
                            lambda v: v.applicable & (v.equality | ~v.holds))
              for tid in dict.fromkeys(ids)}
     wall = time.perf_counter() - t0
@@ -356,19 +280,6 @@ def _json_value(v) -> str:
     raise TypeError(f"unserializable value {v!r}")
 
 
-def _verdict_dict(v: BoundVerdict) -> dict:
-    return {
-        "theorem_id": v.theorem_id,
-        "bound_value": v.bound_value,
-        "observed": v.observed,
-        "holds": v.holds,
-        "strict": v.strict,
-        "equality": v.equality,
-        "applicable": v.applicable,
-        "witness": v.witness,
-    }
-
-
 def emit_report(r: ScanReport, format: str = "json") -> bytes:
     """Serialize a report with stable key order and 12-significant-digit
     floats; wall time is deliberately left out to keep runs byte-comparable."""
@@ -379,7 +290,7 @@ def emit_report(r: ScanReport, format: str = "json") -> bytes:
             "tolerance": r.tolerance,
             "graphs_checked": r.graphs_checked,
             "skipped": r.skipped,
-            "violations": [{"graph6": g6, "verdict": _verdict_dict(v)}
+            "violations": [{"graph6": g6, "verdict": asdict(v)}
                            for g6, v in r.violations],
             "equality_witnesses": list(r.equality_witnesses),
         }

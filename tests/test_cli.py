@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from distlap import (StackedProfiles, build, enumerate_connected, family_spec,
-                     to_graph6)
-from distlap.cli import _fmt, run
+from distlap import (CHECKS, StackedProfiles, bounds, build, enumerate_connected,
+                     family_spec, from_graph6, to_graph6)
+from distlap.cli import _fmt, _verdict_line, run
 from distlap.families import FAMILIES
 
 
@@ -165,13 +165,59 @@ def test_table1_csv(capsys):
 
 
 def test_help_lists_theorem_ids(capsys):
-    assert run(["scan", "--help"]) == 0
-    out = capsys.readouterr().out
-    for tid in ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
-                "T6.1", "T6.2", "T6.3", "C6.1", "T6.4", "T7.1"):
-        assert tid in out
-    assert run(["bounds", "--help"]) == 0
-    assert "theorem ids:" in capsys.readouterr().out
+    # both commands accept, and list, all 17 ids
+    for command in ("scan", "bounds"):
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "theorem ids:" in out
+        for tid in ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2", "T6.1", "T6.2",
+                    "T6.3", "C6.1", "T6.4", "T7.1", "L4.1", "L4.2", "L2.3", "L2.4"):
+            assert tid in out
+
+
+def test_unknown_id_same_error_in_scan_and_bounds(capsys):
+    assert run(["scan", "--check", "T9.9", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown theorem id 'T9.9'; known: L3.1, ")
+    assert run(["bounds", "--check", "T9.9", "--graph6", "Bw"]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# the input options name one input: a second one, or none, is a usage error
+INPUT_USAGE_ERRORS = [
+    (["spectrum", "--graph6", "Bw", "--family", "path:4"],
+     "argument --family: not allowed with argument --graph6"),
+    (["spectrum", "--file", "c.g6", "--graph6", "Bw"],
+     "argument --graph6: not allowed with argument --file"),
+    (["spectrum", "--family", "path:4", "--file", "c.g6"],
+     "argument --file: not allowed with argument --family"),
+    (["spectrum"], "one of the arguments --graph6 --file --family is required"),
+    (["bounds", "--check", "T6.3", "--graph6", "Bw", "--family", "path:4"],
+     "argument --family: not allowed with argument --graph6"),
+    (["bounds", "--check", "T6.3", "--file", "c.g6", "--graph6", "Bw"],
+     "argument --graph6: not allowed with argument --file"),
+    (["bounds", "--check", "T6.3", "--family", "path:4", "--file", "c.g6"],
+     "argument --file: not allowed with argument --family"),
+    (["bounds", "--check", "T6.3"],
+     "one of the arguments --graph6 --file --family is required"),
+    (["scan", "--check", "T6.3", "--n", "3", "--file", "c.g6"],
+     "argument --file: not allowed with argument --n"),
+    (["scan", "--check", "T6.3", "--file", "c.g6", "--n", "3"],
+     "argument --n: not allowed with argument --file"),
+    (["scan", "--check", "T6.3"], "one of the arguments --n --file is required"),
+]
+
+
+@pytest.mark.parametrize("args,error", INPUT_USAGE_ERRORS, ids=[
+    " ".join([args[0], *(a for a in args if a.startswith("--") and a != "--check")])
+    for args, _ in INPUT_USAGE_ERRORS])
+def test_input_options_exclusive_and_required(args, error, tmp_path, capsys):
+    (tmp_path / "c.g6").write_text("Bw\n")
+    args = [str(tmp_path / a) if a == "c.g6" else a for a in args]
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: distlap ")
+    assert err.splitlines()[-1] == f"distlap {args[0]}: error: {error}"
 
 
 def test_usage_errors():
@@ -261,6 +307,25 @@ def test_bounds_file_builds_one_stack(orders_1_7, tmp_path, monkeypatch, capsys)
     p = _write(tmp_path / "some.g6", orders_1_7[:40])
     assert run(["bounds", "--check", "all", "--file", p]) == 0
     assert built == [40]
+
+
+def test_bounds_file_deletion_lemmas_solve_once(orders_1_7, tmp_path, monkeypatch,
+                                                capsys):
+    # both edge-deletion lemmas over a mixed-order file: every deletion is
+    # solved in one _deletion_gaps call, and each line is the per-graph check
+    records = orders_1_7[:40]
+    assert len({len(r) for r in records}) > 1
+    calls = []
+    real = bounds._deletion_gaps
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: calls.append(
+        (len(profiles.graphs), list(signs))) or real(profiles, signs))
+    p = _write(tmp_path / "some.g6", records)
+    assert run(["bounds", "--check", "L2.3", "--check", "L2.4", "--precise", "--file", p]) == 0
+    assert calls == [(40, [-1, 1])]
+    monkeypatch.undo()
+    assert capsys.readouterr().out.splitlines() == [
+        f"{r} " + _verdict_line(CHECKS[tid](from_graph6(r)), True)
+        for r in records for tid in ("L2.3", "L2.4")]
 
 
 @pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])

@@ -46,8 +46,7 @@ def test_graph_validation():
         Graph(2, (0,))
     with pytest.raises(ValueError):
         Graph(2, (1, 0))  # asymmetric
-    # dense rows: the check walks non-edges, either side of the pair may lack
-    # the bit
+    # dense rows: either side of the pair may lack the bit
     k4 = (0b1110, 0b1101, 0b1011, 0b0111)
     for row, bit in ((0, 0b0010), (1, 0b0001)):
         rows = list(k4)

@@ -1,7 +1,10 @@
 """No module of the package binds a module-level import it never uses,
-and every module-level private name is read somewhere in the package."""
+every module-level private name is read somewhere in the package, and each
+checked statement id is registered by one @check, in SCAN_IDS order."""
 import ast
 from pathlib import Path
+
+from distlap import SCAN_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "distlap"
 
@@ -76,3 +79,20 @@ def test_no_unread_private_names():
     found = {name: [x for x in private_names(source) if x not in read]
              for name, source in sources.items()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def check_ids(source: str) -> list[str]:
+    """The ids of source's @check("...") decorators, in source order."""
+    return [dec.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) for dec in node.decorator_list
+            if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "check"]
+
+
+def test_check_ids_registered_once_in_scan_order():
+    source = '@check("A")\ndef f(s, tol): pass\n@check("A")\ndef g(s, tol): pass\n'
+    assert check_ids(source) == ["A", "A"]
+    # check would silently let a repeated id overwrite the first formula
+    ids = [tid for path in sorted(SRC.glob("*.py"))
+           for tid in check_ids(path.read_text(encoding="utf-8"))]
+    assert len(set(ids)) == len(ids)
+    assert tuple(ids) == SCAN_IDS

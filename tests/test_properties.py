@@ -12,8 +12,8 @@ from distlap import (EQUALITY_TOL, MAX_ORDER, SCAN_IDS, BoundVerdict,
                      from_edges, from_graph6, is_connected, radii, scan_many,
                      to_graph6)
 from distlap.graphs import adjacency_stack, distances
-from distlap import verify
-from distlap.verify import SCAN_CHECKS, SCAN_FORMULAS
+from distlap import bounds
+from distlap.bounds import CHECKS, FORMULAS
 
 
 def path(n):
@@ -136,11 +136,11 @@ def test_scan_verdicts_equal_per_graph_checks(graphs):
     lines = [to_graph6(g) for g in graphs]
     reports = scan_many(SCAN_IDS, lines)
     assert [r.graphs_checked for r in reports] == [len(graphs)] * len(SCAN_IDS)
-    profiles = verify._stack(graphs, SCAN_IDS)
+    profiles = bounds._stack(graphs, SCAN_IDS)
     for tid, r in zip(SCAN_IDS, reports):
         seen = stacked_verdicts(profiles, tid)
         assert all(isinstance(v, BoundVerdict) for v in seen)
-        assert seen == [SCAN_CHECKS[tid](g) for g in graphs]
+        assert seen == [CHECKS[tid](g) for g in graphs]
         named = [(g6, v) for g6, v in zip(lines, seen)
                  if v.applicable and (v.equality or not v.holds)]
         assert r.violations == [(g6, v) for g6, v in named if not v.holds]
@@ -154,7 +154,7 @@ def stacked_verdicts(profiles, tid, tol=EQUALITY_TOL):
     helper that builds the verdicts a scan reports."""
     out = [None] * len(profiles.graphs)
     for group in profiles.groups:
-        v = SCAN_FORMULAS[tid](group, tol)
+        v = FORMULAS[tid](group, tol)
         for row, k in enumerate(group.ks.tolist()):
             out[k] = v.verdict(row)
     return out

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,8 +41,9 @@ from distlap import (
     table1_regression,
     to_graph6,
 )
-from distlap import verify
-from distlap.verify import SCAN_CHECKS, SCAN_FORMULAS, _json_value
+from distlap import bounds, verify
+from distlap.bounds import CHECKS, FORMULAS
+from distlap.verify import _json_value
 
 from test_properties import stacked_verdicts
 
@@ -82,7 +84,7 @@ ENUMERATION_SHA256 = {
     7: "b6b2dbb7f539a6e2c86548111920a3ab24e409b4c32f603d87b444536be4c463",
 }
 
-# sha256 of every SCAN_CHECKS verdict called per graph on the connected graphs
+# sha256 of every CHECKS verdict called per graph on the connected graphs
 # of order 1..6 (enumeration order, ids in SCAN_IDS order), one JSON object
 # per line: witness dicts, non-applicable values and strict flags included
 VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
@@ -181,8 +183,8 @@ def test_per_graph_verdicts_pinned():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             for tid in SCAN_IDS:
-                v = SCAN_CHECKS[tid](g)
-                digest.update((_json_value(verify._verdict_dict(v)) + "\n").encode())
+                v = CHECKS[tid](g)
+                digest.update((_json_value(asdict(v)) + "\n").encode())
                 count += 1
     assert count == 2431
     assert digest.hexdigest() == VERDICTS_SHA256
@@ -192,8 +194,8 @@ def test_scan_many_fail_fast_per_id():
     def fails_from(order):
         return fake_formula("X", lambda s: s.n < order)
 
-    SCAN_FORMULAS.update({"X1.0": fails_from(3), "X1.1": fails_from(5),
-                          "X1.2": fails_from(99)})
+    FORMULAS.update({"X1.0": fails_from(3), "X1.1": fails_from(5),
+                     "X1.2": fails_from(99)})
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5, 6)]
         ids = ["X1.0", "X1.1", "X1.2", "T6.4", "X1.0"]
@@ -206,7 +208,7 @@ def test_scan_many_fail_fast_per_id():
             assert emit_report(r) == emit_report(single)
     finally:
         for tid in ("X1.0", "X1.1", "X1.2"):
-            del SCAN_FORMULAS[tid]
+            del FORMULAS[tid]
 
 
 def test_scan_non_ascii_stream():
@@ -217,7 +219,7 @@ def test_scan_non_ascii_stream():
 
 
 def test_scan_fail_fast_stops_early():
-    SCAN_FORMULAS["X0.0"] = fake_formula("X0.0", lambda s: False)
+    FORMULAS["X0.0"] = fake_formula("X0.0", lambda s: False)
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5)]
         r = scan("X0.0", lines, fail_fast=True)
@@ -225,7 +227,7 @@ def test_scan_fail_fast_stops_early():
         r = scan("X0.0", lines)
         assert r.graphs_checked == 4 and len(r.violations) == 4
     finally:
-        del SCAN_FORMULAS["X0.0"]
+        del FORMULAS["X0.0"]
 
 
 def test_fail_fast_and_report_order_follow_the_file():
@@ -233,7 +235,7 @@ def test_fail_fast_and_report_order_follow_the_file():
     # order would meet K3 (position 3) before P4 (position 2)
     lines = [to_graph6(g) for g in (fam("Path", 5), fam("Path", 3),
                                     fam("Path", 4), fam("Complete", 3))]
-    SCAN_FORMULAS["X2.0"] = fake_formula(
+    FORMULAS["X2.0"] = fake_formula(
         "X2.0", lambda s: ~((s.n == 4) | (s.m == s.n)), equality=lambda s: True)
     try:
         r = scan("X2.0", lines)
@@ -246,7 +248,7 @@ def test_fail_fast_and_report_order_follow_the_file():
         assert [g6 for g6, _ in r.violations] == [lines[2]]
         assert r.equality_witnesses == lines[:3]
     finally:
-        del SCAN_FORMULAS["X2.0"]
+        del FORMULAS["X2.0"]
 
 
 def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
@@ -295,16 +297,16 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     want = {"L2.3": [_deletion_oracle(g, dist_laplacian, "L2.3") for g in graphs],
             "L2.4": [_deletion_oracle(g, dist_signless_laplacian, "L2.4")
                      for g in graphs]}
-    assert verify.DELETION_CHUNK == 2016 * 64 * 64
-    for chunk in (verify.DELETION_CHUNK, 300):
-        monkeypatch.setattr(verify, "DELETION_CHUNK", chunk)
+    assert bounds.DELETION_CHUNK == 2016 * 64 * 64
+    for chunk in (bounds.DELETION_CHUNK, 300):
+        monkeypatch.setattr(bounds, "DELETION_CHUNK", chunk)
         solves, stacks = [], []
-        real_gaps, real_eig = verify._deletion_gaps, verify.eigenvalues_stacked
-        monkeypatch.setattr(verify, "_deletion_gaps",
-                            lambda gs, *a: solves.append(len(gs)) or real_gaps(gs, *a))
-        monkeypatch.setattr(verify, "eigenvalues_stacked",
+        real_gaps, real_eig = bounds._deletion_gaps, bounds.eigenvalues_stacked
+        monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: solves.append(
+            len(profiles.graphs)) or real_gaps(profiles, signs))
+        monkeypatch.setattr(bounds, "eigenvalues_stacked",
                             lambda m: stacks.append(m.size) or real_eig(m))
-        profiles = verify._stack(graphs, ["L2.3", "L2.4"])
+        profiles = bounds._stack(graphs, ["L2.3", "L2.4"])
         got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
         assert solves == [len(graphs)]
@@ -368,7 +370,7 @@ def test_emit_report_csv():
 
 
 def test_emit_report_violation_serialization():
-    SCAN_FORMULAS["X0.1"] = fake_formula(
+    FORMULAS["X0.1"] = fake_formula(
         "X0.1", lambda s: False, bound=2.5, observed=1.0,
         witness={"flag": True, "count": 3, "note": "x"})
     try:
@@ -383,7 +385,7 @@ def test_emit_report_violation_serialization():
         csv = emit_report(r, format="csv").decode().splitlines()
         assert csv[1] == "X0.1,Bw,2.5,1,false,false"
     finally:
-        del SCAN_FORMULAS["X0.1"]
+        del FORMULAS["X0.1"]
 
 
 def test_emit_report_csv_violations_before_witnesses():
