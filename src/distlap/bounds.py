@@ -450,18 +450,27 @@ def check_lemma42(s: OrderGroup, tol: float):
 DELETION_CHUNK = 2016 * 64 * 64
 
 
+def _keys(adj: np.ndarray) -> np.ndarray:
+    """One bytes key per matrix of a (N, n, n) boolean adjacency stack."""
+    packed = np.packbits(adj.reshape(len(adj), -1), axis=-1)
+    return packed.view(f"V{packed.shape[1]}")[:, 0]
+
+
 def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
     """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
     counts graph k's single-edge deletions that stay connected, and gap[k]
     is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
     over them (inf when kept[k] is 0). The deletions of all graphs of one
     order are solved as one stack, in chunks of at most DELETION_CHUNK
-    matrix entries, against the base spectra in profiles."""
+    matrix entries, against the base spectra in profiles. A chunk solves
+    each distinct labelled deletion once, and none that equals a graph of
+    its order: that one reuses the graph's spectra, bit for bit."""
     count = len(profiles.graphs)
     kept = np.zeros(count, dtype=np.intp)
     gaps = np.full((count, len(signs)), np.inf)
     for group in profiles.groups:
         ks, adj, n = group.ks, group.adj, group.n
+        own = _keys(adj)
         # one row per edge: its graph's row in the group, then its two ends
         edges = np.argwhere(np.triu(adj, 1))
         size = max(1, DELETION_CHUNK // (n * n))
@@ -473,13 +482,21 @@ def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
             keep = connected(sub)
             if not keep.any():
                 continue
-            row = row[keep]
-            dist = distances(sub[keep])
+            row, sub = row[keep], sub[keep]
             owner = ks[row]
             kept += np.bincount(owner, minlength=count)
+            # the group's graphs come first, so a deletion equal to one of
+            # them has it as its key's first occurrence
+            _, first, which = np.unique(np.concatenate([own, _keys(sub)]),
+                                        return_index=True, return_inverse=True)
+            solve = first >= len(ks)
+            dist = distances(sub[first[solve] - len(ks)])
             for col, sign in enumerate(signs):
-                vals = eigenvalues_stacked(transmission_stack(dist, sign))
-                rise = vals - (group.dl if sign < 0 else group.dq)[row]
+                base = group.dl if sign < 0 else group.dq
+                vals = np.empty((len(first), n))
+                vals[~solve] = base[first[~solve]]
+                vals[solve] = eigenvalues_stacked(transmission_stack(dist, sign))
+                rise = vals[which[len(ks):]] - base[row]
                 np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
     return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
 

@@ -411,38 +411,50 @@ def is_isomorphic(a: Graph, b: Graph, limit: int = CANONICAL_LIMIT) -> bool:
 # exhaustive enumeration of connected graphs up to isomorphism
 
 
-def _edge_index_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(n) for i in range(j)]
-
-
 def _orbit_tables(n: int) -> list[np.ndarray]:
     """Orbit lookup tables: row v of table c holds, for every permutation of
     the vertices, the image of the edge mask whose 7-bit chunk c is v and
     whose other bits are 0; OR-ing one row per chunk gives a mask's orbit."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    # (n!, edges, 2): the ends of each edge's image, in ascending order
-    ends = np.sort(perms[:, _edge_index_pairs(n)], axis=-1).astype(np.uint32)
-    lo, hi = ends[..., 0], ends[..., 1]
-    image = np.uint32(1) << hi * (hi - 1) // 2 + lo
+    # bit[a, b]: the mask bit of the edge {a, b}, for both orders of its ends
+    j, i = _colex_ends(n)
+    bit = np.zeros((n, n), dtype=np.uint32)
+    bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(len(i), dtype=np.uint32)
+    # (n!, edges): the bit of each edge's image under each permutation
+    image = bit[perms[:, i], perms[:, j]]
     tables = []
-    for c in range(0, image.shape[1], 7):
-        width = min(7, image.shape[1] - c)
-        bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-        # the images of distinct edges are distinct bits, so the sum is an OR
-        tables.append(bits.astype(np.uint32) @ image[:, c:c + width].T)
+    for c in range(0, len(i), 7):
+        chunk = image[:, c:c + 7].T
+        # doubling: rows 2^b .. 2^(b+1) - 1 are rows 0 .. 2^b - 1 with the
+        # image of edge c + b added
+        table = np.zeros((1 << len(chunk), len(perms)), dtype=np.uint32)
+        for b, bits in enumerate(chunk):
+            np.bitwise_or(table[:1 << b], bits, out=table[1 << b:2 << b])
+        tables.append(table)
     return tables
 
 
-@lru_cache(maxsize=None)
-def _connected_reps(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1, (0,)),)
-    tables = _orbit_tables(n)
+def _orbit_minima(n: int) -> np.ndarray:
+    """The minimum edge mask (colex order) of every isomorphism class of
+    graphs on n vertices, ascending.
+
+    A sweep walks the bitmap of seen masks in ascending order: the first
+    unseen mask is its class's minimum, and marking its whole orbit seen
+    leaves exactly one minimum per class. Complementing every mask maps
+    classes to classes and reverses the order, so the complement of a class
+    with fewer than half the edges has minimum full ^ (its orbit's maximum):
+    the masks with more than half the edges start out seen and are never
+    swept. Classes with exactly half the edges are swept as they come."""
     edges = n * (n - 1) // 2
-    seen = np.zeros(1 << edges, dtype=bool)
+    full = (1 << edges) - 1
+    # every mask's bit count, doubled up one edge at a time
+    count = np.zeros(1, dtype=np.int8)
+    for _ in range(edges):
+        count = np.concatenate([count, count + 1])
+    seen = count > edges // 2
+    del count
+    tables = _orbit_tables(n)
     minima = []
-    # ascending mask order: the first unseen mask is its orbit's minimum, so
-    # marking whole orbits seen yields exactly one representative per class
     m = 0
     while m < seen.size:
         # the next unseen mask, searched one bounded block at a time
@@ -451,11 +463,22 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
             m += 4096
             continue
         m += k
-        seen[np.bitwise_or.reduce([tab[(m >> (7 * c)) & 127]
-                                   for c, tab in enumerate(tables)])] = True
+        orbit = np.uint32(0)
+        for c, tab in enumerate(tables):
+            orbit = orbit | tab[(m >> (7 * c)) & 127]
+        seen[orbit] = True
         minima.append(m)
+        if 2 * m.bit_count() < edges:
+            minima.append(full ^ int(orbit.max()))
         m += 1
-    adj = _colex_adjacency(n, (np.array(minima)[:, None] >> np.arange(edges)) & 1)
+    return np.sort(minima)
+
+
+@lru_cache(maxsize=None)
+def _connected_reps(n: int) -> tuple[Graph, ...]:
+    edges = n * (n - 1) // 2
+    bits = (_orbit_minima(n)[:, None] >> np.arange(edges)) & 1
+    adj = _colex_adjacency(n, bits)
     return tuple(stack_graphs(adj[connected(adj)]))
 
 

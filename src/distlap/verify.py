@@ -110,8 +110,9 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
                            lambda v: v.applicable & (v.equality | ~v.holds))
              for tid in dict.fromkeys(ids)}
     wall = time.perf_counter() - t0
-    # graph6 strings only for the graphs that a report names
-    names = {k: to_graph6(graphs[k]) for hits in found.values() for k, _, _ in hits}
+    # graph6 strings only for the graphs that a report names, once each
+    names = {k: to_graph6(graphs[k])
+             for k in {k for hits in found.values() for k, _, _ in hits}}
     reports = []
     for tid in ids:
         hits, checked = found[tid], len(graphs)

@@ -19,6 +19,7 @@ from distlap import (
     is_isomorphic,
     to_graph6,
 )
+from distlap.graphs import _orbit_minima
 
 
 def path(n):
@@ -180,6 +181,22 @@ def test_enumeration_against_bruteforce():
             seen.add(canonical_form(g))
     reps = {canonical_form(g) for g in enumerate_connected(n)}
     assert seen == reps
+
+
+def test_orbit_minima_against_relabelling():
+    # class counts of all graphs on n vertices (OEIS A000088), and for
+    # n <= 5 the class minima against the minimum over all n! relabellings
+    # of every mask; n = 4 and 5 have classes with exactly half the edges,
+    # which the sweep reaches without the complement step
+    assert [len(_orbit_minima(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    for n in range(1, 6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        images = [[1 << pairs.index(tuple(sorted((p[i], p[j])))) for i, j in pairs]
+                  for p in itertools.permutations(range(n))]
+        want = {min(sum(bit for k, bit in enumerate(image) if (mask >> k) & 1)
+                    for image in images)
+                for mask in range(1 << len(pairs))}
+        assert _orbit_minima(n).tolist() == sorted(want)
 
 
 def test_enumerate_limits():

@@ -289,11 +289,16 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     # a scan solves every deletion of the corpus in one _deletion_gaps call;
     # the small chunk splits each order's stack, and the deletions of one
     # graph, across many solves; every graph's verdict from the scan's stack
-    # and the scan's reports agree with the per-edge oracle
+    # and the scan's reports agree with the per-edge oracle. Deleting the
+    # edge (0, n - 1) of a cycle leaves the labelled path of the corpus, and
+    # K_3 listed twice repeats deletions that are not in the corpus, so
+    # fewer matrices are solved than deletions kept
     rng = random.Random(29)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
     for n in range(1, 13):
         graphs += [fam("Path", n), fam("Complete", n)] + ([fam("Star", n)] if n >= 2 else [])
+        graphs += [fam("Cycle", n)] if n >= 3 else []
+    graphs.append(fam("Complete", 3))
     want = {"L2.3": [_deletion_oracle(g, dist_laplacian, "L2.3") for g in graphs],
             "L2.4": [_deletion_oracle(g, dist_signless_laplacian, "L2.4")
                      for g in graphs]}
@@ -305,12 +310,14 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: solves.append(
             len(profiles.graphs)) or real_gaps(profiles, signs))
         monkeypatch.setattr(bounds, "eigenvalues_stacked",
-                            lambda m: stacks.append(m.size) or real_eig(m))
+                            lambda m: stacks.append(m.shape) or real_eig(m))
         profiles = bounds._stack(graphs, ["L2.3", "L2.4"])
         got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
         assert solves == [len(graphs)]
-        assert max(stacks) <= chunk
+        assert max(np.prod(shape) for shape in stacks) <= chunk
+        kept = profiles.facts[("gaps", -1)][0].sum()
+        assert 0 < sum(shape[0] for shape in stacks) < 2 * kept
         # orders 3..12 keep some deletion: one solve per order and flavour,
         # or many once the chunk is small
         assert (len(stacks) > 200) if chunk == 300 else (len(stacks) == 20)
@@ -322,6 +329,21 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         assert r.violations == [(g6, v) for g6, v in named if not v.holds]
         assert list(zip(r.equality_witnesses, r.witness_verdicts)) == [
             (g6, v) for g6, v in named if v.equality]
+
+
+def test_scan_solves_each_distinct_deletion_once(monkeypatch):
+    # of the 8,933 connected single-edge deletions of the n = 7 corpus,
+    # 6,891 are distinct labelled graphs and 852 of those are corpus graphs,
+    # whose spectra are reused: 6,039 are solved, once for distances and
+    # once per sign
+    dist, stacks = [], []
+    real_dist, real_eig = bounds.distances, bounds.eigenvalues_stacked
+    monkeypatch.setattr(bounds, "distances", lambda a: dist.append(len(a)) or real_dist(a))
+    monkeypatch.setattr(bounds, "eigenvalues_stacked",
+                        lambda m: stacks.append(len(m)) or real_eig(m))
+    scan_many(["L2.3", "L2.4"], 7)
+    monkeypatch.undo()
+    assert dist == [6039] and stacks == [6039, 6039]
 
 
 def test_enumerate_connected_pinned():
