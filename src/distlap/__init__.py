@@ -38,6 +38,6 @@ from .transforms import (KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft,
 from .verify import (SCAN_IDS, ScanReport, check_lemma74, compare_kite_tstar,
                      emit_report, fixture31_determinant, fixture61_determinant,
                      proof_fixture_theorem31, proof_fixture_theorem61, scan,
-                     scan_many, table1_regression)
+                     scan_many, scan_reports, table1_regression)
 
 __version__ = "0.1.0"

@@ -502,22 +502,21 @@ def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
 
 
 def _stack(graphs, ids) -> StackedProfiles:
-    """graphs stacked per order, with the deletion gaps of the edge-deletion
-    lemmas among ids solved up front in one _deletion_gaps call."""
+    """graphs stacked per order; the first deletion gap read solves those of
+    every edge-deletion lemma among ids in one _deletion_gaps call."""
     profiles = StackedProfiles(graphs)
-    signs = [sign for tid, sign in (("L2.3", -1), ("L2.4", 1)) if tid in ids]
-    if signs:
-        profiles.facts.update(_deletion_gaps(profiles, signs))
+    profiles.facts["signs"] = {s for tid, s in (("L2.3", -1), ("L2.4", 1)) if tid in ids}
     return profiles
 
 
 def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). A stack from _stack
-    holds the gaps of the signs asked for; otherwise this sign's are solved
-    here."""
-    name = ("gaps", sign)
-    kept, gap = s.corpus.fact(name, lambda c: _deletion_gaps(c, [sign])[name])
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The first read
+    solves this sign and those _stack was asked for in one call."""
+    c, name = s.corpus, ("gaps", sign)
+    if name not in c.facts:
+        c.facts.update(_deletion_gaps(c, sorted({sign, *c.facts.get("signs", ())})))
+    kept, gap = c.facts[name]
     kept, gap = kept[s.ks], gap[s.ks]
     return verdicts(theorem_id, gap, (gap >= -1e-9, gap > SLACK, abs(gap) <= tol),
                     0.0, lambda r: {"deletions_checked": int(kept[r])}, kept > 0,

@@ -20,7 +20,7 @@ from .spectra import adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
-from .verify import SCAN_IDS, emit_report, evaluate, scan_many, \
+from .verify import SCAN_IDS, emit_report, evaluate, scan_reports, \
     table1_regression
 
 _MATRICES = {
@@ -158,16 +158,19 @@ def _emit(report, fmt: str, precise: bool) -> None:
     for n, kite, tstar, ok in report.rows:
         print(f"  n={n} kite={_fmt(kite, precise)} tstar={_fmt(tstar, precise)} "
               f"pass={ok}")
+    sys.stdout.flush()
 
 
 def _cmd_scan(args) -> int:
     ids = SCAN_IDS if "all" in args.check else tuple(args.check)
     corpus = args.n if args.n is not None else args.file
-    reports = scan_many(ids, corpus, fail_fast=args.fail_fast,
-                        tolerance=args.tolerance)
-    for r in reports:
+    # each report prints as soon as its id is decided
+    bad = False
+    for r in scan_reports(ids, corpus, fail_fast=args.fail_fast,
+                          tolerance=args.tolerance):
         _emit(r, args.format, args.precise)
-    return 1 if any(r.violations for r in reports) else 0
+        bad |= bool(r.violations)
+    return 1 if bad else 0
 
 
 def _cmd_table1(args) -> int:

@@ -170,31 +170,36 @@ def connected(adj: np.ndarray) -> np.ndarray:
 
 def distances(adj: np.ndarray) -> np.ndarray:
     """Hop distances of every graph in a (N, n, n) boolean adjacency stack,
-    as int16, by Seidel's recursion (R. Seidel, JCSS 51 (1995)): the
-    distances D' of the graph G' joining every pair at distance <= 2 in G
-    give D = 2D' or 2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j]
-    deg(j). The depth is O(log diam). Raises DisconnectedGraph when the
-    recursion stalls short of a complete graph.
+    as int16, by Seidel's recursion (R. Seidel, JCSS 51 (1995)) in two
+    loops. Down: each level joins every pair at distance <= 2 in the level
+    below (level 0 is adj), until the whole stack is complete. Level k joins
+    the pairs at distance <= 2^k, so a stack still incomplete at level
+    (n - 1).bit_length() holds a disconnected graph: DisconnectedGraph. Up:
+    the distances D' of a level give those D of the level below, D = 2D' or
+    2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j] deg(j).
 
-    The products run in float32, where BLAS makes them fast; every entry
-    stays at or below n (n - 1) < 2^24, so they are exact."""
+    Both loops run in float32, where BLAS makes the products fast; every
+    entry stays at or below n (n - 1) < 2^24, so they are exact, and the
+    distances are cast to int16 once at the end."""
     n = adj.shape[-1]
-    a = adj.astype(np.float32)
-    sq = a @ a
     diag = np.arange(n)
-    deg = sq[:, diag, diag]
-    reach = adj | (sq > 0)
-    reach[:, diag, diag] = False
-    # reach contains adj, so equal edge counts mean the closure stalled
-    count = reach.sum(axis=(1, 2))
-    complete = count == n * (n - 1)
-    if complete.all():
-        return 2 * reach.astype(np.int16) - adj
-    if ((count == deg.sum(axis=1)) & ~complete).any():
+    levels = []
+    for _ in range(max(1, (n - 1).bit_length())):
+        a = adj.astype(np.float32)
+        sq = a @ a
+        levels.append((a, sq[:, diag, diag]))
+        adj = adj | (sq > 0)
+        adj[:, diag, diag] = False
+        if np.count_nonzero(adj) == len(adj) * n * (n - 1):
+            break
+    else:
         raise DisconnectedGraph("distances require a connected graph")
-    half = distances(reach)
-    dh = half.astype(np.float32)
-    return 2 * half - (dh @ a < dh * deg[:, None, :])
+    # distance 1 on the complete top level gives 2 - A on the level below
+    a, _ = levels.pop()
+    dist = 2 * adj.astype(np.float32) - a
+    for a, deg in reversed(levels):
+        dist = 2 * dist - (dist @ a < dist * deg[:, None, :])
+    return dist.astype(np.int16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exhaustive and streamed theorem verification with structured reports.
 
-A scan loads the corpus once and stacks it per order: distances, both
-distance spectra and, when an edge-deletion lemma is requested, every
-single-edge deletion are solved up front for each order. Each requested
-check is then one array formula evaluated once per order group; its hits
-(applicable equalities and failures) are put back in the corpus's order,
-and BoundVerdicts, witnesses and graph6 strings are built only for the
-graphs a report names. Reports intentionally exclude wall time from the
-emitted form to keep runs byte-comparable.
+A scan loads the corpus once and stacks it per order, solving distances
+and both distance spectra for each order up front. The reports then stream,
+one per requested id in the order given: each id is one array formula
+evaluated once per order group when its report is due, and the clique
+search and the single-edge deletion solves run at the first id that reads
+them. An id's hits (applicable equalities and failures) are put back in
+the corpus's order, and BoundVerdicts, witnesses and graph6 strings are
+built only for the graphs a report names. Reports intentionally exclude
+wall time from the emitted form to keep runs byte-comparable.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
@@ -92,10 +94,12 @@ def evaluate(formula, profiles: StackedProfiles, tol: float, pick=None) -> list[
     return sorted(found, key=lambda hit: hit[0])
 
 
-def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
-              tolerance: float = EQUALITY_TOL) -> list[ScanReport]:
-    """Evaluate several theorems over one corpus in one pass; one report per
-    id, in the order given.
+def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
+                 tolerance: float = EQUALITY_TOL) -> Iterator[ScanReport]:
+    """Check the ids and load and stack the corpus now; then yield one
+    report per id, in the order given, each id evaluated when its turn comes
+    (a repeated id once). The clique search and the deletion solves run at
+    the first id that reads them.
 
     corpus: a native enumeration order (int 1..7), a path to a graph6 file,
     or an iterable of graph6 lines. With fail_fast, each id stops at its
@@ -105,34 +109,41 @@ def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
     t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
     profiles = _stack(graphs, ids)
-    # a report names the applicable equalities and failures
-    found = {tid: evaluate(FORMULAS[tid], profiles, tolerance,
-                           lambda v: v.applicable & (v.equality | ~v.holds))
-             for tid in dict.fromkeys(ids)}
-    wall = time.perf_counter() - t0
-    # graph6 strings only for the graphs that a report names, once each
-    names = {k: to_graph6(graphs[k])
-             for k in {k for hits in found.values() for k, _, _ in hits}}
-    reports = []
-    for tid in ids:
-        hits, checked = found[tid], len(graphs)
-        bad = [i for i, (_, v, row) in enumerate(hits) if not v.holds[row]]
-        if fail_fast and bad:
-            hits, checked = hits[:bad[0] + 1], hits[bad[0]][0] + 1
-        named = [(names[k], v.verdict(row)) for k, v, row in hits]
-        witnesses = [(g6, v) for g6, v in named if v.equality]
-        reports.append(ScanReport(
-            theorem_id=tid,
-            corpus=desc,
-            graphs_checked=checked,
-            skipped=skipped,
-            violations=[(g6, v) for g6, v in named if not v.holds],
-            equality_witnesses=[g6 for g6, _ in witnesses],
-            wall_time=wall,
-            tolerance=tolerance,
-            witness_verdicts=[v for _, v in witnesses],
-        ))
-    return reports
+
+    def reports():
+        # graph6 strings only for the graphs that a report names, once each
+        found, names = {}, {}
+        for tid in ids:
+            if tid not in found:
+                # a report names the applicable equalities and failures
+                found[tid] = evaluate(FORMULAS[tid], profiles, tolerance,
+                                      lambda v: v.applicable & (v.equality | ~v.holds))
+            hits, checked = found[tid], len(graphs)
+            bad = [i for i, (_, v, row) in enumerate(hits) if not v.holds[row]]
+            if fail_fast and bad:
+                hits, checked = hits[:bad[0] + 1], hits[bad[0]][0] + 1
+            names.update({k: to_graph6(graphs[k]) for k, _, _ in hits if k not in names})
+            named = [(names[k], v.verdict(row)) for k, v, row in hits]
+            witnesses = [(g6, v) for g6, v in named if v.equality]
+            yield ScanReport(
+                theorem_id=tid,
+                corpus=desc,
+                graphs_checked=checked,
+                skipped=skipped,
+                violations=[(g6, v) for g6, v in named if not v.holds],
+                equality_witnesses=[g6 for g6, _ in witnesses],
+                wall_time=time.perf_counter() - t0,
+                tolerance=tolerance,
+                witness_verdicts=[v for _, v in witnesses],
+            )
+    return reports()
+
+
+def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
+              tolerance: float = EQUALITY_TOL) -> list[ScanReport]:
+    """All the reports of scan_reports, as a list."""
+    return list(scan_reports(theorem_ids, corpus, fail_fast=fail_fast,
+                             tolerance=tolerance))
 
 
 def scan(theorem_id: str, corpus, *, fail_fast: bool = False,

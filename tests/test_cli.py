@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from distlap import (CHECKS, StackedProfiles, bounds, build, enumerate_connected,
-                     family_spec, from_graph6, to_graph6)
+from distlap import (CHECKS, CorpusError, StackedProfiles, UnknownTheorem, bounds,
+                     build, emit_report, enumerate_connected, family_spec,
+                     from_graph6, scan, scan_reports, to_graph6)
 from distlap.cli import _fmt, _verdict_line, run
 from distlap.families import FAMILIES
 
@@ -391,10 +392,17 @@ def test_closed_stdout_ends_quietly(args):
 
 
 class _ClosedStdout:
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+    """A stdout whose reader goes after taking `accepts` writes: every later
+    write raises BrokenPipeError."""
+
+    def __init__(self, accepts=0):
+        self.accepts, self.taken = accepts, []
 
     def write(self, data):
-        raise BrokenPipeError(32, "Broken pipe")
+        if len(self.taken) == self.accepts:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.taken.append(data)
+        return len(data)
 
     def flush(self):
         pass
@@ -413,3 +421,31 @@ def test_run_returns_status_on_closed_stdout(args, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     assert run(args) == 141
     assert capsys.readouterr().err == ""
+
+
+def test_scan_ends_when_reader_closes_after_first_report(monkeypatch, capsys):
+    # as with `| head -n 1`: the reader takes L3.1's report and goes, and
+    # the scan ends before any deletion is solved
+    solved = []
+    monkeypatch.setattr(bounds, "_deletion_gaps",
+                        lambda profiles, signs: solved.append(signs))
+    out = _ClosedStdout(accepts=1)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["scan", "--check", "all", "--n", "6", "--format", "json"]) == 141
+    assert capsys.readouterr().err == "" and solved == []
+    assert out.taken == [emit_report(scan("L3.1", 6))]
+
+
+def test_scan_input_errors_raise_before_any_report(tmp_path, capsys):
+    # an unknown id or a malformed corpus raises when scan_reports is
+    # called, not at its first report, and scan prints nothing
+    bad = tmp_path / "bad.g6"
+    bad.write_text("Bw\nB\n")
+    with pytest.raises(UnknownTheorem):
+        scan_reports(["X"], 3)
+    with pytest.raises(CorpusError):
+        scan_reports(["T6.3"], str(bad))
+    for args in (["--check", "X", "--n", "3"], ["--check", "T6.3", "--file", str(bad)]):
+        assert run(["scan", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")

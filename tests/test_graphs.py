@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from distlap import (
@@ -19,7 +20,7 @@ from distlap import (
     is_isomorphic,
     to_graph6,
 )
-from distlap.graphs import _orbit_minima
+from distlap.graphs import _orbit_minima, adjacency_stack, distances
 
 
 def path(n):
@@ -143,6 +144,20 @@ def test_distance_data_examples():
     assert distance_data(complete(64)).wiener == 64 * 63 // 2
     with pytest.raises(DisconnectedGraph):
         distance_data(from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_distances_paths_at_every_order():
+    # P_n has the largest diameter of its order: the recursion stops at its
+    # depth bound, which it needs in full whenever n - 1 is not a power of
+    # two; P_{n-1} plus an isolated vertex never completes and must raise
+    for n in range(1, 65):
+        dist = distances(adjacency_stack([path(n)]))
+        assert dist.dtype == np.int16
+        assert dist[0].tolist() == [[abs(i - j) for j in range(n)] for i in range(n)]
+        if n >= 2:
+            cut = from_edges(n, [(i, i + 1) for i in range(n - 2)])
+            with pytest.raises(DisconnectedGraph):
+                distances(adjacency_stack([path(n), cut]))
 
 
 def test_is_connected():

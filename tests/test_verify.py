@@ -346,6 +346,46 @@ def test_scan_solves_each_distinct_deletion_once(monkeypatch):
     assert dist == [6039] and stacks == [6039, 6039]
 
 
+def test_scan_reports_stream_each_id_when_due(monkeypatch):
+    # L3.1 needs neither the clique search nor the deletion solves, so its
+    # report comes before either runs; the search starts at T5.1, and the
+    # first deletion lemma solves both signs in one call. Each named graph
+    # is encoded once across all reports, which match scan_many's bytes
+    calls, encoded = [], []
+    real_gaps, real_omega, real_g6 = bounds._deletion_gaps, bounds.clique_number, to_graph6
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: calls.append(
+        ("gaps", list(signs))) or real_gaps(profiles, signs))
+    monkeypatch.setattr(bounds, "clique_number",
+                        lambda g: calls.append("omega") or real_omega(g))
+    monkeypatch.setattr(verify, "to_graph6", lambda g: encoded.append(real_g6(g)) or encoded[-1])
+    reports, seen = [], {}
+    for r in verify.scan_reports(SCAN_IDS, 6):
+        reports.append(r)
+        seen[r.theorem_id] = (calls.count("omega"), [c for c in calls if c != "omega"])
+    monkeypatch.undo()
+    assert list(seen) == list(SCAN_IDS)
+    assert seen["L3.1"] == (0, [])
+    first_search = SCAN_IDS.index("T5.1")
+    assert all(seen[tid][0] == 0 for tid in SCAN_IDS[:first_search])
+    assert all(seen[tid][0] == 112 for tid in SCAN_IDS[first_search:])
+    first_solve = SCAN_IDS.index("L2.3")
+    assert all(seen[tid][1] == [] for tid in SCAN_IDS[:first_solve])
+    assert all(seen[tid][1] == [("gaps", [-1, 1])] for tid in SCAN_IDS[first_solve:])
+    named = {g6 for r in reports for g6 in [*r.equality_witnesses,
+                                           *(g6 for g6, _ in r.violations)]}
+    assert sorted(encoded) == sorted(named) and len(named) > 1
+    assert [emit_report(r) for r in reports] == [emit_report(r) for r in scan_many(SCAN_IDS, 6)]
+
+
+def test_scan_reports_repeated_id_evaluated_once(monkeypatch):
+    runs = []
+    formula = FORMULAS["L2.3"]
+    monkeypatch.setitem(FORMULAS, "L2.3", lambda group, tol: runs.append(group.n)
+                        or formula(group, tol))
+    first, second = verify.scan_reports(["L2.3", "L2.3"], 6)
+    assert runs == [6] and emit_report(first) == emit_report(second)
+
+
 def test_enumerate_connected_pinned():
     for n, digest in ENUMERATION_SHA256.items():
         text = "\n".join(to_graph6(g) for g in enumerate_connected(n))
