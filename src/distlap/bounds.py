@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph, connected, distances, is_connected
-from .linalg import eigenvalues_stacked
-from .spectra import OrderGroup, StackedProfiles, radii, transmission_stack
+from .graphs import Graph, adjacency_keys, connected, is_connected
+from .spectra import OrderGroup, StackedProfiles, distance_spectra, radii, slices
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, flags, verdicts
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
@@ -446,58 +445,56 @@ def check_lemma42(s: OrderGroup, tol: float):
 # edge-deletion lemmas
 
 
-# matrix entries per stacked deletion solve: the 2,016 deletions of K_64
-DELETION_CHUNK = 2016 * 64 * 64
-
-
-def _keys(adj: np.ndarray) -> np.ndarray:
-    """One bytes key per matrix of a (N, n, n) boolean adjacency stack."""
-    packed = np.packbits(adj.reshape(len(adj), -1), axis=-1)
-    return packed.view(f"V{packed.shape[1]}")[:, 0]
+def _without(adj: np.ndarray, row, i, j) -> np.ndarray:
+    """Adjacency stack of graph row[e] of adj less the edge (i[e], j[e])."""
+    sub, e = adj[row], np.arange(len(row))
+    sub[e, i, j] = sub[e, j, i] = False
+    return sub
 
 
 def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
     """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
     counts graph k's single-edge deletions that stay connected, and gap[k]
     is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
-    over them (inf when kept[k] is 0). The deletions of all graphs of one
-    order are solved as one stack, in chunks of at most DELETION_CHUNK
-    matrix entries, against the base spectra in profiles. A chunk solves
-    each distinct labelled deletion once, and none that equals a graph of
-    its order: that one reuses the graph's spectra, bit for bit."""
+    over them (inf when kept[k] is 0). Per order, slices of the edges find
+    the connected deletions, and one np.unique over the order's graphs and
+    those deletions finds the distinct children. Only the children that are
+    not graphs of the order are solved, one slice at a time, from their
+    (graph, edge) index; the others reuse their graph's spectra, bit for bit."""
     count = len(profiles.graphs)
     kept = np.zeros(count, dtype=np.intp)
     gaps = np.full((count, len(signs)), np.inf)
     for group in profiles.groups:
         ks, adj, n = group.ks, group.adj, group.n
-        own = _keys(adj)
-        # one row per edge: its graph's row in the group, then its two ends
-        edges = np.argwhere(np.triu(adj, 1))
-        size = max(1, DELETION_CHUNK // (n * n))
-        for lo in range(0, len(edges), size):
-            row, i, j = edges[lo:lo + size].T
-            sub = adj[row]
-            e = np.arange(len(row))
-            sub[e, i, j] = sub[e, j, i] = False
-            keep = connected(sub)
-            if not keep.any():
-                continue
-            row, sub = row[keep], sub[keep]
-            owner = ks[row]
-            kept += np.bincount(owner, minlength=count)
-            # the group's graphs come first, so a deletion equal to one of
-            # them has it as its key's first occurrence
-            _, first, which = np.unique(np.concatenate([own, _keys(sub)]),
-                                        return_index=True, return_inverse=True)
-            solve = first >= len(ks)
-            dist = distances(sub[first[solve] - len(ks)])
-            for col, sign in enumerate(signs):
+        # one entry per edge: its graph's row in the group, then its two ends
+        row, i, j = np.nonzero(np.triu(adj, 1))
+        keep, keys = np.zeros(len(row), dtype=bool), [adjacency_keys(adj)]
+        for part in slices(len(row), n):
+            sub = _without(adj, row[part], i[part], j[part])
+            keep[part] = connected(sub)
+            keys.append(adjacency_keys(sub[keep[part]]))
+        row, i, j = row[keep], i[keep], j[keep]
+        kept += np.bincount(ks[row], minlength=count)
+        # the group's graphs come first, so a child equal to one of them has
+        # it as its key's first occurrence: first < len(ks)
+        _, first, child = np.unique(np.concatenate(keys), return_index=True,
+                                    return_inverse=True)
+        child = child[len(ks):]
+        order = np.argsort(child)
+        for part in slices(len(first), n):
+            solve = first[part] >= len(ks)
+            d = first[part][solve] - len(ks)
+            _, solved = distance_spectra(_without(adj, row[d], i[d], j[d]), signs)
+            # the deletions whose child lies in this slice
+            lo, hi = np.searchsorted(child, (part.start, part.stop), sorter=order)
+            dels = order[lo:hi]
+            for col, (sign, rows) in enumerate(zip(signs, solved)):
                 base = group.dl if sign < 0 else group.dq
-                vals = np.empty((len(first), n))
-                vals[~solve] = base[first[~solve]]
-                vals[solve] = eigenvalues_stacked(transmission_stack(dist, sign))
-                rise = vals[which[len(ks):]] - base[row]
-                np.minimum.at(gaps[:, col], owner, rise.min(axis=1))
+                # each child's rows: its graph's, or this slice's solve
+                vals = base[np.where(solve, 0, first[part])]
+                vals[solve] = rows
+                rise = vals[child[dels] - part.start] - base[row[dels]]
+                np.minimum.at(gaps[:, col], ks[row[dels]], rise.min(axis=1))
     return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
 
 

@@ -114,11 +114,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    # both lines are computed before either prints, so an error leaves
+    # stdout empty
     spec = parse_family(args.family)
-    g = build(spec)
-    print(to_graph6(g))
+    lines = [to_graph6(build(spec))]
     if args.quantity:
-        print(_fmt(closed_form(spec, args.quantity), args.precise))
+        lines.append(_fmt(closed_form(spec, args.quantity), args.precise))
+    print(*lines, sep="\n")
     return 0
 
 
@@ -133,15 +135,13 @@ def _cmd_graft(args) -> int:
     base = from_graph6(args.base)
     kind = KIND_TWINS if args.kind == "twins" else KIND_VERTEX
     spec = GraftSpec(base, kind, _parse_anchor(args.anchor), args.k, args.l)
-    print(to_graph6(apply_graft(spec)))
-    if args.check:
-        bad = 0
-        for v in (check_graft_monotone_L(spec), check_graft_monotone_Q(spec)):
-            print(_verdict_line(v, args.precise))
-            if v.applicable and not v.holds:
-                bad += 1
-        return 1 if bad else 0
-    return 0
+    # the checks run before anything prints, so an error leaves stdout empty
+    lines = [to_graph6(apply_graft(spec))]
+    found = ((check_graft_monotone_L(spec), check_graft_monotone_Q(spec))
+             if args.check else ())
+    lines += [_verdict_line(v, args.precise) for v in found]
+    print(*lines, sep="\n")
+    return 1 if any(v.applicable and not v.holds for v in found) else 0
 
 
 def _emit(report, fmt: str, precise: bool) -> None:

@@ -155,6 +155,13 @@ def adjacency_stack(graphs) -> np.ndarray:
     return bits.view(bool)
 
 
+def adjacency_keys(adj: np.ndarray) -> np.ndarray:
+    """One bytes key per matrix of a (N, n, n) boolean adjacency stack,
+    equal exactly for equal matrices."""
+    packed = np.packbits(adj.reshape(len(adj), adj.shape[-1] ** 2), axis=-1)
+    return packed.view(f"V{packed.shape[1]}")[:, 0]
+
+
 def connected(adj: np.ndarray) -> np.ndarray:
     """(N,) booleans: which graphs of a (N, n, n) boolean adjacency stack
     are connected. Boolean closure: squaring (A + I) ceil(log2 n) times
@@ -416,20 +423,25 @@ def is_isomorphic(a: Graph, b: Graph, limit: int = CANONICAL_LIMIT) -> bool:
 # exhaustive enumeration of connected graphs up to isomorphism
 
 
+# edge bits per orbit table: at n = 7, five tables of at most 32 rows
+ORBIT_BITS = 5
+
+
 def _orbit_tables(n: int) -> list[np.ndarray]:
     """Orbit lookup tables: row v of table c holds, for every permutation of
-    the vertices, the image of the edge mask whose 7-bit chunk c is v and
-    whose other bits are 0; OR-ing one row per chunk gives a mask's orbit."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    the vertices, the image of the edge mask whose ORBIT_BITS-bit chunk c
+    is v and whose other bits are 0; OR-ing one row per chunk gives a
+    mask's orbit."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     # bit[a, b]: the mask bit of the edge {a, b}, for both orders of its ends
     j, i = _colex_ends(n)
     bit = np.zeros((n, n), dtype=np.uint32)
     bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(len(i), dtype=np.uint32)
-    # (n!, edges): the bit of each edge's image under each permutation
-    image = bit[perms[:, i], perms[:, j]]
     tables = []
-    for c in range(0, len(i), 7):
-        chunk = image[:, c:c + 7].T
+    for c in range(0, len(i), ORBIT_BITS):
+        # the bit of each chunk edge's image under each permutation
+        e = slice(c, c + ORBIT_BITS)
+        chunk = bit[perms[:, i[e]], perms[:, j[e]]].T
         # doubling: rows 2^b .. 2^(b+1) - 1 are rows 0 .. 2^b - 1 with the
         # image of edge c + b added
         table = np.zeros((1 << len(chunk), len(perms)), dtype=np.uint32)
@@ -452,12 +464,12 @@ def _orbit_minima(n: int) -> np.ndarray:
     swept. Classes with exactly half the edges are swept as they come."""
     edges = n * (n - 1) // 2
     full = (1 << edges) - 1
-    # every mask's bit count, doubled up one edge at a time
-    count = np.zeros(1, dtype=np.int8)
-    for _ in range(edges):
-        count = np.concatenate([count, count + 1])
-    seen = count > edges // 2
-    del count
+    # every mask's bit count, doubled up one edge at a time in place; the
+    # same buffer then holds the bitmap
+    count = np.zeros(1 << edges, dtype=np.int8)
+    for b in range(edges):
+        np.add(count[:1 << b], 1, out=count[1 << b:2 << b])
+    seen = np.greater(count, edges // 2, out=count.view(bool))
     tables = _orbit_tables(n)
     minima = []
     m = 0
@@ -470,7 +482,7 @@ def _orbit_minima(n: int) -> np.ndarray:
         m += k
         orbit = np.uint32(0)
         for c, tab in enumerate(tables):
-            orbit = orbit | tab[(m >> (7 * c)) & 127]
+            orbit = orbit | tab[(m >> (ORBIT_BITS * c)) & ((1 << ORBIT_BITS) - 1)]
         seen[orbit] = True
         minima.append(m)
         if 2 * m.bit_count() < edges:

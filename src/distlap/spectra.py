@@ -14,6 +14,10 @@ from .graphs import DistanceStack, Graph, adjacency_stack, distances
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
+# matrix entries per stacked solve: every stack of graphs is solved in
+# slices of at most this many, whatever the corpus size
+SOLVE_SLICE = 1 << 16
+
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """D(G): hop distances as a dense symmetric float matrix."""
@@ -32,10 +36,10 @@ def dist_signless_laplacian(g: Graph) -> np.ndarray:
 
 def radii(graphs, sign: int) -> list[float]:
     """Spectral radius of Tr - D (sign -1) or Tr + D (sign +1) of connected
-    graphs that share one order, from one stacked distance and eigen solve;
-    entry k equals eigenvalues(dist_*(graphs[k])).radius bit for bit."""
-    dist = distances(adjacency_stack(graphs))
-    return eigenvalues_stacked(transmission_stack(dist, sign))[:, 0].tolist()
+    graphs that share one order, from one distance_spectra call; entry k
+    equals eigenvalues(dist_*(graphs[k])).radius bit for bit."""
+    _, (rows,) = distance_spectra(adjacency_stack(graphs), (sign,))
+    return rows[:, 0].tolist()
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -63,6 +67,30 @@ def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
     return m
 
 
+def slices(count: int, n: int) -> list[slice]:
+    """Consecutive slices of a stack of count n x n matrices, each of at
+    most SOLVE_SLICE matrix entries (or of one matrix, when n * n exceeds
+    it)."""
+    step = max(1, SOLVE_SLICE // (n * n))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def distance_spectra(adj: np.ndarray, signs) -> tuple[np.ndarray, list]:
+    """(dist, rows) of a (N, n, n) boolean adjacency stack of connected
+    graphs: their int16 distances and, for each of signs, the descending
+    eigenvalue rows (N, n) of Tr - D (sign -1) or Tr + D (sign +1). The
+    stack is solved one slice at a time, so the float work arrays stay
+    within SOLVE_SLICE entries; LAPACK solves each matrix on its own, so
+    the rows equal a whole-stack solve bit for bit."""
+    dist = np.empty(adj.shape, dtype=np.int16)
+    rows = [np.empty(adj.shape[:2]) for _ in signs]
+    for part in slices(len(adj), adj.shape[-1]):
+        dist[part] = distances(adj[part])
+        for out, sign in zip(rows, signs):
+            out[part] = eigenvalues_stacked(transmission_stack(dist[part], sign))
+    return dist, rows
+
+
 class OrderGroup(DistanceStack):
     """The graphs of one order in a StackedProfiles, as arrays: their corpus
     indices ks, order n, edge counts m, adjacency (N, n, n), the distance
@@ -74,18 +102,17 @@ class OrderGroup(DistanceStack):
         self.graphs = [corpus.graphs[k] for k in ks]
         self.n = self.graphs[0].n
         self.adj = adjacency_stack(self.graphs)
-        super().__init__(distances(self.adj))
+        dist, (self.dl, self.dq) = distance_spectra(self.adj, (-1, 1))
+        super().__init__(dist)
         self.m = self.adj.sum(axis=(1, 2)) // 2
-        self.dl = eigenvalues_stacked(transmission_stack(self.dist, -1))
-        self.dq = eigenvalues_stacked(transmission_stack(self.dist, 1))
 
 
 class StackedProfiles:
     """Distances, distance invariants and both distance spectra of many
     connected graphs, computed up front as one OrderGroup per order (one
-    stacked distance solve and one eigensolve per flavour), so only arrays
-    are kept for the whole corpus. facts holds corpus-order arrays that
-    checks compute on first use, such as the clique numbers."""
+    distance_spectra call each), so only arrays are kept for the whole
+    corpus. facts holds corpus-order arrays that checks compute on first
+    use, such as the clique numbers."""
 
     def __init__(self, graphs):
         self.graphs = graphs

@@ -119,6 +119,21 @@ def test_graft_disconnected_base(check, capsys):
     assert err.splitlines() == ["error: graft base must be a connected graph"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["family", "--family", "u4:2,2", "--quantity", "QRadius"],
+     "no closed form for U4/QRadius"),
+    (["graft", "--base", "Bw", "--kind", "vertex", "--anchor", "0",
+      "--k", "2", "--l", "1", "--check"],
+     "monotonicity comparison needs k >= l >= 2"),
+], ids=["family", "graft"])
+def test_failing_command_prints_nothing(argv, message, capsys):
+    # the graph is built before the failing step, but nothing prints
+    # before the error: one stderr line, empty stdout
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+
+
 def test_scan_json(capsys):
     rc = run(["scan", "--check", "T3.1", "--n", "6", "--format", "json"])
     assert rc == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ def test_orbit_minima_against_relabelling():
                     for image in images)
                 for mask in range(1 << len(pairs))}
         assert _orbit_minima(n).tolist() == sorted(want)
+
+
+def test_orbit_minima_memory_bounded():
+    # n = 7: the 2 MB bitmap of the 2^21 masks, which first holds their
+    # bit counts, and the 5-bit orbit tables over the 5,040 permutations
+    tracemalloc.start()
+    try:
+        _orbit_minima(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_enumerate_limits():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -32,6 +33,7 @@ from distlap import (
     fixture61_determinant,
     from_edges,
     from_graph6,
+    graph6_corpus,
     is_connected,
     not_applicable,
     proof_fixture_theorem31,
@@ -41,10 +43,11 @@ from distlap import (
     table1_regression,
     to_graph6,
 )
-from distlap import bounds, verify
+from distlap import bounds, spectra, verify
 from distlap.bounds import CHECKS, FORMULAS
 from distlap.verify import _json_value
 
+from test_ingest import stream
 from test_properties import stacked_verdicts
 
 # sha256 of the reports of the per-id scan that the one-pass scan replaced:
@@ -88,6 +91,12 @@ ENUMERATION_SHA256 = {
 # of order 1..6 (enumeration order, ids in SCAN_IDS order), one JSON object
 # per line: witness dicts, non-applicable values and strict flags included
 VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
+
+# sha256 of the JSON and of the CSV reports of scan_many(["L2.3", "L2.4"],
+# test_ingest.stream()), orders 8..24, from the solve that deduplicated
+# deletions per chunk of at most 2,016 64 x 64 matrices
+STREAM_DELETION_JSON_SHA256 = "af3505276d2bfb029ab9ff00fafb809afa0eebb37316bf794990d5406cee0624"
+STREAM_DELETION_CSV_SHA256 = "d981cbee7db3d8ca262e2c1eee93e1d13331eac4057465457fe49a9894b76b74"
 
 
 def fam(kind, *params):
@@ -287,7 +296,7 @@ def test_stacked_deletions_match_per_edge_oracle():
 
 def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     # a scan solves every deletion of the corpus in one _deletion_gaps call;
-    # the small chunk splits each order's stack, and the deletions of one
+    # the small slice splits each order's stack, and the deletions of one
     # graph, across many solves; every graph's verdict from the scan's stack
     # and the scan's reports agree with the per-edge oracle. Deleting the
     # edge (0, n - 1) of a cycle leaves the labelled path of the corpus, and
@@ -302,25 +311,27 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     want = {"L2.3": [_deletion_oracle(g, dist_laplacian, "L2.3") for g in graphs],
             "L2.4": [_deletion_oracle(g, dist_signless_laplacian, "L2.4")
                      for g in graphs]}
-    assert bounds.DELETION_CHUNK == 2016 * 64 * 64
-    for chunk in (bounds.DELETION_CHUNK, 300):
-        monkeypatch.setattr(bounds, "DELETION_CHUNK", chunk)
+    assert spectra.SOLVE_SLICE == 1 << 16
+    for budget in (spectra.SOLVE_SLICE, 300):
+        monkeypatch.setattr(spectra, "SOLVE_SLICE", budget)
         solves, stacks = [], []
-        real_gaps, real_eig = bounds._deletion_gaps, bounds.eigenvalues_stacked
+        real_gaps, real_eig = bounds._deletion_gaps, spectra.eigenvalues_stacked
         monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: solves.append(
-            len(profiles.graphs)) or real_gaps(profiles, signs))
-        monkeypatch.setattr(bounds, "eigenvalues_stacked",
+            len(stacks)) or real_gaps(profiles, signs))
+        monkeypatch.setattr(spectra, "eigenvalues_stacked",
                             lambda m: stacks.append(m.shape) or real_eig(m))
         profiles = bounds._stack(graphs, ["L2.3", "L2.4"])
         got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
-        assert solves == [len(graphs)]
-        assert max(np.prod(shape) for shape in stacks) <= chunk
+        # one _deletion_gaps call, after the profiles' own solves
+        assert len(solves) == 1
+        deletions = stacks[solves[0]:]
+        assert max(np.prod(shape) for shape in stacks) <= budget
         kept = profiles.facts[("gaps", -1)][0].sum()
-        assert 0 < sum(shape[0] for shape in stacks) < 2 * kept
+        assert 0 < sum(shape[0] for shape in deletions) < 2 * kept
         # orders 3..12 keep some deletion: one solve per order and flavour,
-        # or many once the chunk is small
-        assert (len(stacks) > 200) if chunk == 300 else (len(stacks) == 20)
+        # or many once the slice is small
+        assert (len(deletions) > 200) if budget == 300 else (len(deletions) == 20)
         assert got == want
     lines = [to_graph6(g) for g in graphs]
     for r in scan_many(["L2.3", "L2.4"], lines):
@@ -331,19 +342,49 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
             (g6, v) for g6, v in named if v.equality]
 
 
+def test_stream_deletion_reports_pinned():
+    reports = scan_many(["L2.3", "L2.4"], stream())
+    assert [r.skipped for r in reports] == [8, 8]
+    digest = hashlib.sha256(b"".join(emit_report(r) for r in reports))
+    assert digest.hexdigest() == STREAM_DELETION_JSON_SHA256
+    csv = hashlib.sha256(b"".join(emit_report(r, "csv") for r in reports))
+    assert csv.hexdigest() == STREAM_DELETION_CSV_SHA256
+
+
+def test_deletion_solve_memory_bounded():
+    # both signs of the stream's 192 connected graphs, orders 8..24, in
+    # one call: the traced peak stays within a few slices, whatever the
+    # number of deletions
+    graphs = [g for *_, g, ok in graph6_corpus(stream()) if ok]
+    profiles = bounds._stack(graphs, [])
+    tracemalloc.start()
+    try:
+        bounds._deletion_gaps(profiles, [-1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_scan_solves_each_distinct_deletion_once(monkeypatch):
     # of the 8,933 connected single-edge deletions of the n = 7 corpus,
     # 6,891 are distinct labelled graphs and 852 of those are corpus graphs,
     # whose spectra are reused: 6,039 are solved, once for distances and
-    # once per sign
-    dist, stacks = [], []
-    real_dist, real_eig = bounds.distances, bounds.eigenvalues_stacked
-    monkeypatch.setattr(bounds, "distances", lambda a: dist.append(len(a)) or real_dist(a))
-    monkeypatch.setattr(bounds, "eigenvalues_stacked",
-                        lambda m: stacks.append(len(m)) or real_eig(m))
+    # once per sign, summed over slices within the budget
+    dist, stacks, start = [], [], []
+    real_dist, real_eig = spectra.distances, spectra.eigenvalues_stacked
+    real_gaps = bounds._deletion_gaps
+    monkeypatch.setattr(spectra, "distances", lambda a: dist.append(a.shape) or real_dist(a))
+    monkeypatch.setattr(spectra, "eigenvalues_stacked",
+                        lambda m: stacks.append(m.shape) or real_eig(m))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: start.append(
+        (len(dist), len(stacks))) or real_gaps(profiles, signs))
     scan_many(["L2.3", "L2.4"], 7)
     monkeypatch.undo()
-    assert dist == [6039] and stacks == [6039, 6039]
+    dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
+    assert sum(shape[0] for shape in dist) == 6039
+    assert [sum(shape[0] for shape in stacks[col::2]) for col in (0, 1)] == [6039, 6039]
+    assert max(np.prod(shape) for shape in dist + stacks) <= spectra.SOLVE_SLICE
 
 
 def test_scan_reports_stream_each_id_when_due(monkeypatch):
