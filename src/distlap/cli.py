@@ -132,9 +132,13 @@ def _parse_anchor(text: str) -> tuple:
 
 
 def _cmd_graft(args) -> int:
+    # a repeated --anchor is refused rather than letting the last one win
+    if len(args.anchor) > 1:
+        raise DistlapError(f"--anchor given {len(args.anchor)} times; "
+                           "give twins as one --anchor u,v")
     base = from_graph6(args.base)
     kind = KIND_TWINS if args.kind == "twins" else KIND_VERTEX
-    spec = GraftSpec(base, kind, _parse_anchor(args.anchor), args.k, args.l)
+    spec = GraftSpec(base, kind, _parse_anchor(args.anchor[0]), args.k, args.l)
     # the checks run before anything prints, so an error leaves stdout empty
     lines = [to_graph6(apply_graft(spec))]
     found = ((check_graft_monotone_L(spec), check_graft_monotone_Q(spec))
@@ -240,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_EPILOG)
     p.add_argument("--base", required=True, help="graph6 of the base graph")
     p.add_argument("--kind", choices=("vertex", "twins"), required=True)
-    p.add_argument("--anchor", required=True,
-                   help="anchor vertex, or two comma-separated twins")
+    p.add_argument("--anchor", action="append", required=True,
+                   help="anchor vertex, or two comma-separated twins (once)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--check", action="store_true",

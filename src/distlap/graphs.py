@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CorpusError, DisconnectedGraph, MalformedGraph6,
-                     UnsupportedOrder)
+from .errors import (CorpusError, DimensionMismatch, DisconnectedGraph,
+                     MalformedGraph6, UnsupportedOrder)
 
 MAX_ORDER = 64
 CANONICAL_LIMIT = 10
@@ -22,6 +22,14 @@ ENUM_LIMIT = 7
 
 # census of connected graphs up to isomorphism, orders 1..7
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# rounds that transpose a 64 x 64 bit matrix, bit (i, j) at 64 i + j: round
+# s swaps bit s of the row and the column index, moving the bits (i, j) with
+# bit s clear in i and set in j, its mask, to (i + s, j - s)
+_TRANSPOSE = [(63 * s, sum(1 << j for j in range(64) if j & s)
+               * sum(1 << 64 * i for i in range(64) if not i & s))
+              for s in (32, 16, 8, 4, 2, 1)]
+_DIAGONAL = sum(1 << 65 * i for i in range(64))
 
 
 @dataclass(frozen=True)
@@ -38,22 +46,7 @@ class Graph:
             raise UnsupportedOrder(f"order {self.n} outside 1..{MAX_ORDER}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count differs from n")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits beyond vertex range")
-            if (row >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        # symmetry in O(m), not over all pairs: every set bit has its mirror
-        for i, row in enumerate(self.adj):
-            while row:
-                j = (row & -row).bit_length() - 1
-                if not (self.adj[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency at "
-                                     f"({min(i, j)},{max(i, j)})")
-                row &= row - 1
-        object.__setattr__(self, "m",
-                           sum(row.bit_count() for row in self.adj) // 2)
+        object.__setattr__(self, "m", _edge_count(self.n, self.adj))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)
@@ -65,6 +58,43 @@ class Graph:
         """Edge list in colex order."""
         return [(i, j) for j in range(self.n) for i in range(j)
                 if (self.adj[i] >> j) & 1]
+
+
+def _edge_count(n: int, adj) -> int:
+    """Edge count of adjacency rows checked as one 64 x 64 bit matrix, a
+    64-bit word per row: packing fails on a row not an int in 0..2^64 - 1,
+    and as the rows from n on are zero, a matrix equal to its transpose has
+    no bit beyond the vertex range. A rejected one is walked row by row."""
+    try:
+        x = int.from_bytes(b"".join(map(int.to_bytes, adj, itertools.repeat(8),
+                                        itertools.repeat("little"))), "little")
+    except (TypeError, OverflowError):
+        return _first_fault(n, adj)
+    t = x
+    for shift, mask in _TRANSPOSE:
+        swap = (t ^ t >> shift) & mask
+        t ^= swap ^ swap << shift
+    if x != t or x & _DIAGONAL:
+        return _first_fault(n, adj)
+    return x.bit_count() // 2
+
+
+def _first_fault(n: int, adj) -> int:
+    """Raise the first fault of rows the word-level check rejected, or count edges."""
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {i} has bits beyond vertex range")
+        if (row >> i) & 1:
+            raise ValueError(f"loop at vertex {i}")
+    # symmetry in O(m), not over all pairs: every set bit has its mirror
+    for i, row in enumerate(adj):
+        while row:
+            j = (row & -row).bit_length() - 1
+            if not (adj[j] >> i) & 1:
+                raise ValueError(f"asymmetric adjacency at ({min(i, j)},{max(i, j)})")
+            row &= row - 1
+    return sum(row.bit_count() for row in adj) // 2
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -126,17 +156,13 @@ class DistanceStack:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n = 1)."""
-    reach = 1
-    while True:
-        nxt = reach
-        r = reach
+    reach, grown = 0, 1
+    while grown != reach:
+        reach = r = grown
         while r:
             v = (r & -r).bit_length() - 1
-            nxt |= g.adj[v]
+            grown |= g.adj[v]
             r &= r - 1
-        if nxt == reach:
-            break
-        reach = nxt
     return reach == (1 << g.n) - 1
 
 
@@ -147,8 +173,12 @@ def distance_data(g: Graph) -> DistanceData:
 
 
 def adjacency_stack(graphs) -> np.ndarray:
-    """(N, n, n) boolean adjacency matrices of graphs that share one order n."""
-    n = graphs[0].n
+    """(N, n, n) boolean adjacency matrices of graphs that share one order n;
+    DimensionMismatch for no graphs or graphs of mixed orders."""
+    orders = {g.n for g in graphs}
+    if len(orders) != 1:
+        raise DimensionMismatch(f"need graphs of one order, got orders {sorted(orders)}")
+    n, = orders
     rows = np.array([g.adj for g in graphs], dtype="<u8")  # n <= 64 bits
     bits = np.unpackbits(rows.view(np.uint8).reshape(len(graphs), n, 8),
                          axis=-1, count=n, bitorder="little")
@@ -175,6 +205,11 @@ def connected(adj: np.ndarray) -> np.ndarray:
     return reach[:, 0].all(axis=1)
 
 
+def diagonals(stack: np.ndarray) -> np.ndarray:
+    """Writable (N, n) view of the diagonals of a C-contiguous (N, n, n) stack."""
+    return stack.reshape(len(stack), -1)[:, ::stack.shape[-1] + 1]
+
+
 def distances(adj: np.ndarray) -> np.ndarray:
     """Hop distances of every graph in a (N, n, n) boolean adjacency stack,
     as int16, by Seidel's recursion (R. Seidel, JCSS 51 (1995)) in two
@@ -183,29 +218,35 @@ def distances(adj: np.ndarray) -> np.ndarray:
     the pairs at distance <= 2^k, so a stack still incomplete at level
     (n - 1).bit_length() holds a disconnected graph: DisconnectedGraph. Up:
     the distances D' of a level give those D of the level below, D = 2D' or
-    2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j] deg(j).
+    2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j] deg(j), that is where
+    (D' M)[i, j] < 0 for M = A - Diag(deg), deg the diagonal of A A.
 
-    Both loops run in float32, where BLAS makes the products fast; every
-    entry stays at or below n (n - 1) < 2^24, so they are exact, and the
-    distances are cast to int16 once at the end."""
-    n = adj.shape[-1]
-    diag = np.arange(n)
-    levels = []
-    for _ in range(max(1, (n - 1).bit_length())):
-        a = adj.astype(np.float32)
-        sq = a @ a
-        levels.append((a, sq[:, diag, diag]))
-        adj = adj | (sq > 0)
-        adj[:, diag, diag] = False
-        if np.count_nonzero(adj) == len(adj) * n * (n - 1):
+    Both loops run in float32 buffers allocated once for BLAS, exact as no
+    entry exceeds n (n - 1) < 2^24; the result is cast to int16 at the end."""
+    count, n = adj.shape[:2]
+    top = max(1, (n - 1).bit_length())
+    # level k's adjacency A, which becomes its M once squared
+    level = np.empty((top + 1, count, n, n), dtype=np.float32)
+    dist, work = np.empty((2, count, n, n), dtype=np.float32)
+    joined, step = adj.copy(), np.empty(adj.shape, dtype=bool)
+    level[0] = adj
+    for k in range(top):
+        np.matmul(level[k], level[k], out=work)
+        np.negative(diagonals(work), out=diagonals(level[k]))
+        joined |= np.greater(work, 0, out=step)
+        diagonals(joined)[:] = False
+        if np.count_nonzero(joined) == count * n * (n - 1):
             break
+        level[k + 1] = joined
     else:
         raise DisconnectedGraph("distances require a connected graph")
-    # distance 1 on the complete top level gives 2 - A on the level below
-    a, _ = levels.pop()
-    dist = 2 * adj.astype(np.float32) - a
-    for a, deg in reversed(levels):
-        dist = 2 * dist - (dist @ a < dist * deg[:, None, :])
+    # distance 1 on the complete level k + 1 gives 2 - A on level k
+    np.subtract(2, level[k], out=dist)
+    diagonals(dist)[:] = 0
+    for j in range(k - 1, -1, -1):
+        np.matmul(dist, level[j], out=work)
+        dist += dist
+        dist -= np.less(work, 0, out=step)
     return dist.astype(np.int16)
 
 
@@ -213,29 +254,18 @@ def distances(adj: np.ndarray) -> np.ndarray:
 # graph6 codec
 
 
-def _edge_bits(g: Graph):
-    for j in range(g.n):
-        for i in range(j):
-            yield (g.adj[i] >> j) & 1
+def _graph6(n: int, bits) -> str:
+    """graph6 record of order n (above 62: 126, then 18 bits) and its colex
+    edge bits, six a byte, most significant first, zero-padded."""
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    text = "".join(map(str, bits))
+    text += "0" * (-len(text) % 6)
+    body = [int(text[k:k + 6], 2) for k in range(0, len(text), 6)]
+    return "".join(chr(v + 63) for v in head + body)
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        # long form: 126 then 18-bit big-endian order
-        head = chr(126) + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    bits = list(_edge_bits(g))
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    return _graph6(g.n, ((g.adj[i] >> j) & 1 for j in range(g.n) for i in range(j)))
 
 
 _GRAPH6_BYTES = bytes(range(63, 127))
@@ -368,8 +398,6 @@ def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> str:
     n = g.n
     if n > limit:
         raise UnsupportedOrder(f"canonical_form limited to n <= {limit}")
-    if n == 1:
-        return to_graph6(g)
     adj = g.adj
     best: list[int] | None = None
 
@@ -402,15 +430,7 @@ def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> str:
 
     search([], 0, [])
     assert best is not None
-    rows = [0] * n
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            if best[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return to_graph6(Graph(n, tuple(rows)))
+    return _graph6(n, best)
 
 
 def is_isomorphic(a: Graph, b: Graph, limit: int = CANONICAL_LIMIT) -> bool:

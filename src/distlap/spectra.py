@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import DistanceStack, Graph, adjacency_stack, distances
+from .graphs import DistanceStack, Graph, adjacency_stack, diagonals, distances
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
@@ -60,10 +60,13 @@ def algebraic_connectivity(g: Graph) -> float:
 def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
     """Tr - D (sign -1) or Tr + D (sign +1) as float64 for every matrix of a
     stacked integer distance array; integer assembly keeps every row sum of
-    Tr - D exactly zero."""
-    m = (dist if sign > 0 else -dist).astype(np.float64)
-    diag = np.arange(dist.shape[-1])
-    m[:, diag, diag] = dist.sum(axis=-1)
+    Tr - D exactly zero. A connected graph's off-diagonal distances are
+    positive, so negating in float gives no -0.0 that the transmissions on
+    the diagonal do not overwrite."""
+    m = dist.astype(np.float64, order="C")
+    if sign < 0:
+        np.negative(m, out=m)
+    diagonals(m)[:] = dist.sum(axis=-1)
     return m
 
 

@@ -7,11 +7,16 @@ Laplacian radius; the checkers eigensolve both sides of each comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidGraft, NoSuchEdge
-from .graphs import MAX_ORDER, Graph, from_edges, is_connected, pendant_path
-from .spectra import radii
+from .graphs import (MAX_ORDER, Graph, adjacency_stack, distances, from_edges,
+                     is_connected, pendant_path)
+from .linalg import eigenvalues_stacked
+from .spectra import transmission_stack
 from .verdict import (EQUALITY_TOL, SLACK, BoundVerdict, not_applicable,
                       verdict)
 
@@ -66,13 +71,24 @@ def apply_graft(spec: GraftSpec) -> Graph:
 
 def _compare_radii(spec: GraftSpec, sign: int) -> list[float]:
     """Radii of Tr - D (sign -1) or Tr + D (sign +1) of the (k, l) and the
-    (k+1, l-1) graft, solved as one pair."""
+    (k+1, l-1) graft, from the pair's shared distances; equal bit for bit
+    to radii() on the two grafts."""
     if spec.l < 2:
         raise InvalidGraft("monotonicity comparison needs k >= l >= 2")
-    g_short = apply_graft(spec)
-    g_long = apply_graft(GraftSpec(spec.base, spec.kind, spec.anchors,
-                                   spec.k + 1, spec.l - 1))
-    return radii([g_short, g_long], sign)
+    # an invalid spec raises as it always did, before it is hashed as a key
+    _validate(spec)
+    dist = _pair_distances(replace(spec, anchors=tuple(spec.anchors)))
+    return eigenvalues_stacked(transmission_stack(dist, sign))[:, 0].tolist()
+
+
+@lru_cache(maxsize=8)
+def _pair_distances(spec: GraftSpec) -> np.ndarray:
+    """Read-only int16 distances (2, n, n) of the (k, l) and the (k+1, l-1)
+    graft of a valid spec, solved once for the L and the Q comparison."""
+    pair = [apply_graft(spec), apply_graft(replace(spec, k=spec.k + 1, l=spec.l - 1))]
+    dist = distances(adjacency_stack(pair))
+    dist.flags.writeable = False
+    return dist
 
 
 def _is_degenerate(spec: GraftSpec) -> bool:

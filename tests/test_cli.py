@@ -109,6 +109,20 @@ def test_graft_bad_anchor(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind,anchors", [("vertex", ["0", "3"]),
+                                          ("twins", ["0", "1"]),
+                                          ("twins", ["0,1", "0,1"])])
+def test_graft_repeated_anchor(kind, anchors, capsys):
+    # a second --anchor is a usage error, not a silent overwrite
+    argv = ["graft", "--base", "Cw", "--kind", kind, "--k", "2", "--l", "2", "--check"]
+    for a in anchors:
+        argv += ["--anchor", a]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: --anchor given 2 times; give twins as one --anchor u,v"]
+
+
 @pytest.mark.parametrize("check", [[], ["--check"]])
 def test_graft_disconnected_base(check, capsys):
     # the graft lemmas assume a connected base: one error line, no graph6

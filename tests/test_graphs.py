@@ -7,6 +7,7 @@ import pytest
 
 from distlap import (
     CONNECTED_COUNTS,
+    DimensionMismatch,
     DisconnectedGraph,
     Graph,
     MalformedGraph6,
@@ -19,6 +20,7 @@ from distlap import (
     from_graph6,
     is_connected,
     is_isomorphic,
+    radii,
     to_graph6,
 )
 from distlap.graphs import _orbit_minima, adjacency_stack, distances
@@ -60,6 +62,95 @@ def test_graph_validation():
         Graph(2, (1 | 2, 1))  # loop at 0
     with pytest.raises(ValueError):
         Graph(2, (4, 0))  # bit beyond range
+
+
+def walk_validation(n, adj) -> int:
+    """Reference: the per-bit walk that validated Graph rows before the
+    word-level check; raises the same errors, or returns the edge count."""
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {i} has bits beyond vertex range")
+        if (row >> i) & 1:
+            raise ValueError(f"loop at vertex {i}")
+    for i, row in enumerate(adj):
+        while row:
+            j = (row & -row).bit_length() - 1
+            if not (adj[j] >> i) & 1:
+                raise ValueError(f"asymmetric adjacency at "
+                                 f"({min(i, j)},{max(i, j)})")
+            row &= row - 1
+    return sum(row.bit_count() for row in adj) // 2
+
+
+def outcome(fn, *args):
+    """("ok", value) of a call, or the type and message of its exception."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_rows(rng, n, p):
+    rows = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def validation_cases(n, rng):
+    """Adjacency rows of order n: valid ones and every kind of fault."""
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        yield random_rows(rng, n, p)
+    base = random_rows(rng, n, 0.5)
+    pairs = {(0, n - 1), (max(n - 2, 0), n - 1)}
+    pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(4)} if n > 1 else set()
+    for i, j in pairs:
+        for row, bit in ((i, j), (j, i)):  # one side of the pair flipped
+            rows = list(base)
+            rows[row] ^= 1 << bit
+            yield rows
+    for v in (0, n - 1):
+        rows = list(base)
+        rows[v] |= 1 << v
+        yield rows
+    if n < 64:
+        for v in (0, n - 1):
+            rows = list(base)
+            rows[v] |= 1 << n
+            yield rows
+    for bad in (-1, -(1 << n), -2, 1.0, "1", None, 2 ** 64):
+        rows = list(base)
+        rows[-1] = bad
+        yield rows
+    yield [bool(row & 1) for row in base]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 32, 33, 63, 64])
+def test_graph_validation_matches_walk(n):
+    # the word-level check accepts, rejects and counts exactly as the walk
+    # did: same exception type, same message, same m
+    rng = random.Random(n)
+    seen = set()
+    for rows in validation_cases(n, rng):
+        want = outcome(walk_validation, n, tuple(rows))
+        assert outcome(lambda: Graph(n, tuple(rows)).m) == want
+        seen.add(want[0])
+    assert {"ok", ValueError, TypeError} <= seen
+
+
+def test_adjacency_stack_needs_one_order():
+    with pytest.raises(DimensionMismatch):
+        adjacency_stack([])
+    with pytest.raises(DimensionMismatch):
+        adjacency_stack([path(3), path(4)])
+    for graphs in ([], [path(3), cycle(4)]):
+        for sign in (-1, 1):
+            with pytest.raises(DimensionMismatch):
+                radii(graphs, sign)
 
 
 def test_from_edges_validation():

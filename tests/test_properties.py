@@ -11,6 +11,7 @@ from distlap import (EQUALITY_TOL, MAX_ORDER, SCAN_IDS, BoundVerdict,
                      dist_signless_laplacian, distance_data, eigenvalues,
                      from_edges, from_graph6, is_connected, radii, scan_many,
                      to_graph6)
+from distlap.families import FamilySpec, build
 from distlap.graphs import adjacency_stack, distances
 from distlap import bounds
 from distlap.bounds import CHECKS, FORMULAS
@@ -88,6 +89,17 @@ def test_distances_match_bfs(graphs):
     dist = distances(adjacency_stack(graphs))
     assert dist.dtype.name == "int16"
     assert [d.tolist() for d in dist] == [bfs_distances(g) for g in graphs]
+
+
+@pytest.mark.parametrize("kinds,params,diameters", [
+    (("Kite3", "TStar"), (64,), [62, 61]), (("U4", "U3"), (60, 2), [62, 62])])
+def test_distances_of_sweep_pairs(kinds, params, diameters):
+    # the two-graph stacks that the kite vs T* and the Lemma 7.4 checks
+    # solve at order 64
+    pair = [build(FamilySpec(kind, params)) for kind in kinds]
+    dist = distances(adjacency_stack(pair))
+    assert [int(d.max()) for d in dist] == diameters
+    assert [d.tolist() for d in dist] == [bfs_distances(g) for g in pair]
 
 
 @given(st.integers(1, MAX_ORDER - 1).flatmap(

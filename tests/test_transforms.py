@@ -1,5 +1,6 @@
 import pytest
 
+from distlap import graphs, transforms
 from distlap import (
     GraftSpec,
     InvalidGraft,
@@ -15,6 +16,7 @@ from distlap import (
     from_edges,
     is_connected,
     is_isomorphic,
+    radii,
 )
 
 
@@ -129,6 +131,65 @@ def test_graft_rejects_disconnected_base():
             apply_graft(spec)
         with pytest.raises(InvalidGraft):
             check_graft_monotone_Q(spec)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the distance solves of the graft checks, from a cold pair cache."""
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return graphs.distances(adj)
+
+    transforms._pair_distances.cache_clear()
+    monkeypatch.setattr(transforms, "distances", counted)
+    yield calls
+    transforms._pair_distances.cache_clear()
+
+
+def fresh_radii(spec, sign):
+    """Radii of the (k, l) and the (k+1, l-1) graft, built and solved anew."""
+    pair = [apply_graft(spec),
+            apply_graft(GraftSpec(spec.base, spec.kind, tuple(spec.anchors),
+                                  spec.k + 1, spec.l - 1))]
+    return radii(pair, sign)
+
+
+def test_graft_checks_share_one_solve(solves):
+    # L then Q on one spec: one distance solve of the two-graft pair, and
+    # both verdicts equal, bit for bit, radii() of freshly built grafts
+    specs = [vertex_spec(fam("Cycle", 4), 0, 3, 2),
+             twins_spec(fam("Complete", 3), 0, 1, 2, 2),
+             vertex_spec(fam("Path", 50), 10, 7, 3)]
+    for count, spec in enumerate(specs, 1):
+        vl, vq = check_graft_monotone_L(spec), check_graft_monotone_Q(spec)
+        assert solves == [2] * count
+        assert [vl.bound_value, vl.observed] == fresh_radii(spec, -1)
+        assert [vq.bound_value, vq.observed] == fresh_radii(spec, 1)
+
+
+def test_graft_specs_share_only_when_equal(solves):
+    cycle, path = fam("Cycle", 5), fam("Path", 5)
+    specs = [vertex_spec(cycle, 0, 2, 2), vertex_spec(path, 0, 2, 2),
+             vertex_spec(path, 2, 2, 2)]  # differ in base, then in anchors
+    found = [(check_graft_monotone_L(s).observed, check_graft_monotone_Q(s).observed)
+             for s in specs]
+    assert len(solves) == 3
+    assert found == [(fresh_radii(s, -1)[1], fresh_radii(s, 1)[1]) for s in specs]
+    assert len(set(found)) == 3
+
+
+def test_graft_list_anchors(solves):
+    # anchors given as a list work, and share the solve of the tuple spec
+    base = fam("Complete", 4)
+    for kind, anchors in ((KIND_VERTEX, [1]), (KIND_TWINS, [0, 1])):
+        as_list = GraftSpec(base, kind, anchors, 3, 2)
+        as_tuple = GraftSpec(base, kind, tuple(anchors), 3, 2)
+        assert apply_graft(as_list) == apply_graft(as_tuple)
+        for check in (check_graft_monotone_L, check_graft_monotone_Q):
+            assert check(as_list) == check(as_tuple)
+    assert len(solves) == 2
 
 
 def test_delete_edge():
