@@ -309,10 +309,9 @@ def bound_L1_theorem42(s: OrderGroup, tol: float):
 
 @check("T5.1")
 def bound_L1_clique_lower(s: OrderGroup, tol: float):
-    """dl radius >= n + ceil(n/omega), the Turan-graph radius.
-
-    Not applicable when omega = n: the formula gives n+1 but the complete
-    graph's radius is n."""
+    """dl radius >= n + ceil(n/omega), met by every complete omega-partite
+    graph with largest part ceil(n/omega), Turan or not; not applicable when
+    omega = n, where the formula gives n+1 but K_n's radius is n."""
     n, obs, omega = s.n, s.dl[:, 0], _omega(s)
     bound = n + np.ceil(n / omega)
     return verdicts("T5.1", obs, flags(obs, ">=", bound, tol), bound,

@@ -213,31 +213,33 @@ def diagonals(stack: np.ndarray) -> np.ndarray:
 def distances(adj: np.ndarray) -> np.ndarray:
     """Hop distances of every graph in a (N, n, n) boolean adjacency stack,
     as int16, by Seidel's recursion (R. Seidel, JCSS 51 (1995)) in two
-    loops. Down: each level joins every pair at distance <= 2 in the level
-    below (level 0 is adj), until the whole stack is complete. Level k joins
-    the pairs at distance <= 2^k, so a stack still incomplete at level
-    (n - 1).bit_length() holds a disconnected graph: DisconnectedGraph. Up:
-    the distances D' of a level give those D of the level below, D = 2D' or
-    2D' - 1, odd exactly where (D' A)[i, j] < D'[i, j] deg(j), that is where
-    (D' M)[i, j] < 0 for M = A - Diag(deg), deg the diagonal of A A.
+    loops. Down: level k holds A + I, A joining the pairs at distance
+    <= 2^k (level 0: adj); (A + I)^2 is positive exactly at the pairs at
+    distance <= 2, so the level above is min((A + I)^2, 1), until one has
+    no zero left. A stack still incomplete at level (n - 1).bit_length()
+    holds a disconnected graph: DisconnectedGraph. Up: the distances D' of
+    a level give those D of the level below, D = 2D' or 2D' - 1, odd
+    exactly where (D' A)[i, j] < D'[i, j] deg(j), that is where
+    (D' M)[i, j] < 0 for M = A - Diag(deg): each level's buffer takes its
+    M once squared, deg + 1 being the diagonal of (A + I)^2.
 
     Both loops run in float32 buffers allocated once for BLAS, exact as no
-    entry exceeds n (n - 1) < 2^24; the result is cast to int16 at the end."""
+    entry exceeds n (n - 1) < 2^24; the result is cast to int16 at the end.
+    Diagonals are written by assignment, as numpy 2.4.6 miscomputes some
+    ufuncs into a strided out=."""
     count, n = adj.shape[:2]
     top = max(1, (n - 1).bit_length())
-    # level k's adjacency A, which becomes its M once squared
     level = np.empty((top + 1, count, n, n), dtype=np.float32)
     dist, work = np.empty((2, count, n, n), dtype=np.float32)
-    joined, step = adj.copy(), np.empty(adj.shape, dtype=bool)
+    step = np.empty(adj.shape, dtype=bool)
     level[0] = adj
+    diagonals(level[0])[:] = 1
     for k in range(top):
         np.matmul(level[k], level[k], out=work)
-        np.negative(diagonals(work), out=diagonals(level[k]))
-        joined |= np.greater(work, 0, out=step)
-        diagonals(joined)[:] = False
-        if np.count_nonzero(joined) == count * n * (n - 1):
+        diagonals(level[k])[:] = 1 - diagonals(work)
+        np.minimum(work, 1, out=level[k + 1])
+        if work.min() > 0:
             break
-        level[k + 1] = joined
     else:
         raise DisconnectedGraph("distances require a connected graph")
     # distance 1 on the complete level k + 1 gives 2 - A on level k
@@ -443,34 +445,6 @@ def is_isomorphic(a: Graph, b: Graph, limit: int = CANONICAL_LIMIT) -> bool:
 # exhaustive enumeration of connected graphs up to isomorphism
 
 
-# edge bits per orbit table: at n = 7, five tables of at most 32 rows
-ORBIT_BITS = 5
-
-
-def _orbit_tables(n: int) -> list[np.ndarray]:
-    """Orbit lookup tables: row v of table c holds, for every permutation of
-    the vertices, the image of the edge mask whose ORBIT_BITS-bit chunk c
-    is v and whose other bits are 0; OR-ing one row per chunk gives a
-    mask's orbit."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    # bit[a, b]: the mask bit of the edge {a, b}, for both orders of its ends
-    j, i = _colex_ends(n)
-    bit = np.zeros((n, n), dtype=np.uint32)
-    bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(len(i), dtype=np.uint32)
-    tables = []
-    for c in range(0, len(i), ORBIT_BITS):
-        # the bit of each chunk edge's image under each permutation
-        e = slice(c, c + ORBIT_BITS)
-        chunk = bit[perms[:, i[e]], perms[:, j[e]]].T
-        # doubling: rows 2^b .. 2^(b+1) - 1 are rows 0 .. 2^b - 1 with the
-        # image of edge c + b added
-        table = np.zeros((1 << len(chunk), len(perms)), dtype=np.uint32)
-        for b, bits in enumerate(chunk):
-            np.bitwise_or(table[:1 << b], bits, out=table[1 << b:2 << b])
-        tables.append(table)
-    return tables
-
-
 def _orbit_minima(n: int) -> np.ndarray:
     """The minimum edge mask (colex order) of every isomorphism class of
     graphs on n vertices, ascending.
@@ -490,7 +464,13 @@ def _orbit_minima(n: int) -> np.ndarray:
     for b in range(edges):
         np.add(count[:1 << b], 1, out=count[1 << b:2 << b])
     seen = np.greater(count, edges // 2, out=count.view(bool))
-    tables = _orbit_tables(n)
+    # images[e, p]: the mask bit of edge e's image under permutation p; a
+    # mask's orbit is the OR of the rows of its set bits (mask 0's is 0)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    j, i = _colex_ends(n)
+    bit = np.zeros((n, n), dtype=np.uint32)
+    bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(edges, dtype=np.uint32)
+    images = bit[perms[:, i], perms[:, j]].T
     minima = []
     m = 0
     while m < seen.size:
@@ -500,9 +480,10 @@ def _orbit_minima(n: int) -> np.ndarray:
             m += 4096
             continue
         m += k
-        orbit = np.uint32(0)
-        for c, tab in enumerate(tables):
-            orbit = orbit | tab[(m >> (ORBIT_BITS * c)) & ((1 << ORBIT_BITS) - 1)]
+        orbit = np.zeros(len(perms), dtype=np.uint32)
+        for b in range(m.bit_length()):
+            if m >> b & 1:
+                orbit |= images[b]
         seen[orbit] = True
         minima.append(m)
         if 2 * m.bit_count() < edges:

@@ -308,14 +308,15 @@ def test_orbit_minima_against_relabelling():
 
 def test_orbit_minima_memory_bounded():
     # n = 7: the 2 MB bitmap of the 2^21 masks, which first holds their
-    # bit counts, and the 5-bit orbit tables over the 5,040 permutations
+    # bit counts, and the 423 KB table of the 21 edges' images under the
+    # 5,040 permutations
     tracemalloc.start()
     try:
         _orbit_minima(7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 3.5e6
 
 
 def test_enumerate_limits():

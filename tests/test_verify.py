@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -138,6 +139,35 @@ def test_scan_theorem32_census():
             canonical_form(fam("CompleteMinusMatching", 5, 2))}
     got = {canonical_form(from_graph6(w)) for w in r.equality_witnesses}
     assert got == want
+
+
+def equality_classes(n):
+    """The paper's equality graphs of order n, by id, for the ids that
+    characterise theirs: each class built from its family."""
+    minus = [("CompleteMinusMatching", n, k) for k in range(1, n // 2 + 1) if n >= 3]
+    # T4.1 and L4.2 apply from n = 4 on
+    clique = [("Complete", n), ("CompleteMinusMatching", n, 1)] * (n >= 4)
+    # T5.1: complete omega-partite graphs whose largest part is ceil(n/omega)
+    multipartite = [("CompleteMultipartite", *parts)
+                    for omega in range(2, n)
+                    for parts in itertools.combinations_with_replacement(
+                        range(-(-n // omega), 0, -1), omega)
+                    if sum(parts) == n and parts[0] == -(-n // omega)]
+    return {"T3.2": [("Complete", n)] + minus, "T4.1": clique, "L4.2": clique,
+            "T5.1": multipartite,
+            "T5.2": [("KiteClique", n, omega) for omega in range(2, n + 1)],
+            "T6.2": [("Star", n)] * (n >= 4), "T7.1": [("Kite3", n)] * (n >= 6)}
+
+
+def test_equality_witnesses_are_the_paper_classes():
+    # each id's witnesses at n = 2..7 are its classes, none missing and
+    # none extra, one witness a class
+    for n in range(2, 8):
+        classes = equality_classes(n)
+        for r in scan_many(classes, n):
+            got = [canonical_form(from_graph6(w)) for w in r.equality_witnesses]
+            want = {canonical_form(fam(*spec)) for spec in classes[r.theorem_id]}
+            assert sorted(got) == sorted(want), (r.theorem_id, n)
 
 
 def test_scan_unknown_theorem():
