@@ -21,7 +21,7 @@ from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
 from .graphs import Graph, adjacency_keys, connected, is_connected
 from .spectra import OrderGroup, StackedProfiles, distance_spectra, radii, slices
-from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, flags, verdicts
+from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdicts
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
                "T6.1", "T6.2", "T6.3", "C6.1", "T6.4", "T7.1")
@@ -343,12 +343,13 @@ def bound_Q1_diameter(s: OrderGroup, tol: float):
     n, d, obs = s.n, s.diam, s.dq[:, 0]
     bound = 2 * n - 4 + 2 * d
     second = d * (n + 2) / 2.0
-    holds = (obs - bound > SLACK) & ((d < 4) | (obs - second > SLACK))
+    holds, _, equality = flags(obs, ">", bound, tol)
+    holds = holds & ((d < 4) | flags(obs, ">", second, tol)[0])
 
     def witness(r):
         return {"diam": int(d[r]), "bound_2n_4_2d": float(bound[r]),
                 "bound_d_n2_half": float(second[r]) if d[r] >= 4 else None}
-    return verdicts("T6.1", obs, (holds, holds, abs(obs - bound) <= tol), bound,
+    return verdicts("T6.1", obs, (holds, holds, equality), bound,
                     witness, d >= 3, lambda r: {"diam": int(d[r])})
 
 
@@ -419,9 +420,10 @@ def check_lemma41(s: OrderGroup, tol: float):
     """All dl eigenvalues except the last are >= n (n >= 3), the last is 0."""
     n, vals = s.n, s.dl
     obs = vals[:, n - 2]
-    holds = (obs >= n - SLACK) & (abs(vals[:, -1]) <= tol)
-    return verdicts("L4.1", obs, (holds, obs - n > SLACK, abs(obs - n) <= tol),
-                    float(n), lambda r: {"smallest": float(vals[r, -1])},
+    holds, strict, equality = flags(obs, ">=", n, tol)
+    holds = holds & (abs(vals[:, -1]) <= tol)
+    return verdicts("L4.1", obs, (holds, strict, equality), float(n),
+                    lambda r: {"smallest": float(vals[r, -1])},
                     n >= 3, lambda r: {"n": n}, hide=True)
 
 
@@ -433,10 +435,9 @@ def check_lemma42(s: OrderGroup, tol: float):
         return verdicts("L4.2", np.zeros(len(s.ks)), (True, True, True), 0.0,
                         lambda r: {"n": n}, False)
     obs = s.dl[:, 1]
-    eq = abs(obs - n) <= tol
+    holds, strict, eq = flags(obs, ">=", n, tol)
     structural = n * (n - 1) // 2 - s.m <= 1
-    return verdicts("L4.2", obs, ((obs >= n - SLACK) & (eq == structural),
-                                  obs - n > SLACK, eq), float(n),
+    return verdicts("L4.2", obs, (holds & (eq == structural), strict, eq), float(n),
                     lambda r: {"is_Kn_or_Kn_minus_e": bool(structural[r])})
 
 
@@ -514,8 +515,9 @@ def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
         c.facts.update(_deletion_gaps(c, sorted({sign, *c.facts.get("signs", ())})))
     kept, gap = c.facts[name]
     kept, gap = kept[s.ks], gap[s.ks]
-    return verdicts(theorem_id, gap, (gap >= -1e-9, gap > SLACK, abs(gap) <= tol),
-                    0.0, lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
+    _, strict, equality = flags(gap, ">=", 0.0, tol)
+    return verdicts(theorem_id, gap, (gap >= -1e-9, strict, equality), 0.0,
+                    lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
                     hide=True)
 
 

@@ -10,15 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidGraft, NoSuchEdge
-from .graphs import (MAX_ORDER, Graph, adjacency_stack, distances, from_edges,
-                     is_connected, pendant_path)
-from .linalg import eigenvalues_stacked
-from .spectra import transmission_stack
-from .verdict import (EQUALITY_TOL, SLACK, BoundVerdict, not_applicable,
-                      verdict)
+from .graphs import (MAX_ORDER, Graph, adjacency_stack, from_edges, is_connected,
+                     pendant_path)
+from .spectra import distance_spectra
+from .verdict import EQUALITY_TOL, BoundVerdict, flags, not_applicable, verdict
 
 KIND_VERTEX = "TwoPathsAtVertex"
 KIND_TWINS = "TwoPathsAtTwins"
@@ -69,26 +65,23 @@ def apply_graft(spec: GraftSpec) -> Graph:
                       + pendant_path(spec.anchors[-1], n + spec.k, spec.l))
 
 
-def _compare_radii(spec: GraftSpec, sign: int) -> list[float]:
+def _compare_radii(spec: GraftSpec, sign: int) -> tuple[float, float]:
     """Radii of Tr - D (sign -1) or Tr + D (sign +1) of the (k, l) and the
-    (k+1, l-1) graft, from the pair's shared distances; equal bit for bit
-    to radii() on the two grafts."""
+    (k+1, l-1) graft; equal bit for bit to radii() on the two grafts."""
     if spec.l < 2:
         raise InvalidGraft("monotonicity comparison needs k >= l >= 2")
     # an invalid spec raises as it always did, before it is hashed as a key
     _validate(spec)
-    dist = _pair_distances(replace(spec, anchors=tuple(spec.anchors)))
-    return eigenvalues_stacked(transmission_stack(dist, sign))[:, 0].tolist()
+    return _pair_radii(replace(spec, anchors=tuple(spec.anchors)))[sign > 0]
 
 
 @lru_cache(maxsize=8)
-def _pair_distances(spec: GraftSpec) -> np.ndarray:
-    """Read-only int16 distances (2, n, n) of the (k, l) and the (k+1, l-1)
-    graft of a valid spec, solved once for the L and the Q comparison."""
+def _pair_radii(spec: GraftSpec) -> tuple[tuple[float, float], ...]:
+    """(dl, dq) radii of the (k, l) and the (k+1, l-1) graft of a valid
+    spec, from one distance_spectra call shared by the L and the Q check."""
     pair = [apply_graft(spec), apply_graft(replace(spec, k=spec.k + 1, l=spec.l - 1))]
-    dist = distances(adjacency_stack(pair))
-    dist.flags.writeable = False
-    return dist
+    _, rows = distance_spectra(adjacency_stack(pair), (-1, 1))
+    return tuple(tuple(r[:, 0].tolist()) for r in rows)
 
 
 def _is_degenerate(spec: GraftSpec) -> bool:
@@ -112,13 +105,10 @@ def check_graft_monotone_L(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundV
     if spec.kind == KIND_TWINS and _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,
                               witness=_witness(spec, a, b))
-    holds = b >= a - SLACK
-    strict = spec.l == 2 and not _is_degenerate(spec) and b - a > SLACK
-    if spec.l == 2 and not _is_degenerate(spec):
-        holds = holds and strict
-    return BoundVerdict(theorem_id, a, b, holds=holds, strict=strict,
-                        equality=abs(b - a) <= tol,
-                        witness=_witness(spec, a, b))
+    claim = spec.l == 2 and not _is_degenerate(spec)
+    holds, strict, equality = flags(b, ">" if claim else ">=", a, tol)
+    return BoundVerdict(theorem_id, a, b, holds=holds, strict=claim and strict,
+                        equality=equality, witness=_witness(spec, a, b))
 
 
 def check_graft_monotone_Q(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundVerdict:

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from distlap import graphs, transforms
+from distlap import spectra, transforms
 from distlap import (
     GraftSpec,
     InvalidGraft,
@@ -12,6 +14,7 @@ from distlap import (
     check_graft_monotone_L,
     check_graft_monotone_Q,
     delete_edge,
+    enumerate_connected,
     family_spec,
     from_edges,
     is_connected,
@@ -135,17 +138,17 @@ def test_graft_rejects_disconnected_base():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Count the distance solves of the graft checks, from a cold pair cache."""
+    """Count the pair solves of the graft checks, from a cold pair cache."""
     calls = []
 
-    def counted(adj):
+    def counted(adj, signs):
         calls.append(len(adj))
-        return graphs.distances(adj)
+        return spectra.distance_spectra(adj, signs)
 
-    transforms._pair_distances.cache_clear()
-    monkeypatch.setattr(transforms, "distances", counted)
+    transforms._pair_radii.cache_clear()
+    monkeypatch.setattr(transforms, "distance_spectra", counted)
     yield calls
-    transforms._pair_distances.cache_clear()
+    transforms._pair_radii.cache_clear()
 
 
 def fresh_radii(spec, sign):
@@ -157,7 +160,7 @@ def fresh_radii(spec, sign):
 
 
 def test_graft_checks_share_one_solve(solves):
-    # L then Q on one spec: one distance solve of the two-graft pair, and
+    # L then Q on one spec: one solve of the two-graft pair, and
     # both verdicts equal, bit for bit, radii() of freshly built grafts
     specs = [vertex_spec(fam("Cycle", 4), 0, 3, 2),
              twins_spec(fam("Complete", 3), 0, 1, 2, 2),
@@ -190,6 +193,47 @@ def test_graft_list_anchors(solves):
         for check in (check_graft_monotone_L, check_graft_monotone_Q):
             assert check(as_list) == check(as_tuple)
     assert len(solves) == 2
+
+
+def census_specs():
+    """Every graft spec on a connected base of order <= 5: each vertex
+    anchor and each adjacent twin pair, 2 <= l <= k, n + k + l <= 14."""
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            twins = [(u, v) for u, v in g.edges()
+                     if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)]
+            for kind, anchors in ((KIND_VERTEX, [(a,) for a in range(n)]),
+                                  (KIND_TWINS, twins)):
+                for anchor in anchors:
+                    for l in range(2, 7):
+                        for k in range(l, 15 - n - l):
+                            yield GraftSpec(g, kind, anchor, k, l)
+
+
+def test_graft_census_order_14():
+    # (verdicts, applicable, holds, strict, equality) per id, and the least
+    # rise observed - bound on non-degenerate bases at l = 2 and at l >= 3
+    counts, rise = {}, {}
+    for spec in census_specs():
+        degenerate = spec.base.n < (2 if spec.kind == KIND_VERTEX else 3)
+        for v in (check_graft_monotone_L(spec), check_graft_monotone_Q(spec)):
+            row = counts.setdefault(v.theorem_id, [0] * 5)
+            for col, flag in enumerate((True, v.applicable, v.holds, v.strict,
+                                        v.equality)):
+                row[col] += flag
+            if not degenerate:
+                key = v.theorem_id, spec.l == 2
+                rise[key] = min(rise.get(key, math.inf), v.observed - v.bound_value)
+    assert counts == {"L7.1": [1844, 1814, 1844, 1844, 30],
+                      "L7.2": [513, 488, 513, 513, 25],
+                      "T5.3": [513, 488, 513, 255, 25],
+                      "T5.4": [1844, 1844, 1844, 864, 30]}  # no violation
+    least = {("T5.3", True): 0.568682, ("T5.3", False): 0.205808,
+             ("T5.4", True): 1.107455, ("T5.4", False): 0.208088,
+             ("L7.1", True): 0.633809, ("L7.1", False): 0.164076,
+             ("L7.2", True): 0.397458, ("L7.2", False): 0.154868}
+    assert rise.keys() == least.keys()
+    assert all(abs(rise[key] - least[key]) < 1e-6 for key in least)
 
 
 def test_delete_edge():

@@ -131,16 +131,6 @@ def test_scan_native_corpus():
     )
 
 
-def test_scan_theorem32_census():
-    r = scan("T3.2", 5)
-    assert r.passed
-    want = {canonical_form(fam("Complete", 5)),
-            canonical_form(fam("CompleteMinusMatching", 5, 1)),
-            canonical_form(fam("CompleteMinusMatching", 5, 2))}
-    got = {canonical_form(from_graph6(w)) for w in r.equality_witnesses}
-    assert got == want
-
-
 def equality_classes(n):
     """The paper's equality graphs of order n, by id, for the ids that
     characterise theirs: each class built from its family."""
@@ -165,6 +155,7 @@ def test_equality_witnesses_are_the_paper_classes():
     for n in range(2, 8):
         classes = equality_classes(n)
         for r in scan_many(classes, n):
+            assert r.passed, (r.theorem_id, n)
             got = [canonical_form(from_graph6(w)) for w in r.equality_witnesses]
             want = {canonical_form(fam(*spec)) for spec in classes[r.theorem_id]}
             assert sorted(got) == sorted(want), (r.theorem_id, n)
