@@ -20,8 +20,8 @@ from .spectra import adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
-from .verify import SCAN_IDS, emit_report, evaluate, scan_reports, \
-    table1_regression
+from .verify import SCAN_IDS, _fmt, _verdict_line, emit_report, evaluate, \
+    scan_reports, table1_regression
 
 _MATRICES = {
     "D": distance_matrix,
@@ -36,14 +36,6 @@ EXIT_CLOSED = 141
 
 _EPILOG = (f"theorem ids: {' '.join(SCAN_IDS)} (bounds --check all: "
            f"the first {len(THEOREM_IDS)})")
-
-
-def _fmt(x: float, precise: bool) -> str:
-    if precise:
-        return f"{x:.12g}"
-    # a value that rounds to zero prints unsigned, never as -0.0000
-    text = f"{x:.4f}"
-    return "0.0000" if text == "-0.0000" else text
 
 
 def _input_graphs(args, connected: bool = True):
@@ -68,12 +60,6 @@ def _input_graphs(args, connected: bool = True):
                 yield text, g
         except CorpusError as exc:
             raise CorpusError(f"{args.file} {exc}") from exc
-
-
-def _verdict_line(v, precise: bool) -> str:
-    return (f"{v.theorem_id} bound={_fmt(v.bound_value, precise)} "
-            f"observed={_fmt(v.observed, precise)} holds={v.holds} "
-            f"strict={v.strict} equality={v.equality} applicable={v.applicable}")
 
 
 def _cmd_spectrum(args) -> int:
@@ -148,39 +134,25 @@ def _cmd_graft(args) -> int:
     return 1 if any(v.applicable and not v.holds for v in found) else 0
 
 
-def _emit(report, fmt: str, precise: bool) -> None:
-    if fmt in ("json", "csv"):
-        sys.stdout.buffer.write(emit_report(report, fmt))
+def _emit(reports, args) -> int:
+    """Write each report as soon as it comes; 1 when any has a violation."""
+    bad = False
+    for r in reports:
+        sys.stdout.buffer.write(emit_report(r, args.format, args.precise))
         sys.stdout.buffer.flush()
-        return
-    print(f"{report.theorem_id} corpus={report.corpus} "
-          f"checked={report.graphs_checked} skipped={report.skipped} "
-          f"violations={len(report.violations)} "
-          f"equality_witnesses={len(report.equality_witnesses)}")
-    for g6, v in report.violations:
-        print(f"  VIOLATION {g6} " + _verdict_line(v, precise))
-    for n, kite, tstar, ok in report.rows:
-        print(f"  n={n} kite={_fmt(kite, precise)} tstar={_fmt(tstar, precise)} "
-              f"pass={ok}")
-    sys.stdout.flush()
+        bad |= bool(r.violations)
+    return 1 if bad else 0
 
 
 def _cmd_scan(args) -> int:
     ids = SCAN_IDS if "all" in args.check else tuple(args.check)
     corpus = args.n if args.n is not None else args.file
-    # each report prints as soon as its id is decided
-    bad = False
-    for r in scan_reports(ids, corpus, fail_fast=args.fail_fast,
-                          tolerance=args.tolerance):
-        _emit(r, args.format, args.precise)
-        bad |= bool(r.violations)
-    return 1 if bad else 0
+    return _emit(scan_reports(ids, corpus, fail_fast=args.fail_fast,
+                              tolerance=args.tolerance), args)
 
 
 def _cmd_table1(args) -> int:
-    r = table1_regression()
-    _emit(r, args.format, args.precise)
-    return 0 if all(ok for *_, ok in r.rows) else 1
+    return _emit([table1_regression()], args)
 
 
 def _tolerance(text: str) -> float:

@@ -5,8 +5,9 @@ to path junction, branch vertex, cycle vertex carrying the longer path) so
 snapshots and cross-module comparisons are reproducible.
 
 FAMILIES declares each kind once, with its CLI name and its builder; a
-builder runs the family's only parameter checks and returns (n, edges), the
-quadratic edge sets as generators, so checking costs no edge list.
+builder runs the family's only parameter checks and returns (n, edges), every
+edge set lazy, so checking costs no edge list and an over-order member is
+refused before any edge is read.
 CLOSED_FORMS holds the known formulas by (kind, quantity); closed_form runs
 the builder's checks first, so it rejects exactly what build rejects.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 
 from .errors import InvalidParams, UnsupportedQuantity
 from .graphs import Graph, from_edges, pendant_path
@@ -52,12 +54,12 @@ def _need(cond: bool, msg: str):
 
 def _path(n: int):
     _need(n >= 1, "path needs n >= 1")
-    return n, [(i, i + 1) for i in range(n - 1)]
+    return n, pendant_path(0, 1, n - 1)
 
 
 def _cycle(n: int):
     _need(n >= 3, "cycle needs n >= 3")
-    return n, [(i, (i + 1) % n) for i in range(n)]
+    return n, ((i, (i + 1) % n) for i in range(n))
 
 
 def _complete(n: int):
@@ -67,29 +69,31 @@ def _complete(n: int):
 
 def _star(n: int):
     _need(n >= 2, "star needs n >= 2")
-    return n, [(0, i) for i in range(1, n)]
+    return n, ((0, i) for i in range(1, n))
 
 
 def _star_plus(n: int):
     # star with one extra edge between two leaves; triangle is {0,1,2}
     _need(n >= 3, "star plus edge needs n >= 3")
-    return n, [(0, i) for i in range(1, n)] + [(1, 2)]
+    return n, chain(_star(n)[1], [(1, 2)])
 
 
 def _complete_minus_matching(n: int, k: int):
     # K_2 minus its edge would be two isolated vertices
     _need(n >= 3, "complete minus matching needs n >= 3")
     _need(1 <= k <= n // 2, "need 1 <= k <= n/2")
-    removed = {(2 * i, 2 * i + 1) for i in range(k)}
-    return n, ((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in removed)
+    # drop the matching (0, 1), (2, 3), ..., (2k - 2, 2k - 1)
+    return n, ((i, j) for i in range(n) for j in range(i + 1, n)
+               if j > i + 1 or i % 2 or i >= 2 * k)
 
 
 def _complete_multipartite(*parts: int):
     _need(len(parts) >= 2 and all(p >= 1 for p in parts),
           "need at least two parts, all nonempty")
-    label = [idx for idx, p in enumerate(parts) for _ in range(p)]
-    n = len(label)
-    return n, ((i, j) for i in range(n) for j in range(i + 1, n) if label[i] != label[j])
+    # each part is a block of consecutive vertices, joined to every later block
+    starts = list(accumulate(parts, initial=0))
+    return starts[-1], ((i, j) for a, b in pairwise(starts)
+                        for i in range(a, b) for j in range(b, starts[-1]))
 
 
 def turan_parts(n: int, omega: int) -> tuple[int, ...]:
@@ -102,8 +106,7 @@ def turan_parts(n: int, omega: int) -> tuple[int, ...]:
 def _kite_clique(n: int, omega: int):
     # clique on {0..omega-1} with the path hung off vertex 0
     _need(2 <= omega <= n, "need 2 <= omega <= n")
-    edges = [(i, j) for i in range(omega) for j in range(i + 1, omega)]
-    return n, edges + pendant_path(0, omega, n - omega)
+    return n, chain(_complete(omega)[1], pendant_path(0, omega, n - omega))
 
 
 def _kite3(n: int):
@@ -114,12 +117,8 @@ def _kite3(n: int):
 def _t_shape(n1: int, n2: int, n3: int):
     # branch vertex 0 with three pendant paths of n1, n2, n3 vertices
     _need(n1 >= 0 and n2 >= 0 and n3 >= 0, "leg lengths must be nonnegative")
-    edges = []
-    nxt = 1
-    for leg in (n1, n2, n3):
-        edges += pendant_path(0, nxt, leg)
-        nxt += leg
-    return nxt, edges
+    return 1 + n1 + n2 + n3, chain(pendant_path(0, 1, n1), pendant_path(0, 1 + n1, n2),
+                                   pendant_path(0, 1 + n1 + n2, n3))
 
 
 def _t_star(n: int):
@@ -134,9 +133,8 @@ def _u_graph(n1: int, n2: int, chord: tuple[int, int]):
     C4; the chord w1w2 (1, 3) gives U3, the triangle {w1, u1, w2}
     carrying the v-path at w1 and the u-path at u1."""
     _need(n1 >= n2 >= 2, "need n1 >= n2 >= 2")
-    edges = [(0, 1), (1, 2), (2, 3), chord]
-    edges += pendant_path(0, 4, n1 - 1) + pendant_path(2, 3 + n1, n2 - 1)
-    return n1 + n2 + 2, edges
+    return n1 + n2 + 2, chain([(0, 1), (1, 2), (2, 3), chord], pendant_path(0, 4, n1 - 1),
+                              pendant_path(2, 3 + n1, n2 - 1))
 
 
 # kind -> (CLI name, builder); the one list of family kinds

@@ -8,6 +8,7 @@ order (0,1), (0,2), (1,2), (0,3), ... which is also the graph6 bit order.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -98,7 +99,9 @@ def _first_fault(n: int, adj) -> int:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Build a Graph from an iterable of vertex pairs."""
+    """Build a Graph from an iterable of vertex pairs, checking the order first."""
+    if not 1 <= n <= MAX_ORDER:
+        raise UnsupportedOrder(f"order {n} outside 1..{MAX_ORDER}")
     rows = [0] * n
     for i, j in edges:
         if i == j:
@@ -110,11 +113,11 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def pendant_path(anchor: int, first: int, count: int) -> list[tuple[int, int]]:
+def pendant_path(anchor: int, first: int, count: int) -> Iterator[tuple[int, int]]:
     """Edges of a path of count new vertices first, first + 1, ... hung off
-    anchor (no edges when count is 0)."""
-    ends = [anchor, *range(first, first + count)]
-    return list(zip(ends, ends[1:]))
+    anchor (no edges when count is 0), as an iterator."""
+    new = range(first, first + count)
+    return zip(itertools.chain((anchor,), new), new)
 
 
 def complement(g: Graph) -> Graph:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 from .errors import InvalidGraft, NoSuchEdge
 from .graphs import (MAX_ORDER, Graph, adjacency_stack, from_edges, is_connected,
@@ -61,8 +62,8 @@ def apply_graft(spec: GraftSpec) -> Graph:
     _validate(spec)
     n = spec.base.n
     return from_edges(n + spec.k + spec.l,
-                      spec.base.edges() + pendant_path(spec.anchors[0], n, spec.k)
-                      + pendant_path(spec.anchors[-1], n + spec.k, spec.l))
+                      chain(spec.base.edges(), pendant_path(spec.anchors[0], n, spec.k),
+                            pendant_path(spec.anchors[-1], n + spec.k, spec.l)))
 
 
 def _compare_radii(spec: GraftSpec, sign: int) -> tuple[float, float]:

@@ -7,15 +7,14 @@ evaluated once per order group when its report is due, and the clique
 search and the single-edge deletion solves run at the first id that reads
 them. An id's hits (applicable equalities and failures) are put back in
 the corpus's order, and BoundVerdicts, witnesses and graph6 strings are
-built only for the graphs a report names. Reports intentionally exclude
-wall time from the emitted form to keep runs byte-comparable.
+built only for the graphs a report names. emit_report writes every
+report format: text, JSON and CSV.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-import time
 from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -49,15 +48,17 @@ class ScanReport:
     graphs_checked: int
     skipped: int
     violations: list[tuple[str, BoundVerdict]]
-    equality_witnesses: list[str]
-    wall_time: float
+    witnesses: list[tuple[str, BoundVerdict]]
     tolerance: float
-    witness_verdicts: list[BoundVerdict] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def equality_witnesses(self) -> list[str]:
+        return [g6 for g6, _ in self.witnesses]
 
 
 def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
@@ -106,7 +107,6 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
     own first violation in corpus order."""
     ids = list(theorem_ids)
     require_known(ids)
-    t0 = time.perf_counter()
     desc, graphs, skipped = _load_corpus(corpus)
     profiles = _stack(graphs, ids)
 
@@ -124,17 +124,14 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
                 hits, checked = hits[:bad[0] + 1], hits[bad[0]][0] + 1
             names.update({k: to_graph6(graphs[k]) for k, _, _ in hits if k not in names})
             named = [(names[k], v.verdict(row)) for k, v, row in hits]
-            witnesses = [(g6, v) for g6, v in named if v.equality]
             yield ScanReport(
                 theorem_id=tid,
                 corpus=desc,
                 graphs_checked=checked,
                 skipped=skipped,
                 violations=[(g6, v) for g6, v in named if not v.holds],
-                equality_witnesses=[g6 for g6, _ in witnesses],
-                wall_time=time.perf_counter() - t0,
+                witnesses=[(g6, v) for g6, v in named if v.equality],
                 tolerance=tolerance,
-                witness_verdicts=[v for _, v in witnesses],
             )
     return reports()
 
@@ -161,7 +158,6 @@ def _kite_tstar_radii(n: int) -> list[float]:
 def table1_regression() -> ScanReport:
     """Recompute the reference kite and T* dq radii for n = 7..13 and check
     each against its 4-decimal table value, plus kite > T* per row."""
-    t0 = time.perf_counter()
     rows = []
     violations = []
     for n in sorted(TABLE1_KITE):
@@ -189,8 +185,7 @@ def table1_regression() -> ScanReport:
         graphs_checked=2 * len(rows),
         skipped=0,
         violations=violations,
-        equality_witnesses=[],
-        wall_time=time.perf_counter() - t0,
+        witnesses=[],
         tolerance=TABLE1_TOL,
         rows=rows,
     )
@@ -267,8 +262,18 @@ def check_lemma74(n1: int, n2: int) -> BoundVerdict:
 # report emission
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x: float, precise: bool) -> str:
+    if precise:
+        return f"{x:.12g}"
+    # a value that rounds to zero prints unsigned, never as -0.0000
+    text = f"{x:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
+def _verdict_line(v, precise: bool) -> str:
+    return (f"{v.theorem_id} bound={_fmt(v.bound_value, precise)} "
+            f"observed={_fmt(v.observed, precise)} holds={v.holds} "
+            f"strict={v.strict} equality={v.equality} applicable={v.applicable}")
 
 
 def _json_value(v) -> str:
@@ -281,7 +286,7 @@ def _json_value(v) -> str:
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"non-finite float {v!r} has no JSON form")
-        return _fmt_float(v)
+        return _fmt(v, True)
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (list, tuple)):
@@ -292,9 +297,19 @@ def _json_value(v) -> str:
     raise TypeError(f"unserializable value {v!r}")
 
 
-def emit_report(r: ScanReport, format: str = "json") -> bytes:
-    """Serialize a report with stable key order and 12-significant-digit
-    floats; wall time is deliberately left out to keep runs byte-comparable."""
+def emit_report(r: ScanReport, format: str = "json", precise: bool = False) -> bytes:
+    """Serialize a report: text with 4-decimal floats (12 significant digits
+    when precise) as UTF-8, a path's undecodable bytes written back as read;
+    JSON and CSV as ASCII, keys in a stable order, 12-significant-digit floats."""
+    if format == "text":
+        lines = [f"{r.theorem_id} corpus={r.corpus} checked={r.graphs_checked} "
+                 f"skipped={r.skipped} violations={len(r.violations)} "
+                 f"equality_witnesses={len(r.witnesses)}"]
+        lines += [f"  VIOLATION {g6} " + _verdict_line(v, precise)
+                  for g6, v in r.violations]
+        lines += [f"  n={n} kite={_fmt(kite, precise)} tstar={_fmt(tstar, precise)} "
+                  f"pass={ok}" for n, kite, tstar, ok in r.rows]
+        return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
     if format == "json":
         obj = {
             "theorem_id": r.theorem_id,
@@ -314,14 +329,13 @@ def emit_report(r: ScanReport, format: str = "json") -> bytes:
         if r.rows:
             lines = ["n,kite,tstar,pass"]
             for n, k, t, ok in r.rows:
-                lines.append(f"{n},{_fmt_float(k)},{_fmt_float(t)},"
+                lines.append(f"{n},{_fmt(k, True)},{_fmt(t, True)},"
                              f"{'true' if ok else 'false'}")
             return ("\n".join(lines) + "\n").encode("ascii")
         lines = ["theorem_id,graph6,bound,observed,holds,equality"]
-        for g6, v in [*r.violations,
-                      *zip(r.equality_witnesses, r.witness_verdicts)]:
-            lines.append(f"{v.theorem_id},{g6},{_fmt_float(v.bound_value)},"
-                         f"{_fmt_float(v.observed)},"
+        for g6, v in [*r.violations, *r.witnesses]:
+            lines.append(f"{v.theorem_id},{g6},{_fmt(v.bound_value, True)},"
+                         f"{_fmt(v.observed, True)},"
                          f"{'true' if v.holds else 'false'},"
                          f"{'true' if v.equality else 'false'}")
         return ("\n".join(lines) + "\n").encode("ascii")

@@ -11,8 +11,9 @@ import pytest
 from distlap import (CHECKS, CorpusError, StackedProfiles, UnknownTheorem, bounds,
                      build, emit_report, enumerate_connected, family_spec,
                      from_graph6, scan, scan_reports, to_graph6)
-from distlap.cli import _fmt, _verdict_line, run
+from distlap.cli import run
 from distlap.families import FAMILIES
+from distlap.verify import _fmt, _verdict_line
 
 
 def test_spectrum_family_kite():
@@ -70,6 +71,10 @@ def test_family_command(capsys):
     assert run(["family", "--family", "cycle:7", "--quantity", "QRadius"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "24.0000"
+    # an over-order member is an input error, refused before its edges
+    assert run(["family", "--family", "path:20000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: order 20000 outside 1..64\n"
 
 
 # one valid member of each family kind
@@ -403,6 +408,8 @@ def test_fmt_never_prints_negative_zero(capsys):
 @pytest.mark.parametrize("args", [
     ["bounds", "--family", "path:4", "--check", "all"],
     ["scan", "--check", "all", "--n", "6", "--format", "csv"],
+    ["scan", "--check", "all", "--n", "6"],
+    ["table1"],
 ])
 def test_closed_stdout_ends_quietly(args):
     # the reader is gone before the first byte is written, as with `| head`
@@ -444,6 +451,8 @@ class _ClosedStdout:
 @pytest.mark.parametrize("args", [
     ["bounds", "--family", "path:4", "--check", "all"],
     ["scan", "--check", "T6.3", "--n", "4", "--format", "json"],
+    ["scan", "--check", "all", "--n", "6"],
+    ["table1"],
 ])
 def test_run_returns_status_on_closed_stdout(args, monkeypatch, capsys):
     # an in-process caller of run() gets the exit status, not an exception

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 
 from distlap import (
     InvalidParams,
+    UnsupportedOrder,
     UnsupportedQuantity,
     build,
     canonical_form,
@@ -21,7 +23,7 @@ from distlap import (
     star_q_extremes,
     turan_parts,
 )
-from distlap.families import CLOSED_FORMS
+from distlap.families import CLOSED_FORMS, FAMILIES
 
 
 def fam(kind, *params):
@@ -61,6 +63,36 @@ def test_builder_param_errors():
             build(family_spec(kind, *params))
     with pytest.raises(InvalidParams):
         family_spec("Nope", 3)
+
+
+# a member of each kind of order about 20,000: an edge list that size
+# would take a few MB
+LARGE_MEMBERS = {
+    "Path": (20_000,), "Cycle": (20_000,), "Complete": (20_000,), "Star": (20_000,),
+    "StarPlus": (20_000,), "CompleteMinusMatching": (20_000, 10_000),
+    "CompleteMultipartite": (19_999, 1), "Turan": (20_000, 3), "KiteClique": (20_000, 4),
+    "Kite3": (20_000,), "TShape": (1, 2, 20_000), "TStar": (20_000,), "U4": (20_000, 2),
+    "U3": (20_000, 2),
+}
+
+
+def test_over_order_members_cost_no_edge_list():
+    # every builder's edge set is lazy and the order is checked before an
+    # edge is read, so a large member is refused, and a closed form
+    # evaluated, in constant memory
+    assert set(LARGE_MEMBERS) == set(FAMILIES)
+    tracemalloc.start()
+    try:
+        for kind, params in LARGE_MEMBERS.items():
+            tracemalloc.reset_peak()
+            with pytest.raises(UnsupportedOrder):
+                build(family_spec(kind, *params))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20, kind
+        tracemalloc.reset_peak()
+        assert closed_form(family_spec("Cycle", 10**5), "QRadius") == 5e9
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_multipartite_and_turan():

@@ -156,8 +156,7 @@ def test_scan_verdicts_equal_per_graph_checks(graphs):
         named = [(g6, v) for g6, v in zip(lines, seen)
                  if v.applicable and (v.equality or not v.holds)]
         assert r.violations == [(g6, v) for g6, v in named if not v.holds]
-        assert list(zip(r.equality_witnesses, r.witness_verdicts)) == [
-            (g6, v) for g6, v in named if v.equality]
+        assert r.witnesses == [(g6, v) for g6, v in named if v.equality]
 
 
 def stacked_verdicts(profiles, tid, tol=EQUALITY_TOL):

@@ -359,8 +359,7 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         named = [(g6, v) for g6, v in zip(lines, want[r.theorem_id])
                  if v.applicable and (v.equality or not v.holds)]
         assert r.violations == [(g6, v) for g6, v in named if not v.holds]
-        assert list(zip(r.equality_witnesses, r.witness_verdicts)) == [
-            (g6, v) for g6, v in named if v.equality]
+        assert r.witnesses == [(g6, v) for g6, v in named if v.equality]
 
 
 def test_stream_deletion_reports_pinned():
@@ -513,13 +512,23 @@ def test_emit_report_violation_serialization():
 
 
 def test_emit_report_csv_violations_before_witnesses():
-    # no pinned report has a violation, so the row order is checked here
-    bad = BoundVerdict("X0.1", 2.5, 1.0, holds=False, strict=False, equality=False)
+    # no pinned scan report has a violation, so the row order is checked
+    # here, with a corpus path that is not ASCII
+    bad = BoundVerdict("X0.1", 2.5, 1.0 / 3, holds=False, strict=False, equality=False)
     tight = BoundVerdict("X0.1", 4.0, 4.0, holds=True, strict=False, equality=True)
-    r = verify.ScanReport("X0.1", "stream", 2, 0, [("Bw", bad)], ["Bg"], 0.0,
-                          1e-7, witness_verdicts=[tight])
+    r = verify.ScanReport("X0.1", "file:/tmp/dönnées.g6", 2, 0, [("Bw", bad)],
+                          [("Bg", tight)], 1e-7)
+    assert r.equality_witnesses == ["Bg"]
     assert emit_report(r, format="csv").decode().splitlines()[1:] == [
-        "X0.1,Bw,2.5,1,false,false", "X0.1,Bg,4,4,true,true"]
+        "X0.1,Bw,2.5,0.333333333333,false,false", "X0.1,Bg,4,4,true,true"]
+    header = ("X0.1 corpus=file:/tmp/dönnées.g6 checked=2 skipped=0 "
+              "violations=1 equality_witnesses=1")
+    tail = "holds=False strict=False equality=False applicable=True"
+    assert emit_report(r, "text").decode("utf-8").splitlines() == [
+        header, f"  VIOLATION Bw X0.1 bound=2.5000 observed=0.3333 {tail}"]
+    assert emit_report(r, "text", True).decode("utf-8").splitlines() == [
+        header, f"  VIOLATION Bw X0.1 bound=2.5 observed=0.333333333333 {tail}"]
+    assert '"corpus": "file:/tmp/d\\u00f6nn\\u00e9es.g6"' in emit_report(r).decode("ascii")
 
 
 def test_json_rejects_non_finite():
