@@ -87,13 +87,17 @@ def _complete_minus_matching(n: int, k: int):
                if j > i + 1 or i % 2 or i >= 2 * k)
 
 
+def _join_blocks(n: int, starts):
+    # each part is the block of consecutive vertices between successive
+    # starts (0 first, n last), joined to every later vertex
+    return ((i, j) for a, b in pairwise(starts) for i in range(a, b) for j in range(b, n))
+
+
 def _complete_multipartite(*parts: int):
     _need(len(parts) >= 2 and all(p >= 1 for p in parts),
           "need at least two parts, all nonempty")
-    # each part is a block of consecutive vertices, joined to every later block
     starts = list(accumulate(parts, initial=0))
-    return starts[-1], ((i, j) for a, b in pairwise(starts)
-                        for i in range(a, b) for j in range(b, starts[-1]))
+    return starts[-1], _join_blocks(starts[-1], starts)
 
 
 def turan_parts(n: int, omega: int) -> tuple[int, ...]:
@@ -101,6 +105,14 @@ def turan_parts(n: int, omega: int) -> tuple[int, ...]:
     _need(2 <= omega <= n, "need 2 <= omega <= n")
     q, r = divmod(n, omega)
     return tuple([q + 1] * r + [q] * (omega - r))
+
+
+def _turan(n: int, omega: int):
+    # the blocks of turan_parts(n, omega), larger parts first, without the
+    # list of omega sizes: part b starts at b q + min(b, r)
+    _need(2 <= omega <= n, "need 2 <= omega <= n")
+    q, r = divmod(n, omega)
+    return n, _join_blocks(n, (b * q + min(b, r) for b in range(omega + 1)))
 
 
 def _kite_clique(n: int, omega: int):
@@ -146,7 +158,7 @@ FAMILIES = {
     "StarPlus": ("starplus", _star_plus),
     "CompleteMinusMatching": ("kminus", _complete_minus_matching),
     "CompleteMultipartite": ("multipartite", _complete_multipartite),
-    "Turan": ("turan", lambda n, omega: _complete_multipartite(*turan_parts(n, omega))),
+    "Turan": ("turan", _turan),
     "KiteClique": ("kiteclique", _kite_clique),
     "Kite3": ("kite", _kite3),
     "TShape": ("t", _t_shape),

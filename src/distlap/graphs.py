@@ -469,7 +469,8 @@ def _orbit_minima(n: int) -> np.ndarray:
     seen = np.greater(count, edges // 2, out=count.view(bool))
     # images[e, p]: the mask bit of edge e's image under permutation p; a
     # mask's orbit is the OR of the rows of its set bits (mask 0's is 0)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8).reshape(-1, n)
     j, i = _colex_ends(n)
     bit = np.zeros((n, n), dtype=np.uint32)
     bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(edges, dtype=np.uint32)

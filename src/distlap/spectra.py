@@ -15,8 +15,12 @@ from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
 # matrix entries per stacked solve: every stack of graphs is solved in
-# slices of at most this many, whatever the corpus size
-SOLVE_SLICE = 1 << 16
+# slices of at most this many, whatever the corpus size. A slice's float32
+# Seidel levels, float64 Tr +- D copy and eigenvalue rows take about 35
+# bytes per entry at n = 7, so 2^16 held 2.3 MB and set the n = 7 scan's
+# peak; at 2^14 other arrays set it, smaller slices save little memory, and
+# the per-slice calls make the n = 7 scan 15-20% slower at 2^12
+SOLVE_SLICE = 1 << 14
 
 
 def distance_matrix(g: Graph) -> np.ndarray:

@@ -95,6 +95,21 @@ def test_over_order_members_cost_no_edge_list():
         tracemalloc.stop()
 
 
+def test_turan_builds_no_part_list():
+    # omega = n = 10^6: a tuple of the part sizes alone would take 8 MB
+    spec = family_spec("Turan", 10**6, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedOrder):
+            build(spec)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        tracemalloc.reset_peak()
+        assert closed_form(spec, "DLRadius") == 1e6
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_multipartite_and_turan():
     g = fam("CompleteMultipartite", 2, 2, 2)
     assert g.n == 6 and g.m == 12
@@ -104,6 +119,10 @@ def test_multipartite_and_turan():
     assert clique_number(fam("Turan", 7, 3)) == 3
     # omega = n collapses to the complete graph
     assert is_isomorphic(fam("Turan", 5, 5), fam("Complete", 5))
+    # the labelled multipartite graph of turan_parts, larger parts first
+    for n in range(2, 31):
+        for omega in range(2, n + 1):
+            assert fam("Turan", n, omega) == fam("CompleteMultipartite", *turan_parts(n, omega))
 
 
 def test_turan_edge_maximality():

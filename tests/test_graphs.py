@@ -316,7 +316,7 @@ def test_orbit_minima_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5e6
+    assert peak < 3.0e6
 
 
 def test_enumerate_limits():
