@@ -8,10 +8,10 @@ from .errors import (CorpusError, DisconnectedGraph, DistlapError,
                      MalformedGraph6, NoConvergence, NoRootInBracket,
                      NoSuchEdge, UnknownTheorem, UnsupportedOrder,
                      UnsupportedQuantity)
-from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, DistanceData,
-                     Graph, canonical_form, complement, distance_data,
-                     enumerate_connected, from_edges, from_graph6,
-                     graph6_corpus, is_connected, is_isomorphic, to_graph6)
+from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, Graph,
+                     canonical_form, complement, enumerate_connected,
+                     from_edges, from_graph6, graph6_corpus, is_connected,
+                     is_isomorphic, to_graph6)
 from .linalg import (Spectrum, as_sym_matrix, eigenvalues, eigenvalues_jacobi,
                      eigenvalues_stacked, largest_root)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, Verdicts, not_applicable

@@ -452,18 +452,20 @@ def _without(adj: np.ndarray, row, i, j) -> np.ndarray:
     return sub
 
 
-def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
-    """{("gaps", sign): (kept, gap)} for each sign, corpus-order arrays: kept[k]
-    counts graph k's single-edge deletions that stay connected, and gap[k]
-    is the least eigenvalue rise of Tr - D (sign -1) or Tr + D (sign +1)
-    over them (inf when kept[k] is 0). Per order, slices of the edges find
-    the connected deletions, and one np.unique over the order's graphs and
+def _deletion_gaps(profiles: StackedProfiles) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, gaps), corpus-order arrays: kept[k] counts graph k's
+    single-edge deletions that stay connected, and gaps[k, col] is the
+    least eigenvalue rise of Tr - D (col 0) or Tr + D (col 1) over them
+    (inf when kept[k] is 0). Per order, slices of the edges find the
+    connected deletions, and one np.unique over the order's graphs and
     those deletions finds the distinct children. Only the children that are
     not graphs of the order are solved, one slice at a time, from their
-    (graph, edge) index; the others reuse their graph's spectra, bit for bit."""
+    (graph, edge) index; the others reuse their graph's spectra, bit for
+    bit. Each sign is eigensolved on its own, so its gaps do not depend on
+    the other's."""
     count = len(profiles.graphs)
     kept = np.zeros(count, dtype=np.intp)
-    gaps = np.full((count, len(signs)), np.inf)
+    gaps = np.full((count, 2), np.inf)
     for group in profiles.groups:
         ks, adj, n = group.ks, group.adj, group.n
         # one entry per edge: its graph's row in the group, then its two ends
@@ -484,37 +486,25 @@ def _deletion_gaps(profiles: StackedProfiles, signs) -> dict:
         for part in slices(len(first), n):
             solve = first[part] >= len(ks)
             d = first[part][solve] - len(ks)
-            _, solved = distance_spectra(_without(adj, row[d], i[d], j[d]), signs)
+            _, solved = distance_spectra(_without(adj, row[d], i[d], j[d]), (-1, 1))
             # the deletions whose child lies in this slice
             lo, hi = np.searchsorted(child, (part.start, part.stop), sorter=order)
             dels = order[lo:hi]
-            for col, (sign, rows) in enumerate(zip(signs, solved)):
-                base = group.dl if sign < 0 else group.dq
+            for col, (base, rows) in enumerate(zip((group.dl, group.dq), solved)):
                 # each child's rows: its graph's, or this slice's solve
                 vals = base[np.where(solve, 0, first[part])]
                 vals[solve] = rows
                 rise = vals[child[dels] - part.start] - base[row[dels]]
                 np.minimum.at(gaps[:, col], ks[row[dels]], rise.min(axis=1))
-    return {("gaps", sign): (kept, gaps[:, col]) for col, sign in enumerate(signs)}
-
-
-def _stack(graphs, ids) -> StackedProfiles:
-    """graphs stacked per order; the first deletion gap read solves those of
-    every edge-deletion lemma among ids in one _deletion_gaps call."""
-    profiles = StackedProfiles(graphs)
-    profiles.facts["signs"] = {s for tid, s in (("L2.3", -1), ("L2.4", 1)) if tid in ids}
-    return profiles
+    return kept, gaps
 
 
 def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The first read
-    solves this sign and those _stack was asked for in one call."""
-    c, name = s.corpus, ("gaps", sign)
-    if name not in c.facts:
-        c.facts.update(_deletion_gaps(c, sorted({sign, *c.facts.get("signs", ())})))
-    kept, gap = c.facts[name]
-    kept, gap = kept[s.ks], gap[s.ks]
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The first read of
+    either sign solves both, in one _deletion_gaps call."""
+    kept, gaps = s.corpus.fact("deletions", _deletion_gaps)
+    kept, gap = kept[s.ks], gaps[s.ks, (sign + 1) // 2]
     _, strict, equality = flags(gap, ">=", 0.0, tol)
     return verdicts(theorem_id, gap, (gap >= -1e-9, strict, equality), 0.0,
                     lambda r: {"deletions_checked": int(kept[r])}, kept > 0,

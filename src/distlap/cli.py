@@ -11,12 +11,12 @@ import math
 import os
 import sys
 
-from .bounds import FORMULAS, THEOREM_IDS, _stack, require_known
+from .bounds import FORMULAS, THEOREM_IDS, require_known
 from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
 from .graphs import MAX_ORDER, from_graph6, graph6_corpus, to_graph6
 from .linalg import eigenvalues
-from .spectra import adjacency_matrix, dist_laplacian, \
+from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
@@ -85,7 +85,7 @@ def _cmd_bounds(args) -> int:
             graphs.append(g)
     except CorpusError as exc:
         error = exc
-    profiles = _stack(graphs, ids)
+    profiles = StackedProfiles(graphs)
     found = [evaluate(FORMULAS[tid], profiles, args.tolerance) for tid in ids]
     bad = 0
     for label, *hits in zip(labels, *found):

@@ -125,23 +125,10 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((~row & full & ~(1 << i)) for i, row in enumerate(g.adj)))
 
 
-@dataclass(frozen=True)
-class DistanceData:
-    """All-pairs hop distances with derived transmissions, Wiener index,
-    diameter and sum_sq, the sum of d(i, j)^2 over unordered pairs."""
-
-    dist: tuple[tuple[int, ...], ...]
-    trans: tuple[int, ...]
-    wiener: int
-    diam: int
-    sum_sq: int
-
-
 class DistanceStack:
     """An int16 distance stack (N, n, n) with every graph's transmissions,
-    Wiener index, diameter and sum of squared distances, each reduced once
-    for the whole stack in exact int64; data(k) builds graph k's
-    DistanceData from the arrays."""
+    Wiener index, diameter and sum_sq, the sum of d(i, j)^2 over unordered
+    pairs, each reduced once for the whole stack in exact int64."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = dist
@@ -150,11 +137,6 @@ class DistanceStack:
         self.wiener = self.trans.sum(axis=-1) // 2
         self.diam = d.max(axis=(-2, -1))
         self.sum_sq = (d * d).sum(axis=(-2, -1)) // 2
-
-    def data(self, k: int) -> DistanceData:
-        return DistanceData(tuple(map(tuple, self.dist[k].tolist())),
-                            tuple(self.trans[k].tolist()), int(self.wiener[k]),
-                            int(self.diam[k]), int(self.sum_sq[k]))
 
 
 def is_connected(g: Graph) -> bool:
@@ -167,12 +149,6 @@ def is_connected(g: Graph) -> bool:
             grown |= g.adj[v]
             r &= r - 1
     return reach == (1 << g.n) - 1
-
-
-def distance_data(g: Graph) -> DistanceData:
-    """All-pairs distances of one graph; raises DisconnectedGraph when some
-    pair is unreachable."""
-    return DistanceStack(distances(adjacency_stack([g]))).data(0)
 
 
 def adjacency_stack(graphs) -> np.ndarray:

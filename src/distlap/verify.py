@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import CHECKS, FORMULAS, _stack, require_known
+from .bounds import CHECKS, FORMULAS, require_known
 from .errors import CorpusError, InvalidParams
 from .families import FamilySpec, build
 from .graphs import Graph, enumerate_connected, graph6_corpus, to_graph6
@@ -108,7 +108,7 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
     ids = list(theorem_ids)
     require_known(ids)
     desc, graphs, skipped = _load_corpus(corpus)
-    profiles = _stack(graphs, ids)
+    profiles = StackedProfiles(graphs)
 
     def reports():
         # graph6 strings only for the graphs that a report names, once each

@@ -352,11 +352,11 @@ def test_bounds_file_deletion_lemmas_solve_once(orders_1_7, tmp_path, monkeypatc
     assert len({len(r) for r in records}) > 1
     calls = []
     real = bounds._deletion_gaps
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: calls.append(
-        (len(profiles.graphs), list(signs))) or real(profiles, signs))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: calls.append(
+        len(profiles.graphs)) or real(profiles))
     p = _write(tmp_path / "some.g6", records)
     assert run(["bounds", "--check", "L2.3", "--check", "L2.4", "--precise", "--file", p]) == 0
-    assert calls == [(40, [-1, 1])]
+    assert calls == [40]
     monkeypatch.undo()
     assert capsys.readouterr().out.splitlines() == [
         f"{r} " + _verdict_line(CHECKS[tid](from_graph6(r)), True)
@@ -466,7 +466,7 @@ def test_scan_ends_when_reader_closes_after_first_report(monkeypatch, capsys):
     # the scan ends before any deletion is solved
     solved = []
     monkeypatch.setattr(bounds, "_deletion_gaps",
-                        lambda profiles, signs: solved.append(signs))
+                        lambda profiles: solved.append(profiles))
     out = _ClosedStdout(accepts=1)
     monkeypatch.setattr(sys, "stdout", out)
     assert run(["scan", "--check", "all", "--n", "6", "--format", "json"]) == 141

@@ -13,7 +13,6 @@ from distlap import (
     closed_form,
     dist_laplacian,
     dist_signless_laplacian,
-    distance_data,
     dl_charpoly_multipartite,
     eigenvalues,
     enumerate_connected,
@@ -24,6 +23,7 @@ from distlap import (
     turan_parts,
 )
 from distlap.families import CLOSED_FORMS, FAMILIES
+from distlap.graphs import DistanceStack, adjacency_stack, distances
 
 
 def fam(kind, *params):
@@ -151,7 +151,7 @@ def test_tshape_structure():
     g = fam("TShape", 2, 2, 5)
     assert g.n == 10 and g.m == 9
     assert g.degree(0) == 3
-    assert distance_data(g).diam == 7
+    assert DistanceStack(distances(adjacency_stack([g]))).diam.tolist() == [7]
     # a zero-length leg degenerates to a path
     assert is_isomorphic(fam("TShape", 0, 1, 2), fam("Path", 4))
 
@@ -237,7 +237,7 @@ OBSERVED = {
     "QRadius": lambda g: eigenvalues(dist_signless_laplacian(g)).radius,
     "QMinEig": lambda g: eigenvalues(dist_signless_laplacian(g)).smallest,
     # the stated kite formula sits one above the summed distances (README)
-    "Wiener": lambda g: distance_data(g).wiener + 1,
+    "Wiener": lambda g: DistanceStack(distances(adjacency_stack([g]))).wiener[0] + 1,
 }
 
 # parameter tuples of every arity the families take, valid or not
@@ -283,5 +283,5 @@ def test_kite_wiener_note():
     # the stated formula sits exactly one above the summed distances for
     # every order; both facts are pinned here
     for n in range(3, 11):
-        w = distance_data(fam("Kite3", n)).wiener
+        w = int(DistanceStack(distances(adjacency_stack([fam("Kite3", n)]))).wiener[0])
         assert closed_form(family_spec("Kite3", n), "Wiener") == w + 1

@@ -14,7 +14,6 @@ from distlap import (
     UnsupportedOrder,
     canonical_form,
     complement,
-    distance_data,
     enumerate_connected,
     from_edges,
     from_graph6,
@@ -23,7 +22,7 @@ from distlap import (
     radii,
     to_graph6,
 )
-from distlap.graphs import _orbit_minima, adjacency_stack, distances
+from distlap.graphs import DistanceStack, _orbit_minima, adjacency_stack, distances
 
 
 def path(n):
@@ -217,25 +216,20 @@ def test_graph6_malformed():
 
 
 def test_distance_data_examples():
-    dd = distance_data(path(4))
-    assert dd.dist[0] == (0, 1, 2, 3)
-    assert dd.trans == (6, 4, 4, 6)
-    assert dd.wiener == 10
-    assert dd.diam == 3
-    dd = distance_data(cycle(4))
-    assert dd.dist[0] == (0, 1, 2, 1)
-    assert dd.wiener == 8
-    assert dd.diam == 2
-    dd = distance_data(complete(1))
-    assert dd.wiener == 0 and dd.diam == 0
+    small = DistanceStack(distances(adjacency_stack([path(4), cycle(4)])))
+    assert small.dist[:, 0].tolist() == [[0, 1, 2, 3], [0, 1, 2, 1]]
+    assert small.trans[0].tolist() == [6, 4, 4, 6]
+    assert small.wiener.tolist() == [10, 8]
+    assert small.diam.tolist() == [3, 2]
+    single = DistanceStack(distances(adjacency_stack([complete(1)])))
+    assert single.wiener.tolist() == [0] and single.diam.tolist() == [0]
     # order 64: the deepest and the shallowest distance recursion
-    dd = distance_data(path(64))
-    assert dd.diam == 63 and dd.dist[0] == tuple(range(64))
-    assert dd.wiener == 63 * 64 * 65 // 6
-    assert distance_data(cycle(64)).diam == 32
-    assert distance_data(complete(64)).wiener == 64 * 63 // 2
+    big = DistanceStack(distances(adjacency_stack([path(64), cycle(64), complete(64)])))
+    assert big.diam.tolist() == [63, 32, 1]
+    assert big.dist[0, 0].tolist() == list(range(64))
+    assert big.wiener[[0, 2]].tolist() == [63 * 64 * 65 // 6, 64 * 63 // 2]
     with pytest.raises(DisconnectedGraph):
-        distance_data(from_edges(4, [(0, 1), (2, 3)]))
+        distances(adjacency_stack([from_edges(4, [(0, 1), (2, 3)])]))
 
 
 def test_distances_paths_at_every_order():

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from distlap import (CorpusError, Graph, MalformedGraph6, UnsupportedOrder,
-                     complement, distance_data, emit_report,
+                     complement, emit_report,
                      enumerate_connected, from_edges, from_graph6,
                      graph6_corpus, scan_many, to_graph6, turan_parts)
 from distlap import bounds
@@ -129,7 +129,8 @@ def ref_is_turan(g: Graph, omega: int) -> bool:
 
 
 def ref_distance_invariants(rows):
-    """DistanceData.from_rows of the per-graph profiles, plus the T4.2 sum."""
+    """Distance rows of one graph with its transmissions, Wiener index,
+    diameter and sum of squared distances, in pure Python."""
     dist = tuple(map(tuple, rows))
     trans = tuple(map(sum, dist))
     return (dist, trans, sum(trans) // 2, max(map(max, dist)),
@@ -235,13 +236,15 @@ def test_is_turan_matches_complement_reference():
 @example([path(64), cycle(64), complete(64)])
 @example([complete(1)])
 def test_distance_invariants_match_from_rows(graphs):
+    def invariants(stack, k):
+        return (tuple(map(tuple, stack.dist[k].tolist())), tuple(stack.trans[k].tolist()),
+                int(stack.wiener[k]), int(stack.diam[k]), int(stack.sum_sq[k]))
+
     stack = DistanceStack(distances(adjacency_stack(graphs)))
     for k, g in enumerate(graphs):
-        rows = stack.dist[k].tolist()
-        dd = stack.data(k)
-        assert (dd.dist, dd.trans, dd.wiener, dd.diam, dd.sum_sq) \
-            == ref_distance_invariants(rows)
-        assert distance_data(g) == dd
+        own = DistanceStack(distances(adjacency_stack([g])))
+        assert invariants(stack, k) == ref_distance_invariants(stack.dist[k].tolist()) \
+            == invariants(own, 0)
 
 
 def stream(size=200, seed=11):

@@ -7,13 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from distlap import (EQUALITY_TOL, MAX_ORDER, SCAN_IDS, BoundVerdict,
-                     DisconnectedGraph, Graph, delete_edge, dist_laplacian,
-                     dist_signless_laplacian, distance_data, eigenvalues,
+                     DisconnectedGraph, Graph, StackedProfiles, delete_edge,
+                     dist_laplacian, dist_signless_laplacian, eigenvalues,
                      from_edges, from_graph6, is_connected, radii, scan_many,
                      to_graph6)
 from distlap.families import FamilySpec, build
 from distlap.graphs import adjacency_stack, distances
-from distlap import bounds
 from distlap.bounds import CHECKS, FORMULAS
 
 
@@ -112,7 +111,7 @@ def test_disconnected_raises(parts):
     with pytest.raises(DisconnectedGraph):
         distances(adjacency_stack([g]))
     with pytest.raises(DisconnectedGraph):
-        distance_data(g)
+        dist_laplacian(g)
     # one disconnected graph fails the whole stack
     with pytest.raises(DisconnectedGraph):
         distances(adjacency_stack([path(g.n), g]))
@@ -141,14 +140,16 @@ def test_graph6_round_trip(g):
 @given(st.lists(st.integers(1, 12).flatmap(connected_graphs), min_size=1, max_size=6))
 @example([complete(12), path(1), complete(2), cycle(5), complete(5), path(12)])
 def test_scan_verdicts_equal_per_graph_checks(graphs):
-    # every graph's verdict from a check's stacked, mixed-order evaluation,
-    # made by the helper that builds a scan's reported verdicts, equals the
-    # check's own per-graph call; each report names exactly the applicable
-    # equalities and failures among them, in corpus order
+    """Alone covers the stacked path: every graph's verdict from a check's
+    stacked, mixed-order evaluation (orders up to 12), made by the helper
+    that builds a scan's reported verdicts, equals the check's own
+    per-graph call, and each report names exactly the applicable
+    equalities and failures among them, in corpus order.
+    test_per_graph_verdicts_pinned pins the per-graph values themselves."""
     lines = [to_graph6(g) for g in graphs]
     reports = scan_many(SCAN_IDS, lines)
     assert [r.graphs_checked for r in reports] == [len(graphs)] * len(SCAN_IDS)
-    profiles = bounds._stack(graphs, SCAN_IDS)
+    profiles = StackedProfiles(graphs)
     for tid, r in zip(SCAN_IDS, reports):
         seen = stacked_verdicts(profiles, tid)
         assert all(isinstance(v, BoundVerdict) for v in seen)

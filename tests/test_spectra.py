@@ -13,13 +13,13 @@ from distlap import (
     check_quotient_bound,
     dist_laplacian,
     dist_signless_laplacian,
-    distance_data,
     distance_matrix,
     eigenvalues,
     laplacian,
     quotient_matrix,
 )
 from distlap.families import build, family_spec
+from distlap.graphs import DistanceStack, adjacency_stack, distances
 
 
 def fam(kind, *params):
@@ -52,11 +52,11 @@ def test_adjacency_and_laplacian():
 
 def test_row_sums_and_trace(corpus):
     for n in range(1, 7):
-        for g in corpus[n]:
+        wiener = DistanceStack(distances(adjacency_stack(corpus[n]))).wiener.tolist()
+        for g, w in zip(corpus[n], wiener):
             l = dist_laplacian(g)
             # integer assembly: row sums land on exact zero
             assert np.all(l.sum(axis=1) == 0.0)
-            w = distance_data(g).wiener
             assert np.trace(l) == 2.0 * w
             q = dist_signless_laplacian(g)
             assert np.trace(q) == 2.0 * w
@@ -80,14 +80,15 @@ def test_spectral_profile_examples():
     assert np.allclose(eigenvalues(dist_laplacian(k4)).values, [4, 4, 4, 0], atol=1e-9)
     assert abs(eigenvalues(dist_signless_laplacian(k4)).radius - 6.0) < 1e-9
     assert abs(algebraic_connectivity(k4) - 4.0) < 1e-9
-    assert distance_data(k4).diam == 1
+    assert distance_matrix(k4).max() == 1
     p3 = fam("Path", 3)
     assert np.allclose(eigenvalues(dist_laplacian(p3)).values, [5, 3, 0], atol=1e-9)
 
 
 def test_stacked_profiles_match_per_graph(corpus):
     # mixed orders in shuffled order: each order is solved as one stack, and
-    # every row equals the graph's own distance data and eigensolves bit for bit
+    # every row equals the graph's own one-graph DistanceStack and
+    # eigensolves bit for bit
     graphs = [g for n in corpus for g in corpus[n]]
     graphs += [fam("Path", 30), fam("Cycle", 17), fam("Kite3", 20), fam("Star", 64)]
     random.Random(5).shuffle(graphs)
@@ -97,12 +98,11 @@ def test_stacked_profiles_match_per_graph(corpus):
     assert len({group.n for group in stacked.groups}) == len(stacked.groups)
     for group in stacked.groups:
         for row, k in enumerate(group.ks.tolist()):
-            g, dd = graphs[k], distance_data(graphs[k])
+            g = graphs[k]
+            own = DistanceStack(distances(adjacency_stack([g])))
             assert (group.n, int(group.m[row])) == (g.n, g.m)
-            assert group.dist[row].tolist() == [list(r) for r in dd.dist]
-            assert tuple(group.trans[row].tolist()) == dd.trans
-            assert (int(group.wiener[row]), int(group.diam[row]),
-                    int(group.sum_sq[row])) == (dd.wiener, dd.diam, dd.sum_sq)
+            for name in ("dist", "trans", "wiener", "diam", "sum_sq"):
+                assert getattr(group, name)[row].tolist() == getattr(own, name)[0].tolist()
             assert tuple(group.dl[row].tolist()) == eigenvalues(dist_laplacian(g)).values
             assert tuple(group.dq[row].tolist()) == eigenvalues(dist_signless_laplacian(g)).values
 
@@ -173,7 +173,8 @@ def test_interlacing_principal_submatrix():
 def test_diam2_radius_formula(corpus):
     # diameter <= 2 forces the distance Laplacian radius to 2n - alpha
     for n in range(2, 7):
-        for g in corpus[n]:
-            if distance_data(g).diam <= 2:
+        diam = DistanceStack(distances(adjacency_stack(corpus[n]))).diam.tolist()
+        for g, d in zip(corpus[n], diam):
+            if d <= 2:
                 radius = eigenvalues(dist_laplacian(g)).radius
                 assert abs(radius - (2 * n - algebraic_connectivity(g))) < 1e-7

@@ -16,6 +16,7 @@ from distlap import (
     CorpusError,
     InvalidParams,
     SCAN_IDS,
+    StackedProfiles,
     UnknownTheorem,
     canonical_form,
     check_lemma23,
@@ -45,6 +46,8 @@ from distlap import (
     to_graph6,
 )
 from distlap import bounds, spectra, verify
+from distlap.graphs import connected
+from distlap.spectra import distance_spectra
 from distlap.bounds import CHECKS, FORMULAS
 from distlap.verify import _json_value
 
@@ -187,12 +190,15 @@ def test_scan_file_corpus(tmp_path):
 
 
 def test_scan_determinism():
-    # two runs, and a single-id versus a multi-id scan, give identical bytes
+    # two runs, and a single-id versus a multi-id scan, give identical bytes;
+    # so does each deletion lemma named alone, whose scan solves both signs
     r1 = scan("T3.1", 6)
     r2 = scan("T3.1", 6)
-    multi = scan_many(["T6.3", "T3.1", "L2.4"], 6)[1]
+    multi = scan_many(["L2.4", "T3.1", "L2.3"], 6)
     for fmt in ("json", "csv"):
-        assert emit_report(r1, fmt) == emit_report(r2, fmt) == emit_report(multi, fmt)
+        assert emit_report(r1, fmt) == emit_report(r2, fmt) == emit_report(multi[1], fmt)
+        for r in (multi[0], multi[2]):
+            assert emit_report(scan(r.theorem_id, 6), fmt) == emit_report(r, fmt)
 
 
 def test_scan_many_report_digests():
@@ -208,6 +214,10 @@ def test_scan_many_report_digests():
 
 
 def test_per_graph_verdicts_pinned():
+    """Alone pins values: every per-graph checker's verdict on every
+    connected graph of order <= 6, witness included, reported or not, to
+    one digest. test_scan_verdicts_equal_per_graph_checks compares the
+    stacked path with these checkers, but pins nothing."""
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 7):
@@ -306,6 +316,11 @@ def _random_connected(rng, n):
 
 
 def test_stacked_deletions_match_per_edge_oracle():
+    """Alone covers breadth through the per-graph checkers: 200 random
+    graphs of orders 1..12 plus paths, complete graphs and stars, each on
+    its own one-graph stack at the default slice, against the per-edge
+    oracle. test_scan_many_deletions_match_per_edge_oracle covers a
+    mixed-order corpus stack, the slice split and the solve count."""
     rng = random.Random(23)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(200)]
     for n in range(1, 13):
@@ -316,13 +331,14 @@ def test_stacked_deletions_match_per_edge_oracle():
 
 
 def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
-    # a scan solves every deletion of the corpus in one _deletion_gaps call;
-    # the small slice splits each order's stack, and the deletions of one
-    # graph, across many solves; every graph's verdict from the scan's stack
-    # and the scan's reports agree with the per-edge oracle. Deleting the
-    # edge (0, n - 1) of a cycle leaves the labelled path of the corpus, and
-    # K_3 listed twice repeats deletions that are not in the corpus, so
-    # fewer matrices are solved than deletions kept
+    """Alone covers the corpus stack: all deletions of a mixed-order corpus
+    solved in one _deletion_gaps call, the small slice splitting each
+    order's stack, and the deletions of one graph, across many solves, and
+    the scan's reports, all against the per-edge oracle.
+    test_stacked_deletions_match_per_edge_oracle covers more graphs, one
+    stack each. Deleting the edge (0, n - 1) of a cycle leaves the labelled
+    path of the corpus, and K_3 listed twice repeats deletions that are not
+    in the corpus, so fewer matrices are solved than deletions kept."""
     rng = random.Random(29)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
     for n in range(1, 13):
@@ -337,18 +353,18 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         monkeypatch.setattr(spectra, "SOLVE_SLICE", budget)
         solves, stacks = [], []
         real_gaps, real_eig = bounds._deletion_gaps, spectra.eigenvalues_stacked
-        monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: solves.append(
-            len(stacks)) or real_gaps(profiles, signs))
+        monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: solves.append(
+            len(stacks)) or real_gaps(profiles))
         monkeypatch.setattr(spectra, "eigenvalues_stacked",
                             lambda m: stacks.append(m.shape) or real_eig(m))
-        profiles = bounds._stack(graphs, ["L2.3", "L2.4"])
+        profiles = StackedProfiles(graphs)
         got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
         # one _deletion_gaps call, after the profiles' own solves
         assert len(solves) == 1
         deletions = stacks[solves[0]:]
         assert max(np.prod(shape) for shape in stacks) <= budget
-        kept = profiles.facts[("gaps", -1)][0].sum()
+        kept = profiles.facts["deletions"][0].sum()
         assert 0 < sum(shape[0] for shape in deletions) < 2 * kept
         # orders 3..12 keep some deletion: one solve per order and flavour,
         # or many once the slice is small
@@ -377,10 +393,10 @@ def test_deletion_solve_memory_bounded():
     # within a few slices, whatever the number of deletions
     for graphs in ([g for *_, g, ok in graph6_corpus(stream()) if ok],
                    list(enumerate_connected(7))):
-        profiles = bounds._stack(graphs, [])
+        profiles = StackedProfiles(graphs)
         tracemalloc.start()
         try:
-            bounds._deletion_gaps(profiles, [-1, 1])
+            bounds._deletion_gaps(profiles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,14 +414,52 @@ def test_scan_solves_each_distinct_deletion_once(monkeypatch):
     monkeypatch.setattr(spectra, "distances", lambda a: dist.append(a.shape) or real_dist(a))
     monkeypatch.setattr(spectra, "eigenvalues_stacked",
                         lambda m: stacks.append(m.shape) or real_eig(m))
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: start.append(
-        (len(dist), len(stacks))) or real_gaps(profiles, signs))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: start.append(
+        (len(dist), len(stacks))) or real_gaps(profiles))
     scan_many(["L2.3", "L2.4"], 7)
     monkeypatch.undo()
     dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
     assert sum(shape[0] for shape in dist) == 6039
     assert [sum(shape[0] for shape in stacks[col::2]) for col in (0, 1)] == [6039, 6039]
     assert max(np.prod(shape) for shape in dist + stacks) <= spectra.SOLVE_SLICE
+
+
+def test_deletion_lemmas_certified_by_distance_rise():
+    """The certificate behind L2.3 and L2.4 on every kept deletion of the
+    n <= 7 corpus: deleting an edge never shortens a path, so W = D(G - e)
+    - D(G) >= 0 entrywise, and L(G - e) - L(G) = Diag(W 1) - W and
+    Q(G - e) - Q(G) = Diag(W 1) + W are positive semidefinite; by Weyl no
+    eigenvalue of either falls, so every row holds and the float gaps are
+    noise around 0. At n = 7 the ties (gaps within the equality tolerance)
+    are pinned in three readings: all indices, as the checks read them, all
+    but the smallest, and the radius alone."""
+    kept = 0
+    for n in range(2, 8):  # K_1 has no edge to delete
+        group, = StackedProfiles(list(enumerate_connected(n))).groups
+        # every single-edge deletion that stays connected, with its graph's row
+        row, i, j = np.nonzero(np.triu(group.adj, 1))
+        sub = group.adj[row]
+        sub[np.arange(len(row)), i, j] = sub[np.arange(len(row)), j, i] = False
+        keep = connected(sub)
+        row = row[keep]
+        dist, solved = distance_spectra(sub[keep], (-1, 1))
+        assert (dist >= group.dist[row]).all()
+        kept += len(row)
+        ties = []
+        for tid, base, vals in zip(("L2.3", "L2.4"), (group.dl, group.dq), solved):
+            v = FORMULAS[tid](group, EQUALITY_TOL)
+            assert v.holds.all()
+            rise = vals - base[row]
+            gaps = np.full((3, len(group.ks)), np.inf)
+            for gap, least in zip(gaps, (rise.min(axis=1), rise[:, :-1].min(axis=1),
+                                         rise[:, 0])):
+                np.minimum.at(gap, row, least)
+            # the checks read all indices, bit for bit
+            assert np.array_equal(v.applicable, np.isfinite(gaps[0]))
+            assert np.array_equal(v.observed[v.applicable], gaps[0][v.applicable])
+            ties.append((abs(gaps) <= EQUALITY_TOL).sum(axis=1).tolist())
+    assert kept == 9909
+    assert ties == [[842, 687, 487], [676, 664, 0]]
 
 
 def test_scan_reports_stream_each_id_when_due(monkeypatch):
@@ -415,8 +469,8 @@ def test_scan_reports_stream_each_id_when_due(monkeypatch):
     # is encoded once across all reports, which match scan_many's bytes
     calls, encoded = [], []
     real_gaps, real_omega, real_g6 = bounds._deletion_gaps, bounds.clique_number, to_graph6
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles, signs: calls.append(
-        ("gaps", list(signs))) or real_gaps(profiles, signs))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: calls.append(
+        "gaps") or real_gaps(profiles))
     monkeypatch.setattr(bounds, "clique_number",
                         lambda g: calls.append("omega") or real_omega(g))
     monkeypatch.setattr(verify, "to_graph6", lambda g: encoded.append(real_g6(g)) or encoded[-1])
@@ -432,7 +486,7 @@ def test_scan_reports_stream_each_id_when_due(monkeypatch):
     assert all(seen[tid][0] == 112 for tid in SCAN_IDS[first_search:])
     first_solve = SCAN_IDS.index("L2.3")
     assert all(seen[tid][1] == [] for tid in SCAN_IDS[:first_solve])
-    assert all(seen[tid][1] == [("gaps", [-1, 1])] for tid in SCAN_IDS[first_solve:])
+    assert all(seen[tid][1] == ["gaps"] for tid in SCAN_IDS[first_solve:])
     named = {g6 for r in reports for g6 in [*r.equality_witnesses,
                                            *(g6 for g6, _ in r.violations)]}
     assert sorted(encoded) == sorted(named) and len(named) > 1
