@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
 from .families import FamilySpec, build, turan_parts
-from .graphs import Graph, adjacency_keys, connected, is_connected
+from .graphs import Graph, connected, is_connected
 from .spectra import OrderGroup, StackedProfiles, distance_spectra, radii, slices
 from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdicts
 
@@ -456,46 +456,26 @@ def _deletion_gaps(profiles: StackedProfiles) -> tuple[np.ndarray, np.ndarray]:
     """(kept, gaps), corpus-order arrays: kept[k] counts graph k's
     single-edge deletions that stay connected, and gaps[k, col] is the
     least eigenvalue rise of Tr - D (col 0) or Tr + D (col 1) over them
-    (inf when kept[k] is 0). Per order, slices of the edges find the
-    connected deletions, and one np.unique over the order's graphs and
-    those deletions finds the distinct children. Only the children that are
-    not graphs of the order are solved, one slice at a time, from their
-    (graph, edge) index; the others reuse their graph's spectra, bit for
-    bit. Each sign is eigensolved on its own, so its gaps do not depend on
-    the other's."""
+    (inf when kept[k] is 0). Per order, the edges are walked in slices, and
+    each slice's connected deletions are solved together. LAPACK solves
+    each matrix, and each sign, on its own, so a deletion equal to a corpus
+    graph gets that graph's rows bit for bit, and each sign's gaps do not
+    depend on the other's."""
     count = len(profiles.graphs)
     kept = np.zeros(count, dtype=np.intp)
     gaps = np.full((count, 2), np.inf)
     for group in profiles.groups:
-        ks, adj, n = group.ks, group.adj, group.n
+        ks, adj = group.ks, group.adj
         # one entry per edge: its graph's row in the group, then its two ends
         row, i, j = np.nonzero(np.triu(adj, 1))
-        keep, keys = np.zeros(len(row), dtype=bool), [adjacency_keys(adj)]
-        for part in slices(len(row), n):
+        for part in slices(len(row), group.n):
             sub = _without(adj, row[part], i[part], j[part])
-            keep[part] = connected(sub)
-            keys.append(adjacency_keys(sub[keep[part]]))
-        row, i, j = row[keep], i[keep], j[keep]
-        kept += np.bincount(ks[row], minlength=count)
-        # the group's graphs come first, so a child equal to one of them has
-        # it as its key's first occurrence: first < len(ks)
-        _, first, child = np.unique(np.concatenate(keys), return_index=True,
-                                    return_inverse=True)
-        child = child[len(ks):]
-        order = np.argsort(child)
-        for part in slices(len(first), n):
-            solve = first[part] >= len(ks)
-            d = first[part][solve] - len(ks)
-            _, solved = distance_spectra(_without(adj, row[d], i[d], j[d]), (-1, 1))
-            # the deletions whose child lies in this slice
-            lo, hi = np.searchsorted(child, (part.start, part.stop), sorter=order)
-            dels = order[lo:hi]
-            for col, (base, rows) in enumerate(zip((group.dl, group.dq), solved)):
-                # each child's rows: its graph's, or this slice's solve
-                vals = base[np.where(solve, 0, first[part])]
-                vals[solve] = rows
-                rise = vals[child[dels] - part.start] - base[row[dels]]
-                np.minimum.at(gaps[:, col], ks[row[dels]], rise.min(axis=1))
+            ok = connected(sub)
+            rows = row[part][ok]
+            kept += np.bincount(ks[rows], minlength=count)
+            _, solved = distance_spectra(sub[ok], (-1, 1))
+            for col, (base, vals) in enumerate(zip((group.dl, group.dq), solved)):
+                np.minimum.at(gaps[:, col], ks[rows], (vals - base[rows]).min(axis=1))
     return kept, gaps
 
 

@@ -20,6 +20,7 @@ from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
     dist_signless_laplacian, distance_matrix, laplacian
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
+from .verdict import EQUALITY_TOL
 from .verify import SCAN_IDS, _fmt, _verdict_line, emit_report, evaluate, \
     scan_reports, table1_regression
 
@@ -171,7 +172,7 @@ def _add_common(p, tolerance: bool = False) -> None:
     p.add_argument("--precise", action="store_true",
                    help="print 12 significant digits instead of 4 decimals")
     if tolerance:
-        p.add_argument("--tolerance", type=_tolerance, default=1e-7,
+        p.add_argument("--tolerance", type=_tolerance, default=EQUALITY_TOL,
                        help="equality detection tolerance (default 1e-7)")
 
 

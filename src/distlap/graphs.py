@@ -164,13 +164,6 @@ def adjacency_stack(graphs) -> np.ndarray:
     return bits.view(bool)
 
 
-def adjacency_keys(adj: np.ndarray) -> np.ndarray:
-    """One bytes key per matrix of a (N, n, n) boolean adjacency stack,
-    equal exactly for equal matrices."""
-    packed = np.packbits(adj.reshape(len(adj), adj.shape[-1] ** 2), axis=-1)
-    return packed.view(f"V{packed.shape[1]}")[:, 0]
-
-
 def connected(adj: np.ndarray) -> np.ndarray:
     """(N,) booleans: which graphs of a (N, n, n) boolean adjacency stack
     are connected. Boolean closure: squaring (A + I) ceil(log2 n) times

@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from distlap import (
     to_graph6,
 )
 from distlap import bounds, spectra, verify
-from distlap.graphs import connected
+from distlap.graphs import adjacency_stack, connected
 from distlap.spectra import distance_spectra
 from distlap.bounds import CHECKS, FORMULAS
 from distlap.verify import _json_value
@@ -97,8 +99,8 @@ ENUMERATION_SHA256 = {
 VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
 
 # sha256 of the JSON and of the CSV reports of scan_many(["L2.3", "L2.4"],
-# test_ingest.stream()), orders 8..24, from the solve that deduplicated
-# deletions per chunk of at most 2,016 64 x 64 matrices
+# test_ingest.stream()), orders 8..24; each matrix is solved on its own, so
+# these bytes do not depend on how the deletions are stacked or sliced
 STREAM_DELETION_JSON_SHA256 = "af3505276d2bfb029ab9ff00fafb809afa0eebb37316bf794990d5406cee0624"
 STREAM_DELETION_CSV_SHA256 = "d981cbee7db3d8ca262e2c1eee93e1d13331eac4057465457fe49a9894b76b74"
 
@@ -338,7 +340,7 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     test_stacked_deletions_match_per_edge_oracle covers more graphs, one
     stack each. Deleting the edge (0, n - 1) of a cycle leaves the labelled
     path of the corpus, and K_3 listed twice repeats deletions that are not
-    in the corpus, so fewer matrices are solved than deletions kept."""
+    in the corpus; each kept deletion is still solved once per sign."""
     rng = random.Random(29)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
     for n in range(1, 13):
@@ -365,10 +367,11 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         deletions = stacks[solves[0]:]
         assert max(np.prod(shape) for shape in stacks) <= budget
         kept = profiles.facts["deletions"][0].sum()
-        assert 0 < sum(shape[0] for shape in deletions) < 2 * kept
-        # orders 3..12 keep some deletion: one solve per order and flavour,
-        # or many once the slice is small
-        assert (len(deletions) > 200) if budget == 300 else (len(deletions) == 24)
+        assert sum(shape[0] for shape in deletions) == 2 * kept > 0
+        # one solve per sign and edge slice that keeps a deletion: none for
+        # orders 1 and 2, one slice each for orders 3..9 and 2, 3 and 3 for
+        # orders 10..12, or many once the slice is small
+        assert (len(deletions) > 200) if budget == 300 else (len(deletions) == 30)
         assert got == want
     lines = [to_graph6(g) for g in graphs]
     for r in scan_many(["L2.3", "L2.4"], lines):
@@ -403,11 +406,11 @@ def test_deletion_solve_memory_bounded():
         assert peak < 1.5e6
 
 
-def test_scan_solves_each_distinct_deletion_once(monkeypatch):
-    # of the 8,933 connected single-edge deletions of the n = 7 corpus,
-    # 6,891 are distinct labelled graphs and 852 of those are corpus graphs,
-    # whose spectra are reused: 6,039 are solved, once for distances and
-    # once per sign, summed over slices within the budget
+def test_scan_solves_each_kept_deletion_once(monkeypatch):
+    # each of the 8,933 connected single-edge deletions of the n = 7 corpus
+    # is solved once for distances and once per sign, in the slice of edges
+    # that finds it, within the budget; a child equal to a corpus graph or
+    # to another child is solved again
     dist, stacks, start = [], [], []
     real_dist, real_eig = spectra.distances, spectra.eigenvalues_stacked
     real_gaps = bounds._deletion_gaps
@@ -419,9 +422,19 @@ def test_scan_solves_each_distinct_deletion_once(monkeypatch):
     scan_many(["L2.3", "L2.4"], 7)
     monkeypatch.undo()
     dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
-    assert sum(shape[0] for shape in dist) == 6039
-    assert [sum(shape[0] for shape in stacks[col::2]) for col in (0, 1)] == [6039, 6039]
+    assert sum(shape[0] for shape in dist) == 8933
+    assert [sum(shape[0] for shape in stacks[col::2]) for col in (0, 1)] == [8933, 8933]
     assert max(np.prod(shape) for shape in dist + stacks) <= spectra.SOLVE_SLICE
+
+
+def _kept_deletions(adj):
+    """(row, sub): every single-edge deletion of a boolean adjacency stack
+    that stays connected, as its graph's row and its adjacency."""
+    row, i, j = np.nonzero(np.triu(adj, 1))
+    sub = adj[row]
+    sub[np.arange(len(row)), i, j] = sub[np.arange(len(row)), j, i] = False
+    keep = connected(sub)
+    return row[keep], sub[keep]
 
 
 def test_deletion_lemmas_certified_by_distance_rise():
@@ -436,13 +449,8 @@ def test_deletion_lemmas_certified_by_distance_rise():
     kept = 0
     for n in range(2, 8):  # K_1 has no edge to delete
         group, = StackedProfiles(list(enumerate_connected(n))).groups
-        # every single-edge deletion that stays connected, with its graph's row
-        row, i, j = np.nonzero(np.triu(group.adj, 1))
-        sub = group.adj[row]
-        sub[np.arange(len(row)), i, j] = sub[np.arange(len(row)), j, i] = False
-        keep = connected(sub)
-        row = row[keep]
-        dist, solved = distance_spectra(sub[keep], (-1, 1))
+        row, sub = _kept_deletions(group.adj)
+        dist, solved = distance_spectra(sub, (-1, 1))
         assert (dist >= group.dist[row]).all()
         kept += len(row)
         ties = []
@@ -460,6 +468,27 @@ def test_deletion_lemmas_certified_by_distance_rise():
             ties.append((abs(gaps) <= EQUALITY_TOL).sum(axis=1).tolist())
     assert kept == 9909
     assert ties == [[842, 687, 487], [676, 664, 0]]
+
+
+def test_deletion_certificate_holds_on_stream():
+    """W = D(G - e) - D(G) >= 0 entrywise on every kept deletion of the
+    1,000-graph seed-0 stream of perfbench/inputs.py (orders 8..24), the
+    certificate of test_deletion_lemmas_certified_by_distance_rise beyond
+    the exhaustive orders. Only distances are solved: that no L2.3 or L2.4
+    row fails on this stream is pinned by the CI deletion-CSV digest."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    graphs = [g for *_, g, ok in graph6_corpus(inputs.stream_graphs(0)) if ok]
+    kept = 0
+    for n in sorted({g.n for g in graphs}):
+        adj = adjacency_stack([g for g in graphs if g.n == n])
+        row, sub = _kept_deletions(adj)
+        (base, _), (dist, _) = distance_spectra(adj, ()), distance_spectra(sub, ())
+        assert (dist >= base[row]).all()
+        kept += len(row)
+    assert (len(graphs), kept) == (1000, 37300)
 
 
 def test_scan_reports_stream_each_id_when_due(monkeypatch):
