@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
-from .families import FamilySpec, build, turan_parts
+from .families import FamilySpec, build
 from .graphs import Graph, connected, is_connected
 from .spectra import OrderGroup, StackedProfiles, distance_spectra, radii, slices
 from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdicts
@@ -114,10 +114,8 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_star(g: Graph) -> bool:
-    if g.n < 2:
-        return False
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
+    # n - 1 edges, all at one vertex
+    return g.n >= 2 and g.m == g.n - 1 and any(g.degree(v) == g.n - 1 for v in range(g.n))
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -126,62 +124,35 @@ def is_path_graph(g: Graph) -> bool:
             and is_connected(g))
 
 
+def _turan_edges(n: int, omega: int) -> int:
+    # t(n, omega): the n^2 ordered pairs less those inside the balanced parts, halved
+    q, r = divmod(n, omega)
+    return (n * n - r * (q + 1) ** 2 - (omega - r) * q * q) // 2
+
+
 def is_turan(g: Graph, omega: int) -> bool:
-    """True iff g is the balanced complete omega-partite graph on its order."""
-    n = g.n
-    if not 2 <= omega <= n:
-        return omega == 1 and n == 1
-    # the complement must be a disjoint union of omega balanced cliques: each
-    # vertex's block is its non-neighbourhood, itself included
-    full = (1 << n) - 1
-    seen = 0
-    sizes = []
-    for v in range(n):
-        if (seen >> v) & 1:
-            continue
-        block = ~g.adj[v] & full
-        for u in range(n):
-            if (block >> u) & 1 and (~g.adj[u] & full) != block:
-                return False
-        seen |= block
-        sizes.append(block.bit_count())
-    return sorted(sizes) == sorted(turan_parts(n, omega))
+    """True iff g is the balanced complete omega-partite graph on its order
+    (omega = 1 only at n = 1): by Turan's theorem, the one graph with no
+    K_{omega+1} and t(n, omega) edges."""
+    if not 2 <= omega <= g.n:
+        return omega == 1 and g.n == 1
+    return g.m == _turan_edges(g.n, omega) and clique_number(g) <= omega
+
+
+def _clique_path_shape(g: Graph, omega: int) -> bool:
+    """is_clique_path for a graph that holds a K_omega. Connected with
+    C(omega, 2) + n - omega edges, it contracts (clique to one vertex) to a
+    tree whose leaves besides the clique are the graph's: one leaf makes the
+    tree a path from the clique. At omega = 2 the clique's end is a leaf
+    too; at omega = n the graph is K_n."""
+    n, leaves = g.n, [g.degree(v) for v in range(g.n)].count(1)
+    return (omega >= 1 and g.m == omega * (omega - 1) // 2 + n - omega
+            and (omega == n or leaves == 1 + (omega == 2)) and is_connected(g))
 
 
 def is_clique_path(g: Graph, omega: int) -> bool:
     """True iff g is the clique K_omega with a pendant path (K_omega^{n-omega})."""
-    n = g.n
-    if omega == n:
-        return is_complete(g)
-    if omega < 2 or omega > n:
-        return False
-    if omega == 2:
-        return is_path_graph(g)
-    if g.m != omega * (omega - 1) // 2 + (n - omega):
-        return False
-    leaves = [v for v in range(n) if g.degree(v) == 1]
-    if len(leaves) != 1:
-        return False
-    # walk the pendant path from its free end to the junction
-    prev, cur = -1, leaves[0]
-    chain = set()
-    while g.degree(cur) <= 2:
-        chain.add(cur)
-        row = g.adj[cur] & ~(1 << prev if prev >= 0 else 0)
-        if row == 0:
-            return False
-        prev, cur = cur, (row & -row).bit_length() - 1
-        if cur in chain:
-            return False
-    junction = cur
-    clique = [v for v in range(n) if v not in chain]
-    if len(clique) != omega or junction not in clique:
-        return False
-    for i in clique:
-        for j in clique:
-            if i < j and not g.has_edge(i, j):
-                return False
-    return len(chain) == n - omega
+    return _clique_path_shape(g, omega) and clique_number(g) >= omega
 
 
 def is_kite(g: Graph) -> bool:
@@ -316,7 +287,7 @@ def bound_L1_clique_lower(s: OrderGroup, tol: float):
     bound = n + np.ceil(n / omega)
     return verdicts("T5.1", obs, flags(obs, ">=", bound, tol), bound,
                     lambda r: {"omega": int(omega[r]),
-                               "is_turan": is_turan(s.graphs[r], int(omega[r]))},
+                               "is_turan": bool(s.m[r] == _turan_edges(n, omega[r]))},
                     omega < n, lambda r: {"omega": int(omega[r]), "n": n})
 
 
@@ -329,7 +300,7 @@ def bound_L1_clique_upper(s: OrderGroup, tol: float):
                       for w in omega.tolist()])
     return verdicts("T5.2", obs, flags(obs, "<=", bound, tol), bound, lambda r: {
         "omega": int(omega[r]),
-        "is_clique_path": is_clique_path(s.graphs[r], int(omega[r]))})
+        "is_clique_path": _clique_path_shape(s.graphs[r], int(omega[r]))})
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +378,8 @@ def bound_Q1_unicyclic(s: OrderGroup, tol: float):
     unicyclic = s.m == n
     bound = _radius("Kite3", (n,), 1) if n >= 6 else 0.0  # no kite below order 6
     return verdicts("T7.1", obs, flags(obs, "<=", bound, tol), bound,
-                    lambda r: {"is_kite": is_kite(s.graphs[r])}, unicyclic & (n >= 6),
+                    lambda r: {"is_kite": _clique_path_shape(s.graphs[r], 3)
+                               and bool(_omega(s)[r] == 3)}, unicyclic & (n >= 6),
                     lambda r: {"unicyclic": bool(unicyclic[r]), "n": n})
 
 

@@ -1,11 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from distlap import (
     CHECKS,
     EQUALITY_TOL,
     FORMULAS,
+    InvalidParams,
     StackedProfiles,
     THEOREM_IDS,
     UnsupportedOrder,
@@ -32,11 +35,13 @@ from distlap import (
     family_spec,
     from_edges,
     is_complete,
+    is_isomorphic,
     is_kite,
     is_star,
     is_turan,
 )
 from distlap.bounds import is_clique_path, is_path_graph
+from distlap.graphs import _colex_adjacency, _orbit_minima, stack_graphs
 
 
 def fam(kind, *params):
@@ -75,6 +80,53 @@ def test_recognizers():
     assert is_clique_path(fam("Kite3", 6), 3)
     assert not is_clique_path(fam("Cycle", 4), 2)
     assert is_kite(fam("Kite3", 8)) and not is_kite(fam("Cycle", 6))
+
+
+def test_recognizers_match_isomorphism_to_the_members():
+    # every graph class with n <= 7, disconnected ones included, and every
+    # omega from 0 to n + 1: each recognizer holds exactly on the graphs
+    # isomorphic to its family member, where that member exists (K_1 is
+    # both T(1, 1) and K_1^0, which the builders refuse)
+    def member(kind, *params):
+        try:
+            return fam(kind, *params)
+        except InvalidParams:
+            return None
+
+    def isomorphic(g, h):
+        return h is not None and is_isomorphic(g, h)
+
+    for n in range(1, 8):
+        members = {(kind, omega): member(kind, n, omega) for omega in range(n + 2)
+                   for kind in ("Turan", "KiteClique")}
+        star, kite = member("Star", n), member("Kite3", n)
+        bits = (_orbit_minima(n)[:, None] >> np.arange(n * (n - 1) // 2)) & 1
+        for g in stack_graphs(_colex_adjacency(n, bits)):
+            assert is_star(g) == isomorphic(g, star), g
+            assert is_kite(g) == isomorphic(g, kite), g
+            for omega in range(n + 2):
+                k1 = omega == n == 1
+                assert is_turan(g, omega) == (
+                    k1 or isomorphic(g, members["Turan", omega])), (g, omega)
+                assert is_clique_path(g, omega) == (
+                    k1 or isomorphic(g, members["KiteClique", omega])), (g, omega)
+    # relabelled members beyond the enumerated orders: each is recognised at
+    # its own omega only, and is none of the other classes (K_n aside)
+    rng = random.Random(23)
+
+    def relabelled(h):
+        perm = rng.sample(range(h.n), h.n)
+        return from_edges(h.n, [(perm[i], perm[j]) for i, j in h.edges()])
+
+    for n in range(8, 15):
+        for omega in range(2, n + 1):
+            turan = relabelled(fam("Turan", n, omega))
+            path = relabelled(fam("KiteClique", n, omega))
+            assert not is_star(turan) and not is_star(path)
+            assert not is_kite(turan) and is_kite(path) == (omega == 3)
+            for w in range(n + 2):
+                assert is_turan(turan, w) == is_clique_path(path, w) == (w == omega)
+                assert is_turan(path, w) == is_clique_path(turan, w) == (w == omega == n)
 
 
 def test_lemma31_examples():

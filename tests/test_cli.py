@@ -199,6 +199,34 @@ def test_table1_csv(capsys):
     assert rc == 1
 
 
+# (exit status, sha256 of stdout) of console commands whose bytes CI also
+# pins; table1 exits 1 on the n = 12 T* row that misses the printed table
+CONSOLE_SHA256 = {
+    "scan --check all --n 7":
+        (0, "7775284439b75fd8c9de6c4cf18345458f1bda8dd3c9c3945a1337c8a3bcae86"),
+    "scan --check all --n 7 --format csv":
+        (0, "aa337a36e255bb536b77ffa49e43865fd5b6c6aaba25cc4394c7ea8493dd4035"),
+    "scan --check L2.3 --n 7 --format csv":
+        (0, "5a4582a0a9fe25234e56fc5dbdb6deb53e8ecf708d3e78197e84daa2f49aa958"),
+    "table1 --format csv --precise":
+        (1, "5d00d81bb7dcd1faf9d5f2131c927a43841a672095b1ec0e7d7e3b7e329a28a1"),
+    "table1":
+        (1, "3f77a6a8d3c4be086f4229bf9e7e133c95f6b2ace821f2dfeaea4c01abf07671"),
+    "table1 --precise":
+        (1, "c68aa3303d6050e2d77e0baca5e45b9a5ddb9491b02a0184b66ae5e2845f1f4e"),
+}
+
+
+def test_console_bytes_pinned(capsysbinary):
+    """Each command of CONSOLE_SHA256 run in process: its exit status and the
+    digest of its stdout. The two deletion-lemma and bounds digests over the
+    1,000-graph seed-0 stream stay in CI only, at 1.7-1.8 s each."""
+    for command, (status, digest) in CONSOLE_SHA256.items():
+        assert run(command.split()) == status, command
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == digest, command
+
+
 def test_help_lists_theorem_ids(capsys):
     # both commands accept, and list, all 17 ids
     for command in ("scan", "bounds"):
