@@ -13,14 +13,13 @@ fixed by exhibiting the violating small case.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
 from .families import FamilySpec, build
 from .graphs import Graph, connected, is_connected
-from .spectra import OrderGroup, StackedProfiles, distance_spectra, radii, slices
+from .spectra import OrderGroup, distance_spectra, radii, slices
 from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdicts
 
 THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
@@ -37,7 +36,7 @@ def check(theorem_id: str):
     per-graph checker: the formula on a one-graph stack, row 0."""
     def register(formula):
         def on_graph(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-            return formula(StackedProfiles([g]).groups[0], tol).verdict(0)
+            return formula(OrderGroup([g], [0]), tol).verdict(0)
         on_graph.__name__, on_graph.__doc__ = formula.__name__, formula.__doc__
         FORMULAS[theorem_id], CHECKS[theorem_id] = formula, on_graph
         return on_graph
@@ -95,10 +94,9 @@ def clique_number(g: Graph) -> int:
 
 
 def _omega(s: OrderGroup) -> np.ndarray:
-    """Clique numbers of the group's graphs; the first call searches every
-    graph of the corpus once, in corpus order."""
-    return s.corpus.fact("omega", lambda c: np.array(
-        [clique_number(g) for g in c.graphs]))[s.ks]
+    """Clique numbers of the group's graphs; the first call searches each
+    graph once, in row order."""
+    return s.fact("omega", lambda s: np.array([clique_number(g) for g in s.graphs]))
 
 
 def _complete(s: OrderGroup) -> np.ndarray:
@@ -116,12 +114,6 @@ def is_complete(g: Graph) -> bool:
 def is_star(g: Graph) -> bool:
     # n - 1 edges, all at one vertex
     return g.n >= 2 and g.m == g.n - 1 and any(g.degree(v) == g.n - 1 for v in range(g.n))
-
-
-def is_path_graph(g: Graph) -> bool:
-    # a tree (connected, n - 1 edges) with no vertex of degree above 2
-    return (g.m == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
-            and is_connected(g))
 
 
 def _turan_edges(n: int, omega: int) -> int:
@@ -161,17 +153,6 @@ def is_kite(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cached spectral quantities
-
-
-@lru_cache(maxsize=8192)
-def _radius(kind: str, params: tuple, sign: int) -> float:
-    """Largest eigenvalue of Tr - D (sign -1) or Tr + D (sign +1) of the
-    family member kind(*params)."""
-    return radii([build(FamilySpec(kind, params))], sign)[0]
-
-
-# ---------------------------------------------------------------------------
 # distance Laplacian lower bounds
 
 
@@ -180,7 +161,7 @@ def bound_L1_lemma31(s: OrderGroup, tol: float):
     """dl radius >= D1 + D1/(n-1)."""
     n = s.n
     if n < 2:
-        return verdicts("L3.1", np.zeros(len(s.ks)), (True, True, True), 0.0,
+        return verdicts("L3.1", np.zeros(len(s.graphs)), (True, True, True), 0.0,
                         lambda r: {"n": n}, False)
     obs, d1 = s.dl[:, 0], s.trans.max(axis=1)
     bound = d1 + d1 / (n - 1)
@@ -296,8 +277,10 @@ def bound_L1_clique_upper(s: OrderGroup, tol: float):
     """dl radius <= that of the clique-with-path K_omega^{n-omega} of the same
     order and clique number; equality iff isomorphic to it."""
     obs, omega = s.dl[:, 0], _omega(s)
-    bound = np.array([0.0 if s.n == 1 else _radius("KiteClique", (s.n, w), -1)
-                      for w in omega.tolist()])
+    # one stack of K_omega^{n-omega}, one per distinct clique number
+    ws, at = np.unique(omega, return_inverse=True)
+    bound = np.zeros(len(obs)) if s.n == 1 else np.array(radii(
+        [build(FamilySpec("KiteClique", (s.n, w))) for w in ws.tolist()], -1))[at]
     return verdicts("T5.2", obs, flags(obs, "<=", bound, tol), bound, lambda r: {
         "omega": int(omega[r]),
         "is_clique_path": _clique_path_shape(s.graphs[r], int(omega[r]))})
@@ -376,7 +359,8 @@ def bound_Q1_unicyclic(s: OrderGroup, tol: float):
     radius; equality iff the kite itself."""
     n, obs = s.n, s.dq[:, 0]
     unicyclic = s.m == n
-    bound = _radius("Kite3", (n,), 1) if n >= 6 else 0.0  # no kite below order 6
+    # no kite below order 6
+    bound = radii([build(FamilySpec("Kite3", (n,)))], 1)[0] if n >= 6 else 0.0
     return verdicts("T7.1", obs, flags(obs, "<=", bound, tol), bound,
                     lambda r: {"is_kite": _clique_path_shape(s.graphs[r], 3)
                                and bool(_omega(s)[r] == 3)}, unicyclic & (n >= 6),
@@ -404,7 +388,7 @@ def check_lemma42(s: OrderGroup, tol: float):
     """Second dl eigenvalue >= n (n >= 4), equality iff K_n or K_n - e."""
     n = s.n
     if n < 4:
-        return verdicts("L4.2", np.zeros(len(s.ks)), (True, True, True), 0.0,
+        return verdicts("L4.2", np.zeros(len(s.graphs)), (True, True, True), 0.0,
                         lambda r: {"n": n}, False)
     obs = s.dl[:, 1]
     holds, strict, eq = flags(obs, ">=", n, tol)
@@ -424,39 +408,35 @@ def _without(adj: np.ndarray, row, i, j) -> np.ndarray:
     return sub
 
 
-def _deletion_gaps(profiles: StackedProfiles) -> tuple[np.ndarray, np.ndarray]:
-    """(kept, gaps), corpus-order arrays: kept[k] counts graph k's
-    single-edge deletions that stay connected, and gaps[k, col] is the
-    least eigenvalue rise of Tr - D (col 0) or Tr + D (col 1) over them
-    (inf when kept[k] is 0). Per order, the edges are walked in slices, and
-    each slice's connected deletions are solved together. LAPACK solves
-    each matrix, and each sign, on its own, so a deletion equal to a corpus
-    graph gets that graph's rows bit for bit, and each sign's gaps do not
-    depend on the other's."""
-    count = len(profiles.graphs)
-    kept = np.zeros(count, dtype=np.intp)
-    gaps = np.full((count, 2), np.inf)
-    for group in profiles.groups:
-        ks, adj = group.ks, group.adj
-        # one entry per edge: its graph's row in the group, then its two ends
-        row, i, j = np.nonzero(np.triu(adj, 1))
-        for part in slices(len(row), group.n):
-            sub = _without(adj, row[part], i[part], j[part])
-            ok = connected(sub)
-            rows = row[part][ok]
-            kept += np.bincount(ks[rows], minlength=count)
-            _, solved = distance_spectra(sub[ok], (-1, 1))
-            for col, (base, vals) in enumerate(zip((group.dl, group.dq), solved)):
-                np.minimum.at(gaps[:, col], ks[rows], (vals - base[rows]).min(axis=1))
+def _deletion_gaps(s: OrderGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, gaps), row-order arrays: kept[r] counts row r's single-edge
+    deletions that stay connected, and gaps[r, col] is the least eigenvalue
+    rise of Tr - D (col 0) or Tr + D (col 1) over them (inf when kept[r] is
+    0). The edges are walked in slices, and each slice's connected
+    deletions are solved together. LAPACK solves each matrix, and each
+    sign, on its own, so a deletion equal to a group graph gets that graph's
+    rows bit for bit, and each sign's gaps do not depend on the other's."""
+    kept = np.zeros(len(s.graphs), dtype=np.intp)
+    gaps = np.full((len(s.graphs), 2), np.inf)
+    # one entry per edge: its graph's row, then its two ends
+    row, i, j = np.nonzero(np.triu(s.adj, 1))
+    for part in slices(len(row), s.n):
+        sub = _without(s.adj, row[part], i[part], j[part])
+        ok = connected(sub)
+        rows = row[part][ok]
+        kept += np.bincount(rows, minlength=len(kept))
+        _, solved = distance_spectra(sub[ok], (-1, 1))
+        for col, (base, vals) in enumerate(zip((s.dl, s.dq), solved)):
+            np.minimum.at(gaps[:, col], rows, (vals - base[rows]).min(axis=1))
     return kept, gaps
 
 
 def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The first read of
-    either sign solves both, in one _deletion_gaps call."""
-    kept, gaps = s.corpus.fact("deletions", _deletion_gaps)
-    kept, gap = kept[s.ks], gaps[s.ks, (sign + 1) // 2]
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The group's first
+    read of either sign solves both, in one _deletion_gaps call."""
+    kept, gaps = s.fact("deletions", _deletion_gaps)
+    gap = gaps[:, (sign + 1) // 2]
     _, strict, equality = flags(gap, ">=", 0.0, tol)
     return verdicts(theorem_id, gap, (gap >= -1e-9, strict, equality), 0.0,
                     lambda r: {"deletions_checked": int(kept[r])}, kept > 0,

@@ -125,20 +125,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((~row & full & ~(1 << i)) for i, row in enumerate(g.adj)))
 
 
-class DistanceStack:
-    """An int16 distance stack (N, n, n) with every graph's transmissions,
-    Wiener index, diameter and sum_sq, the sum of d(i, j)^2 over unordered
-    pairs, each reduced once for the whole stack in exact int64."""
-
-    def __init__(self, dist: np.ndarray):
-        self.dist = dist
-        d = dist.astype(np.int64)
-        self.trans = d.sum(axis=-1)
-        self.wiener = self.trans.sum(axis=-1) // 2
-        self.diam = d.max(axis=(-2, -1))
-        self.sum_sq = (d * d).sum(axis=(-2, -1)) // 2
-
-
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n = 1)."""
     reach, grown = 0, 1

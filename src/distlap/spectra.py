@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
-from .graphs import DistanceStack, Graph, adjacency_stack, diagonals, distances
+from .graphs import Graph, adjacency_stack, diagonals, distances
 from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
@@ -98,42 +98,45 @@ def distance_spectra(adj: np.ndarray, signs) -> tuple[np.ndarray, list]:
     return dist, rows
 
 
-class OrderGroup(DistanceStack):
-    """The graphs of one order in a StackedProfiles, as arrays: their corpus
-    indices ks, order n, edge counts m, adjacency (N, n, n), the distance
-    invariants of DistanceStack, and the dl (Tr - D) and dq (Tr + D)
-    eigenvalue rows (N, n), descending; corpus is the StackedProfiles."""
+class OrderGroup:
+    """Graphs of one order as arrays: their corpus indices ks, order n, edge
+    counts m, adjacency (N, n, n), int16 distances dist, each graph's
+    transmissions, Wiener index, diameter and sum_sq (the sum of d(i, j)^2
+    over unordered pairs) in exact int64, and the dl (Tr - D) and dq
+    (Tr + D) eigenvalue rows (N, n), descending. facts holds row-order
+    arrays that checks compute on first use, such as the clique numbers."""
 
-    def __init__(self, corpus: StackedProfiles, ks: list[int]):
-        self.corpus, self.ks = corpus, np.array(ks)
-        self.graphs = [corpus.graphs[k] for k in ks]
-        self.n = self.graphs[0].n
-        self.adj = adjacency_stack(self.graphs)
-        dist, (self.dl, self.dq) = distance_spectra(self.adj, (-1, 1))
-        super().__init__(dist)
+    def __init__(self, graphs, ks):
+        self.graphs, self.ks, self.n = graphs, np.array(ks), graphs[0].n
+        self.adj = adjacency_stack(graphs)
+        self.dist, (self.dl, self.dq) = distance_spectra(self.adj, (-1, 1))
+        d = self.dist.astype(np.int64)
+        self.trans = d.sum(axis=-1)
+        self.wiener = self.trans.sum(axis=-1) // 2
+        self.diam = d.max(axis=(-2, -1))
+        self.sum_sq = (d * d).sum(axis=(-2, -1)) // 2
         self.m = self.adj.sum(axis=(1, 2)) // 2
-
-
-class StackedProfiles:
-    """Distances, distance invariants and both distance spectra of many
-    connected graphs, computed up front as one OrderGroup per order (one
-    distance_spectra call each), so only arrays are kept for the whole
-    corpus. facts holds corpus-order arrays that checks compute on first
-    use, such as the clique numbers."""
-
-    def __init__(self, graphs):
-        self.graphs = graphs
         self.facts: dict = {}
-        by_order: dict[int, list[int]] = {}
-        for k, g in enumerate(graphs):
-            by_order.setdefault(g.n, []).append(k)
-        self.groups = [OrderGroup(self, ks) for ks in by_order.values()]
 
     def fact(self, name, compute):
         """facts[name], set to compute(self) on first use."""
         if name not in self.facts:
             self.facts[name] = compute(self)
         return self.facts[name]
+
+
+class StackedProfiles:
+    """Distances, distance invariants and both distance spectra of many
+    connected graphs, computed up front as one OrderGroup per order (one
+    distance_spectra call each), so only arrays are kept for the whole
+    corpus."""
+
+    def __init__(self, graphs):
+        by_order: dict[int, list[int]] = {}
+        for k, g in enumerate(graphs):
+            by_order.setdefault(g.n, []).append(k)
+        self.groups = [OrderGroup([graphs[k] for k in ks], ks)
+                       for ks in by_order.values()]
 
 
 def validate_partition(n: int, blocks) -> list[list[int]]:

@@ -3,12 +3,13 @@
 A scan loads the corpus once and stacks it per order, solving distances
 and both distance spectra for each order up front. The reports then stream,
 one per requested id in the order given: each id is one array formula
-evaluated once per order group when its report is due, and the clique
-search and the single-edge deletion solves run at the first id that reads
-them. An id's hits (applicable equalities and failures) are put back in
-the corpus's order, and BoundVerdicts, witnesses and graph6 strings are
-built only for the graphs a report names. emit_report writes every
-report format: text, JSON and CSV.
+evaluated once per order group when its report is due, and each group's
+clique search and single-edge deletion solves run at the first id that
+reads them, as facts of that group. Checks see only group rows: evaluate
+puts an id's hits (applicable equalities and failures) back in the
+corpus's order, and BoundVerdicts, witnesses and graph6 strings are built
+only for the graphs a report names. emit_report writes every report
+format: text, JSON and CSV.
 """
 from __future__ import annotations
 

@@ -4,10 +4,10 @@ listed with the tests that must fail once it is applied.
 Run from anywhere:  python3 tests/mutants.py
 
 Each mutant is applied to a fresh temporary copy of the repository's src/,
-tests/ and perfbench/, and only its tests run there. The script exits 1 when
-a mutant survives (a listed test does not fail) or when a mutant's old text
-no longer occurs exactly once in its file, so a refactor of the code under
-test must carry the list forward.
+tests/, perfbench/ and README.md, and only its tests run there. The script
+exits 1 when a mutant survives (a listed test does not fail) or when a
+mutant's old text no longer occurs exactly once in its file, so a refactor
+of the code under test must carry the list forward.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench")
+COPIED = ("src", "tests", "perfbench", "README.md")
 
 V = "tests/test_verify.py::"
 CERTIFICATE = V + "test_deletion_lemmas_certified_by_distance_rise"
@@ -66,8 +66,8 @@ MUTANTS = [
      [CERTIFICATE, ORACLE, SCAN_ORACLE]),
     # every deletion counted as kept, connected or not
     ("src/distlap/bounds.py",
-     "np.bincount(ks[rows], minlength=count)",
-     "np.bincount(ks[row[part]], minlength=count)",
+     "np.bincount(rows, minlength=len(kept))",
+     "np.bincount(row[part], minlength=len(kept))",
      [ORACLE, SCAN_ORACLE, TREES]),
     # the deleted edge left in one of its two adjacency entries
     ("src/distlap/bounds.py",
@@ -90,6 +90,17 @@ MUTANTS = [
     ("src/distlap/bounds.py",
      "bound = n + np.ceil(n / omega)", "bound = n + np.floor(n / omega)",
      [VERDICTS, DIGESTS, WITNESSES, CONSOLE]),
+    # T5.2's bound read for every row from the group's least clique number;
+    # a one-graph group has one clique number, so only stacked scans see it
+    ("src/distlap/bounds.py",
+     "], -1))[at]", "], -1))[np.zeros_like(at)]",
+     [DIGESTS, WITNESSES, CONSOLE, P + "test_scan_verdicts_equal_per_graph_checks"]),
+    # a group's fact computed again at every read: the clique search and
+    # the deletion solves run once per check that reads them
+    ("src/distlap/spectra.py",
+     "if name not in self.facts:", "if True:",
+     [V + "test_scan_solves_each_kept_deletion_once",
+      "tests/test_ingest.py::test_scan_runs_one_clique_search_per_graph"]),
     # T3.1 strict at every diameter, not only from diameter 3 on
     ("src/distlap/bounds.py",
      "(holds & ((s.diam < 3) | strict), strict, equality)", "(holds, strict, equality)",
@@ -122,8 +133,11 @@ def run(path: str, old: str, new: str, tests: list[str]) -> str | None:
     temporary copy, else why the mutant counts as surviving."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in COPIED:
-            shutil.copytree(ROOT / name, Path(tmp, name),
-                            ignore=shutil.ignore_patterns("__pycache__"))
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, Path(tmp, name),
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(ROOT / name, Path(tmp, name))
         target = Path(tmp, path)
         text = target.read_text()
         if text.count(old) != 1:

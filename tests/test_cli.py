@@ -214,6 +214,8 @@ CONSOLE_SHA256 = {
         (1, "3f77a6a8d3c4be086f4229bf9e7e133c95f6b2ace821f2dfeaea4c01abf07671"),
     "table1 --precise":
         (1, "c68aa3303d6050e2d77e0baca5e45b9a5ddb9491b02a0184b66ae5e2845f1f4e"),
+    "table1 --format json":
+        (1, "18b77b9767e00c0d4213b28403fcfd2beb75bd88c51cfbe969be5f613bbba57b"),
 }
 
 
@@ -320,6 +322,19 @@ def test_file_disconnected_record_names_line(command, tmp_path, capsys):
     assert run(["spectrum", "--file", str(p), "--matrix", "lap"]) == 0
 
 
+@pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])
+def test_file_over_order_record_names_line(command, tmp_path, capsys):
+    # a well-formed record of order 66 (header ~?@A, then C(66, 2) = 2,145
+    # bits in 358 characters) ends the command at its line, after the
+    # records before it, as a disconnected record does
+    p = tmp_path / "c.g6"
+    p.write_text("Bw\n~?@A" + "?" * 358 + "\nBg\n")
+    assert run([*command, "--file", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("Bw") and "Bg" not in out
+    assert err == f"error: {p} line 2: order outside 1..64\n"
+
+
 # stdout of bounds --check all over the 996 connected graphs with n <= 7 in a
 # seeded shuffle (ORDERS_1_7), and with the disconnected B_ after its first
 # 50 records; digests computed before bounds evaluated its input as one stack
@@ -374,17 +389,22 @@ def test_bounds_file_builds_one_stack(orders_1_7, tmp_path, monkeypatch, capsys)
 
 def test_bounds_file_deletion_lemmas_solve_once(orders_1_7, tmp_path, monkeypatch,
                                                 capsys):
-    # both edge-deletion lemmas over a mixed-order file: every deletion is
-    # solved in one _deletion_gaps call, and each line is the per-graph check
+    # both edge-deletion lemmas over a mixed-order file: each order's
+    # deletions are solved in one _deletion_gaps call, and each line is the
+    # per-graph check
     records = orders_1_7[:40]
-    assert len({len(r) for r in records}) > 1
+    sizes: dict = {}
+    for r in records:
+        n = from_graph6(r).n
+        sizes[n] = sizes.get(n, 0) + 1
+    assert len(sizes) > 1
     calls = []
     real = bounds._deletion_gaps
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: calls.append(
-        len(profiles.graphs)) or real(profiles))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: calls.append(
+        (group.n, len(group.graphs))) or real(group))
     p = _write(tmp_path / "some.g6", records)
     assert run(["bounds", "--check", "L2.3", "--check", "L2.4", "--precise", "--file", p]) == 0
-    assert calls == [40]
+    assert calls == list(sizes.items())
     monkeypatch.undo()
     assert capsys.readouterr().out.splitlines() == [
         f"{r} " + _verdict_line(CHECKS[tid](from_graph6(r)), True)
@@ -494,7 +514,7 @@ def test_scan_ends_when_reader_closes_after_first_report(monkeypatch, capsys):
     # the scan ends before any deletion is solved
     solved = []
     monkeypatch.setattr(bounds, "_deletion_gaps",
-                        lambda profiles: solved.append(profiles))
+                        lambda group: solved.append(group))
     out = _ClosedStdout(accepts=1)
     monkeypatch.setattr(sys, "stdout", out)
     assert run(["scan", "--check", "all", "--n", "6", "--format", "json"]) == 141

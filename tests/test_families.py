@@ -4,7 +4,9 @@ import tracemalloc
 import pytest
 
 from distlap import (
+    FamilySpec,
     InvalidParams,
+    StackedProfiles,
     UnsupportedOrder,
     UnsupportedQuantity,
     build,
@@ -23,7 +25,6 @@ from distlap import (
     turan_parts,
 )
 from distlap.families import CLOSED_FORMS, FAMILIES
-from distlap.graphs import DistanceStack, adjacency_stack, distances
 
 
 def fam(kind, *params):
@@ -63,6 +64,9 @@ def test_builder_param_errors():
             build(family_spec(kind, *params))
     with pytest.raises(InvalidParams):
         family_spec("Nope", 3)
+    # a spec made directly, past family_spec's own check of the kind
+    with pytest.raises(InvalidParams):
+        build(FamilySpec("Nope", ()))
 
 
 # a member of each kind of order about 20,000: an edge list that size
@@ -151,7 +155,7 @@ def test_tshape_structure():
     g = fam("TShape", 2, 2, 5)
     assert g.n == 10 and g.m == 9
     assert g.degree(0) == 3
-    assert DistanceStack(distances(adjacency_stack([g]))).diam.tolist() == [7]
+    assert StackedProfiles([g]).groups[0].diam.tolist() == [7]
     # a zero-length leg degenerates to a path
     assert is_isomorphic(fam("TShape", 0, 1, 2), fam("Path", 4))
 
@@ -237,7 +241,7 @@ OBSERVED = {
     "QRadius": lambda g: eigenvalues(dist_signless_laplacian(g)).radius,
     "QMinEig": lambda g: eigenvalues(dist_signless_laplacian(g)).smallest,
     # the stated kite formula sits one above the summed distances (README)
-    "Wiener": lambda g: DistanceStack(distances(adjacency_stack([g]))).wiener[0] + 1,
+    "Wiener": lambda g: StackedProfiles([g]).groups[0].wiener[0] + 1,
 }
 
 # parameter tuples of every arity the families take, valid or not
@@ -283,5 +287,5 @@ def test_kite_wiener_note():
     # the stated formula sits exactly one above the summed distances for
     # every order; both facts are pinned here
     for n in range(3, 11):
-        w = int(DistanceStack(distances(adjacency_stack([fam("Kite3", n)]))).wiener[0])
+        w = int(StackedProfiles([fam("Kite3", n)]).groups[0].wiener[0])
         assert closed_form(family_spec("Kite3", n), "Wiener") == w + 1

@@ -11,6 +11,7 @@ from distlap import (
     DisconnectedGraph,
     Graph,
     MalformedGraph6,
+    StackedProfiles,
     UnsupportedOrder,
     canonical_form,
     complement,
@@ -22,7 +23,7 @@ from distlap import (
     radii,
     to_graph6,
 )
-from distlap.graphs import DistanceStack, _orbit_minima, adjacency_stack, distances
+from distlap.graphs import _orbit_minima, adjacency_stack, distances
 
 
 def path(n):
@@ -216,15 +217,15 @@ def test_graph6_malformed():
 
 
 def test_distance_data_examples():
-    small = DistanceStack(distances(adjacency_stack([path(4), cycle(4)])))
+    small = StackedProfiles([path(4), cycle(4)]).groups[0]
     assert small.dist[:, 0].tolist() == [[0, 1, 2, 3], [0, 1, 2, 1]]
     assert small.trans[0].tolist() == [6, 4, 4, 6]
     assert small.wiener.tolist() == [10, 8]
     assert small.diam.tolist() == [3, 2]
-    single = DistanceStack(distances(adjacency_stack([complete(1)])))
+    single = StackedProfiles([complete(1)]).groups[0]
     assert single.wiener.tolist() == [0] and single.diam.tolist() == [0]
     # order 64: the deepest and the shallowest distance recursion
-    big = DistanceStack(distances(adjacency_stack([path(64), cycle(64), complete(64)])))
+    big = StackedProfiles([path(64), cycle(64), complete(64)]).groups[0]
     assert big.diam.tolist() == [63, 32, 1]
     assert big.dist[0, 0].tolist() == list(range(64))
     assert big.wiener[[0, 2]].tolist() == [63 * 64 * 65 // 6, 64 * 63 // 2]

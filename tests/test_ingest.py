@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from distlap import (CorpusError, Graph, MalformedGraph6, UnsupportedOrder,
-                     complement, emit_report,
+from distlap import (CorpusError, Graph, MalformedGraph6, StackedProfiles,
+                     UnsupportedOrder, complement, emit_report,
                      enumerate_connected, from_edges, from_graph6,
                      graph6_corpus, scan_many, to_graph6, turan_parts)
 from distlap import bounds
 from distlap.bounds import is_turan
-from distlap.graphs import DistanceStack, adjacency_stack, distances
 from distlap.verify import SCAN_IDS
 
 from test_properties import (any_graphs, complete, connected_graphs, cycle,
@@ -240,9 +239,9 @@ def test_distance_invariants_match_from_rows(graphs):
         return (tuple(map(tuple, stack.dist[k].tolist())), tuple(stack.trans[k].tolist()),
                 int(stack.wiener[k]), int(stack.diam[k]), int(stack.sum_sq[k]))
 
-    stack = DistanceStack(distances(adjacency_stack(graphs)))
+    stack = StackedProfiles(graphs).groups[0]
     for k, g in enumerate(graphs):
-        own = DistanceStack(distances(adjacency_stack([g])))
+        own = StackedProfiles([g]).groups[0]
         assert invariants(stack, k) == ref_distance_invariants(stack.dist[k].tolist()) \
             == invariants(own, 0)
 
@@ -305,7 +304,8 @@ def test_scan_runs_one_clique_search_per_graph(monkeypatch):
     reports = scan_many(["T5.1", "T5.2"], lines)
     graphs = connected_records(graph6_corpus(lines))[0]
     assert reports[0].graphs_checked == len(graphs) == len(set(graphs))
-    assert searched == graphs
+    # one search per graph, order group by order group
+    assert sorted(searched, key=graphs.index) == graphs
     searched.clear()
     scan_many(STREAM_IDS, 6)
     assert searched == list(enumerate_connected(6))

@@ -164,7 +164,7 @@ def stacked_verdicts(profiles, tid, tol=EQUALITY_TOL):
     """tid's verdict on every graph of profiles, in corpus order: its
     formula once per order group, then Verdicts.verdict for each row, the
     helper that builds the verdicts a scan reports."""
-    out = [None] * len(profiles.graphs)
+    out = [None] * sum(len(group.graphs) for group in profiles.groups)
     for group in profiles.groups:
         v = FORMULAS[tid](group, tol)
         for row, k in enumerate(group.ks.tolist()):

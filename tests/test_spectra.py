@@ -19,7 +19,6 @@ from distlap import (
     quotient_matrix,
 )
 from distlap.families import build, family_spec
-from distlap.graphs import DistanceStack, adjacency_stack, distances
 
 
 def fam(kind, *params):
@@ -52,7 +51,7 @@ def test_adjacency_and_laplacian():
 
 def test_row_sums_and_trace(corpus):
     for n in range(1, 7):
-        wiener = DistanceStack(distances(adjacency_stack(corpus[n]))).wiener.tolist()
+        wiener = StackedProfiles(corpus[n]).groups[0].wiener.tolist()
         for g, w in zip(corpus[n], wiener):
             l = dist_laplacian(g)
             # integer assembly: row sums land on exact zero
@@ -87,7 +86,7 @@ def test_spectral_profile_examples():
 
 def test_stacked_profiles_match_per_graph(corpus):
     # mixed orders in shuffled order: each order is solved as one stack, and
-    # every row equals the graph's own one-graph DistanceStack and
+    # every row equals the graph's own one-graph group and
     # eigensolves bit for bit
     graphs = [g for n in corpus for g in corpus[n]]
     graphs += [fam("Path", 30), fam("Cycle", 17), fam("Kite3", 20), fam("Star", 64)]
@@ -99,7 +98,7 @@ def test_stacked_profiles_match_per_graph(corpus):
     for group in stacked.groups:
         for row, k in enumerate(group.ks.tolist()):
             g = graphs[k]
-            own = DistanceStack(distances(adjacency_stack([g])))
+            own = StackedProfiles([g]).groups[0]
             assert (group.n, int(group.m[row])) == (g.n, g.m)
             for name in ("dist", "trans", "wiener", "diam", "sum_sq"):
                 assert getattr(group, name)[row].tolist() == getattr(own, name)[0].tolist()
@@ -173,7 +172,7 @@ def test_interlacing_principal_submatrix():
 def test_diam2_radius_formula(corpus):
     # diameter <= 2 forces the distance Laplacian radius to 2n - alpha
     for n in range(2, 7):
-        diam = DistanceStack(distances(adjacency_stack(corpus[n]))).diam.tolist()
+        diam = StackedProfiles(corpus[n]).groups[0].diam.tolist()
         for g, d in zip(corpus[n], diam):
             if d <= 2:
                 radius = eigenvalues(dist_laplacian(g)).radius

@@ -333,8 +333,8 @@ def test_stacked_deletions_match_per_edge_oracle():
 
 
 def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
-    """Alone covers the corpus stack: all deletions of a mixed-order corpus
-    solved in one _deletion_gaps call, the small slice splitting each
+    """Alone covers the corpus stack: each order's deletions of a
+    mixed-order corpus solved in one _deletion_gaps call, the small slice splitting each
     order's stack, and the deletions of one graph, across many solves, and
     the scan's reports, all against the per-edge oracle.
     test_stacked_deletions_match_per_edge_oracle covers more graphs, one
@@ -355,18 +355,19 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         monkeypatch.setattr(spectra, "SOLVE_SLICE", budget)
         solves, stacks = [], []
         real_gaps, real_eig = bounds._deletion_gaps, spectra.eigenvalues_stacked
-        monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: solves.append(
-            len(stacks)) or real_gaps(profiles))
+        monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: solves.append(
+            len(stacks)) or real_gaps(group))
         monkeypatch.setattr(spectra, "eigenvalues_stacked",
                             lambda m: stacks.append(m.shape) or real_eig(m))
         profiles = StackedProfiles(graphs)
         got = {tid: stacked_verdicts(profiles, tid) for tid in want}
         monkeypatch.undo()
-        # one _deletion_gaps call, after the profiles' own solves
-        assert len(solves) == 1
+        # one _deletion_gaps call per order group, after the profiles' own
+        # solves
+        assert len(solves) == len(profiles.groups) == 12
         deletions = stacks[solves[0]:]
         assert max(np.prod(shape) for shape in stacks) <= budget
-        kept = profiles.facts["deletions"][0].sum()
+        kept = sum(group.facts["deletions"][0].sum() for group in profiles.groups)
         assert sum(shape[0] for shape in deletions) == 2 * kept > 0
         # one solve per sign and edge slice that keeps a deletion: none for
         # orders 1 and 2, one slice each for orders 3..9 and 2, 3 and 3 for
@@ -391,15 +392,16 @@ def test_stream_deletion_reports_pinned():
 
 
 def test_deletion_solve_memory_bounded():
-    # both signs in one call, for the stream's 192 connected graphs, orders
-    # 8..24, and for the 853 of the n = 7 corpus: the traced peak stays
-    # within a few slices, whatever the number of deletions
+    # both signs in one call per order group, for the stream's 192 connected
+    # graphs, orders 8..24, and for the 853 of the n = 7 corpus: the traced
+    # peak stays within a few slices, whatever the number of deletions
     for graphs in ([g for *_, g, ok in graph6_corpus(stream()) if ok],
                    list(enumerate_connected(7))):
         profiles = StackedProfiles(graphs)
         tracemalloc.start()
         try:
-            bounds._deletion_gaps(profiles)
+            for group in profiles.groups:
+                bounds._deletion_gaps(group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,8 +419,8 @@ def test_scan_solves_each_kept_deletion_once(monkeypatch):
     monkeypatch.setattr(spectra, "distances", lambda a: dist.append(a.shape) or real_dist(a))
     monkeypatch.setattr(spectra, "eigenvalues_stacked",
                         lambda m: stacks.append(m.shape) or real_eig(m))
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: start.append(
-        (len(dist), len(stacks))) or real_gaps(profiles))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: start.append(
+        (len(dist), len(stacks))) or real_gaps(group))
     scan_many(["L2.3", "L2.4"], 7)
     monkeypatch.undo()
     dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
@@ -498,8 +500,8 @@ def test_scan_reports_stream_each_id_when_due(monkeypatch):
     # is encoded once across all reports, which match scan_many's bytes
     calls, encoded = [], []
     real_gaps, real_omega, real_g6 = bounds._deletion_gaps, bounds.clique_number, to_graph6
-    monkeypatch.setattr(bounds, "_deletion_gaps", lambda profiles: calls.append(
-        "gaps") or real_gaps(profiles))
+    monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: calls.append(
+        "gaps") or real_gaps(group))
     monkeypatch.setattr(bounds, "clique_number",
                         lambda g: calls.append("omega") or real_omega(g))
     monkeypatch.setattr(verify, "to_graph6", lambda g: encoded.append(real_g6(g)) or encoded[-1])
