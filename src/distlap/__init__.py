@@ -2,6 +2,18 @@
 graphs: construction, closed forms, spectral bounds, and exhaustive
 verification over small-order corpora."""
 
+import os as _os
+
+# Every matrix distlap hands to BLAS is at most 64 x 64, too small to gain
+# from OpenBLAS's threads, so numpy loads with one OpenBLAS thread unless
+# the caller chose a count; OpenBLAS reads it once, at load.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _np
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (CorpusError, DisconnectedGraph, DistlapError,
                      DimensionMismatch, InconsistentClassification,
                      InvalidGraft, InvalidParams, InvalidPartition,

@@ -65,14 +65,14 @@ class ScanReport:
 def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     """Resolve a corpus argument to (descriptor, graphs, skipped count).
 
-    Accepts a native order (int), a file path, or an iterable of graph6
-    lines (bytes or str); a file's lines end only at LF bytes.
+    Accepts a native order (int), a file path (str, bytes, os.PathLike) or
+    an iterable of graph6 lines (bytes or str); file lines end only at LF.
     Disconnected and over-order entries are counted as skipped; non-ASCII or
     malformed lines raise CorpusError."""
     if isinstance(corpus, int):
         return f"n={corpus}", list(enumerate_connected(corpus)), 0
-    path = isinstance(corpus, (str, os.PathLike))
-    desc = f"file:{corpus}" if path else "stream"
+    path = isinstance(corpus, (str, bytes, os.PathLike))
+    desc = f"file:{os.fsdecode(corpus)}" if path else "stream"
     try:
         with open(corpus, "rb") if path else nullcontext(corpus) as lines:
             records = graph6_corpus(lines)

@@ -121,6 +121,10 @@ MUTANTS = [
     ("src/distlap/graphs.py",
      "for s in (32, 16, 8, 4, 2, 1)]", "for s in (32, 16, 8, 4, 2)]",
      [G + "test_graph_validation", G + "test_graph_validation_matches_walk[1]"]),
+    # numpy loaded with OpenBLAS's two-thread pool by default
+    ("src/distlap/__init__.py",
+     '_os.environ["OPENBLAS_NUM_THREADS"] = "1"', '_os.environ["OPENBLAS_NUM_THREADS"] = "2"',
+     ["tests/test_imports.py::test_numpy_loads_with_one_openblas_thread"]),
     # the path builder's edges made a list before its order is refused
     ("src/distlap/families.py",
      "return n, pendant_path(0, 1, n - 1)", "return n, list(pendant_path(0, 1, n - 1))",

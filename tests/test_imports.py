@@ -1,8 +1,16 @@
 """No module of the package binds a module-level import it never uses,
-every module-level private name is read somewhere in the package, and each
-checked statement id is registered by one @check, in SCAN_IDS order."""
+every module-level private name is read somewhere in the package, each
+checked statement id is registered by one @check, in SCAN_IDS order, and
+importing the package loads numpy with one OpenBLAS thread unless the
+caller chose otherwise."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from distlap import SCAN_IDS
 
@@ -96,3 +104,53 @@ def test_check_ids_registered_once_in_scan_order():
            for tid in check_ids(path.read_text(encoding="utf-8"))]
     assert len(set(ids)) == len(ids)
     assert tuple(ids) == SCAN_IDS
+
+
+# prints [OpenBLAS threads after `import numpy` (argument "numpy" only), after
+# `import distlap`, os.environ's OPENBLAS_NUM_THREADS]; a count is None when
+# no OpenBLAS library is mapped
+THREAD_PROBE = """
+import ctypes, json, os, sys
+
+def threads():
+    maps = "/proc/self/maps"
+    libs = sorted({line.split()[-1] for line in open(maps)
+                   if "openblas" in line.split()[-1]}) if os.path.exists(maps) else []
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(ctypes.CDLL(libs[0]), name, None) if libs else None
+        if get:
+            return get()
+    return None
+
+first = None
+if sys.argv[1:] == ["numpy"]:
+    import numpy
+    first = threads()
+import distlap
+print(json.dumps([first, threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def test_numpy_loads_with_one_openblas_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
+    cases = {"default": (env, []), "numpy first": (env, ["numpy"]),
+             "caller's count": (dict(env, OPENBLAS_NUM_THREADS="2"), [])}
+    procs = {case: subprocess.Popen([sys.executable, "-c", THREAD_PROBE, *args],
+                                    env=case_env, stdout=subprocess.PIPE, text=True)
+             for case, (case_env, args) in cases.items()}
+    got = {case: json.loads(proc.communicate(timeout=60)[0])
+           for case, proc in procs.items()}
+    if got["default"][1] is None:
+        pytest.skip("no OpenBLAS library is mapped")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS starts one thread whatever it is told")
+    # the pool is declined and the environment left as it was
+    assert got["default"] == [None, 1, None]
+    # numpy's own default, from a load before distlap's, is left alone
+    first, threads, _ = got["numpy first"]
+    assert threads == first > 1
+    # a caller's count wins
+    assert got["caller's count"] == [None, 2, "2"]

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import random
 import tracemalloc
 from dataclasses import asdict
@@ -189,6 +190,8 @@ def test_scan_file_corpus(tmp_path):
     assert r.graphs_checked == 2 and r.skipped == 1
     with pytest.raises(CorpusError):
         scan("L3.1", str(tmp_path / "missing.g6"))
+    # a bytes path names a file, as open() takes it, not a stream of ints
+    assert scan("L3.1", os.fsencode(p)) == r == scan("L3.1", p)
 
 
 def test_scan_determinism():
