@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
-from .families import FamilySpec, build
+from .families import FamilySpec, build, turan_parts
 from .graphs import Graph, connected, is_connected
 from .spectra import OrderGroup, distance_spectra, radii, slices
 from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdicts
@@ -118,8 +118,7 @@ def is_star(g: Graph) -> bool:
 
 def _turan_edges(n: int, omega: int) -> int:
     # t(n, omega): the n^2 ordered pairs less those inside the balanced parts, halved
-    q, r = divmod(n, omega)
-    return (n * n - r * (q + 1) ** 2 - (omega - r) * q * q) // 2
+    return (n * n - sum(p * p for p in turan_parts(n, omega))) // 2
 
 
 def is_turan(g: Graph, omega: int) -> bool:

@@ -108,11 +108,11 @@ def turan_parts(n: int, omega: int) -> tuple[int, ...]:
 
 
 def _turan(n: int, omega: int):
-    # the blocks of turan_parts(n, omega), larger parts first, without the
-    # list of omega sizes: part b starts at b q + min(b, r)
+    # the blocks of turan_parts(n, omega), whose omega sizes the lazy map
+    # lists only once an edge is read, after from_edges has checked the order
     _need(2 <= omega <= n, "need 2 <= omega <= n")
-    q, r = divmod(n, omega)
-    return n, _join_blocks(n, (b * q + min(b, r) for b in range(omega + 1)))
+    parts = chain.from_iterable(map(turan_parts, [n], [omega]))
+    return n, _join_blocks(n, accumulate(parts, initial=0))
 
 
 def _kite_clique(n: int, omega: int):

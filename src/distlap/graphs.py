@@ -263,8 +263,10 @@ def _graph6_body(text: str) -> tuple[int, bytes]:
 @lru_cache(maxsize=None)
 def _colex_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(j, i) index arrays of the edges (i, j), i < j, in colex order: the
-    row-major order below the diagonal."""
-    return np.tril_indices(n, -1)
+    row-major order below the diagonal; read-only, as every caller shares them."""
+    j, i = np.tril_indices(n, -1)
+    j.flags.writeable = i.flags.writeable = False
+    return j, i
 
 
 def graph6_stack(n: int, bodies) -> np.ndarray:
@@ -346,7 +348,7 @@ def graph6_corpus(lines) -> list[tuple]:
 # canonical labeling
 
 
-def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> str:
+def canonical_form(g: Graph) -> str:
     """graph6 string of the lexicographically minimal relabeling of g.
 
     Branch and bound over vertex positions: the colex bitstring is a
@@ -356,8 +358,8 @@ def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> str:
     collapsed to one candidate. Two graphs get equal keys iff isomorphic.
     """
     n = g.n
-    if n > limit:
-        raise UnsupportedOrder(f"canonical_form limited to n <= {limit}")
+    if n > CANONICAL_LIMIT:
+        raise UnsupportedOrder(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
     adj = g.adj
     best: list[int] | None = None
 
@@ -393,10 +395,10 @@ def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT) -> str:
     return _graph6(n, best)
 
 
-def is_isomorphic(a: Graph, b: Graph, limit: int = CANONICAL_LIMIT) -> bool:
+def is_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.m != b.m:
         return False
-    return canonical_form(a, limit) == canonical_form(b, limit)
+    return canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------

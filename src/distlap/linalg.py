@@ -30,10 +30,9 @@ def as_sym_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with a grouping tolerance for reporting."""
+    """Eigenvalues sorted descending; multiplicities groups them at GROUP_TOL."""
 
     values: tuple[float, ...]
-    tol: float = GROUP_TOL
 
     def __post_init__(self):
         for i in range(len(self.values) - 1):
@@ -55,10 +54,10 @@ class Spectrum:
         return self.values[-1]
 
     def multiplicities(self) -> list[tuple[float, int]]:
-        """Group equal eigenvalues at the tolerance; returns (value, count) pairs."""
+        """Group equal eigenvalues at GROUP_TOL; returns (value, count) pairs."""
         groups: list[tuple[float, int]] = []
         for v in self.values:
-            if groups and abs(groups[-1][0] - v) <= self.tol:
+            if groups and abs(groups[-1][0] - v) <= GROUP_TOL:
                 val, cnt = groups[-1]
                 groups[-1] = (val, cnt + 1)
             else:
@@ -88,7 +87,7 @@ def eigenvalues_stacked(stack) -> np.ndarray:
     return vals[:, ::-1]
 
 
-def eigenvalues_jacobi(m, max_sweeps: int = 100) -> Spectrum:
+def eigenvalues_jacobi(m) -> Spectrum:
     """Cyclic-by-row Jacobi eigensolver; independent oracle for eigenvalues."""
     a = as_sym_matrix(m).copy()
     n = a.shape[0]
@@ -96,7 +95,7 @@ def eigenvalues_jacobi(m, max_sweeps: int = 100) -> Spectrum:
         return Spectrum((float(a[0, 0]),))
     fro = float(np.linalg.norm(a))
     stop = 1e-12 * fro
-    for _ in range(max_sweeps):
+    for _ in range(100):
         # summed directly over the off-diagonal entries: the textbook
         # ||A||_F^2 - sum(diag^2) form cancels catastrophically and can
         # never reach a 1e-12-relative threshold
@@ -131,7 +130,7 @@ def eigenvalues_jacobi(m, max_sweeps: int = 100) -> Spectrum:
                 a[idx, q] = newq
                 a[q, idx] = newq
     else:
-        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+        raise NoConvergence("Jacobi did not converge in 100 sweeps")
     vals = sorted((float(v) for v in np.diag(a)), reverse=True)
     return Spectrum(tuple(vals))
 
@@ -143,23 +142,23 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def largest_root(coeffs, bracket, grid: int = 2048, tol: float = 1e-11) -> float:
+def largest_root(coeffs, bracket) -> float:
     """Largest real root of the polynomial (coefficients leading-first) inside
-    the bracket, found by scanning for the rightmost sign change and bisecting."""
+    the bracket: the rightmost sign change of a 2048-step scan, bisected to 1e-11."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise NoRootInBracket(f"empty bracket [{lo}, {hi}]")
-    xs = [lo + (hi - lo) * k / grid for k in range(grid + 1)]
+    xs = [lo + (hi - lo) * k / 2048 for k in range(2049)]
     fb = _horner(coeffs, xs[-1])
     if fb == 0.0:
         return xs[-1]
-    for k in range(grid - 1, -1, -1):
+    for k in range(2047, -1, -1):
         fa = _horner(coeffs, xs[k])
         if fa == 0.0:
             return xs[k]
         if (fa < 0.0) != (fb < 0.0):
             a, b = xs[k], xs[k + 1]
-            while b - a > tol:
+            while b - a > 1e-11:
                 mid = 0.5 * (a + b)
                 fm = _horner(coeffs, mid)
                 if fm == 0.0:

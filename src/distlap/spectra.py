@@ -191,15 +191,12 @@ def check_quotient_bound(m, blocks) -> BoundVerdict:
         "lambda1_matrix": lam_m, "lambda1_quotient": lam_r, "blocks": sizes})
 
 
-def check_interlacing(a_spec, b_spec, slack: float = 1e-9) -> bool:
+def check_interlacing(a_spec, b_spec) -> bool:
     """Cauchy interlacing: with descending spectra of sizes n >= m,
-    a[n-m+i] <= b[i] <= a[i] for i = 1..m (1-based)."""
+    a[n-m+i] <= b[i] <= a[i] for i = 1..m (1-based), up to 1e-9."""
     av = list(a_spec.values if isinstance(a_spec, Spectrum) else a_spec)
     bv = list(b_spec.values if isinstance(b_spec, Spectrum) else b_spec)
     n, m = len(av), len(bv)
     if m > n:
         raise DimensionMismatch(f"submatrix spectrum longer ({m}) than full ({n})")
-    for i in range(m):
-        if not (av[n - m + i] - slack <= bv[i] <= av[i] + slack):
-            return False
-    return True
+    return all(av[n - m + i] - 1e-9 <= bv[i] <= av[i] + 1e-9 for i in range(m))

@@ -125,6 +125,34 @@ MUTANTS = [
     ("src/distlap/__init__.py",
      '_os.environ["OPENBLAS_NUM_THREADS"] = "1"', '_os.environ["OPENBLAS_NUM_THREADS"] = "2"',
      ["tests/test_imports.py::test_numpy_loads_with_one_openblas_thread"]),
+    # K_2 refused by the T3.2 classifier along with K_1
+    ("src/distlap/bounds.py",
+     "if g.n < 2:", "if g.n <= 2:",
+     [B + "test_theorem32_classification"]),
+    # each of T3.2's inconsistent details naming the wrong forced radius
+    ("src/distlap/bounds.py",
+     "at or below {n + 2} without", "at or below {n} without",
+     [B + "test_theorem32_inconsistent_details"]),
+    ("src/distlap/bounds.py",
+     "dl radius {o} != {n}\",", "dl radius {o} != {n + 2}\",",
+     [B + "test_theorem32_inconsistent_details"]),
+    ("src/distlap/bounds.py",
+     "dl radius {o} != {n + 2}\")", "dl radius {o} != {n}\")",
+     [B + "test_theorem32_inconsistent_details"]),
+    # the Turan rule with one larger part too many
+    ("src/distlap/families.py",
+     "[q + 1] * r", "[q + 1] * (r + 1)",
+     ["tests/test_families.py::test_multipartite_and_turan", RECOGNIZERS, EXHAUSTIVE,
+      "tests/test_ingest.py::test_is_turan_matches_complement_reference"]),
+    # the Turan builder listing its omega part sizes before the order check
+    ("src/distlap/families.py",
+     "parts = chain.from_iterable(map(turan_parts, [n], [omega]))",
+     "parts = turan_parts(n, omega)",
+     ["tests/test_families.py::test_turan_builds_no_part_list"]),
+    # the shared colex edge ends left writable
+    ("src/distlap/graphs.py",
+     "i.flags.writeable = False", "i.flags.writeable = True",
+     [G + "test_colex_ends_are_read_only"]),
     # the path builder's edges made a list before its order is refused
     ("src/distlap/families.py",
      "return n, pendant_path(0, 1, n - 1)", "return n, list(pendant_path(0, 1, n - 1))",

@@ -166,8 +166,25 @@ def test_theorem32_classification():
     assert classify_L1_theorem32(fam("Complete", 5)) == "EqualsN_Kn"
     assert classify_L1_theorem32(fam("CompleteMinusMatching", 5, 1)) == "EqualsNPlus2_Matching"
     assert classify_L1_theorem32(fam("Path", 4)) == "AboveNPlus2"
+    # K_2 is the least order classified; K_1 (P_1) is refused
+    assert classify_L1_theorem32(fam("Complete", 2)) == "EqualsN_Kn"
     with pytest.raises(UnsupportedOrder):
         classify_L1_theorem32(fam("Path", 1))
+
+
+def test_theorem32_inconsistent_details():
+    # no graph's radius disagrees with its structure, so each case is a
+    # one-row group whose radius is set off the value its structure forces
+    cases = ((fam("Path", 4), 6.0, "dl radius 6.0 at or below 6 without matching structure"),
+             (fam("Complete", 4), 5.0, "complete graph with dl radius 5.0 != 4"),
+             (fam("CompleteMinusMatching", 4, 1), 7.0,
+              "matching-complement graph with dl radius 7.0 != 6"))
+    for g, radius, detail in cases:
+        group = StackedProfiles([g]).groups[0]
+        group.dl[0, 0] = radius
+        v = FORMULAS["T3.2"](group, EQUALITY_TOL).verdict(0)
+        assert not v.holds and v.observed == radius
+        assert v.witness == {"classification": "inconsistent", "detail": detail}
 
 
 def test_theorem32_verdicts():

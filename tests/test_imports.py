@@ -1,9 +1,12 @@
 """No module of the package binds a module-level import it never uses,
 every module-level private name is read somewhere in the package, each
-checked statement id is registered by one @check, in SCAN_IDS order, and
-importing the package loads numpy with one OpenBLAS thread unless the
-caller chose otherwise."""
+checked statement id is registered by one @check, in SCAN_IDS order, every
+optional parameter of the exported callables is one that a named caller
+sets, and importing the package loads numpy with one OpenBLAS thread unless
+the caller chose otherwise."""
 import ast
+import fnmatch
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import distlap
 from distlap import SCAN_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "distlap"
@@ -104,6 +108,60 @@ def test_check_ids_registered_once_in_scan_order():
            for tid in check_ids(path.read_text(encoding="utf-8"))]
     assert len(set(ids)) == len(ids)
     assert tuple(ids) == SCAN_IDS
+
+
+# "callable.parameter" pattern (fnmatch) -> the caller that sets it; a
+# default that no caller overrides is a module constant, not a parameter
+SET_BY = {
+    "bound_*.tol": "CLI bounds/scan --tolerance, which verify.evaluate hands "
+                   "to the formula each per-graph check wraps",
+    "check_*.tol": "the same, for the lemma and graft checks",
+    "classify_L1_theorem32.tol": "the same, passed on to bound_L1_theorem32",
+    "scan*.tolerance": "CLI scan --tolerance (cli._cmd_scan)",
+    "scan*.fail_fast": "CLI scan --fail-fast (cli._cmd_scan)",
+    "emit_report.format": "CLI --format (cli._emit)",
+    "emit_report.precise": "CLI --precise (cli._emit)",
+    "BoundVerdict.applicable": "verdict.not_applicable",
+    "BoundVerdict.witness": "verdict.verdict and verdict.not_applicable",
+    "not_applicable.*": "transforms' graft checks (bound_value, observed, witness)",
+    "ScanReport.rows": "verify.table1_regression",
+    "*.dprime": "the Theorem 3.1 fixture test, over the proof's d' values",
+}
+
+
+def optional_parameters(namespace) -> list[str]:
+    """"callable.parameter" for each parameter with a default of the public
+    callables in namespace and of their classes' public methods."""
+    found = []
+    for name, obj in sorted(vars(namespace).items()):
+        if name.startswith("_") or not callable(obj):
+            continue
+        methods = [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                   if not m.startswith("_") and callable(f)] if isinstance(obj, type) else []
+        for label, f in [(name, obj), *methods]:
+            try:
+                params = inspect.signature(f).parameters.values()
+            except ValueError:  # a builtin's signature, as for the exceptions
+                continue
+            found += [f"{label}.{p.name}" for p in params if p.default is not p.empty]
+    return found
+
+
+def test_optional_parameters_detector():
+    class Ns:
+        class C:
+            def __init__(self, a, b=1): pass
+            def get(self, c=2): pass
+        def f(x, *, y=0): pass
+        def _g(z=1): pass
+        N = 3
+    assert optional_parameters(Ns) == ["C.b", "C.get.c", "f.y"]
+
+
+def test_every_optional_parameter_has_a_caller():
+    unset = [p for p in optional_parameters(distlap)
+             if not any(fnmatch.fnmatchcase(p, pattern) for pattern in SET_BY)]
+    assert unset == []
 
 
 # prints [OpenBLAS threads after `import numpy` (argument "numpy" only), after
