@@ -26,17 +26,17 @@ THEOREM_IDS = ("L3.1", "T3.1", "T3.2", "T4.1", "T4.2", "T5.1", "T5.2",
                "T6.1", "T6.2", "T6.3", "C6.1", "T6.4", "T7.1")
 
 # theorem id -> array formula (OrderGroup, tol) -> Verdicts, and -> the
-# per-graph checker (Graph, tol) -> BoundVerdict, in registration order
+# per-graph checker Graph -> BoundVerdict at EQUALITY_TOL, in registration order
 FORMULAS: dict = {}
 CHECKS: dict = {}
 
 
 def check(theorem_id: str):
     """Register the decorated array formula as theorem_id and return its
-    per-graph checker: the formula on a one-graph stack, row 0."""
+    per-graph checker: the formula at EQUALITY_TOL on a one-graph stack."""
     def register(formula):
-        def on_graph(g: Graph, tol: float = EQUALITY_TOL) -> BoundVerdict:
-            return formula(OrderGroup([g], [0]), tol).verdict(0)
+        def on_graph(g: Graph) -> BoundVerdict:
+            return formula(OrderGroup([g], [0]), EQUALITY_TOL).verdict(0)
         on_graph.__name__, on_graph.__doc__ = formula.__name__, formula.__doc__
         FORMULAS[theorem_id], CHECKS[theorem_id] = formula, on_graph
         return on_graph
@@ -208,14 +208,14 @@ def bound_L1_theorem32(s: OrderGroup, tol: float):
                     witness, n >= 2, lambda r: {"n": n})
 
 
-def classify_L1_theorem32(g: Graph, tol: float = EQUALITY_TOL) -> str:
+def classify_L1_theorem32(g: Graph) -> str:
     """Trichotomy of the dl radius at n and n+2.
 
     Returns "EqualsN_Kn", "EqualsNPlus2_Matching", or "AboveNPlus2"; raises
     InconsistentClassification when spectral value and structure disagree."""
     if g.n < 2:
         raise UnsupportedOrder("classification needs n >= 2")
-    w = bound_L1_theorem32(g, tol).witness
+    w = bound_L1_theorem32(g).witness
     if w["classification"] == "inconsistent":
         raise InconsistentClassification(w["detail"])
     return w["classification"]

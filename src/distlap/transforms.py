@@ -15,7 +15,7 @@ from .errors import InvalidGraft, NoSuchEdge
 from .graphs import (MAX_ORDER, Graph, adjacency_stack, from_edges, is_connected,
                      pendant_path)
 from .spectra import distance_spectra
-from .verdict import EQUALITY_TOL, BoundVerdict, flags, not_applicable, verdict
+from .verdict import BoundVerdict, flags, not_applicable, verdict
 
 KIND_VERTEX = "TwoPathsAtVertex"
 KIND_TWINS = "TwoPathsAtTwins"
@@ -98,7 +98,7 @@ def _witness(spec: GraftSpec, a: float, b: float) -> dict:
             "base_n": spec.base.n, "radius_k_l": a, "radius_k1_l1": b}
 
 
-def check_graft_monotone_L(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundVerdict:
+def check_graft_monotone_L(spec: GraftSpec) -> BoundVerdict:
     """dl radius of the (k+1, l-1) graft >= that of the (k, l) graft; strict
     when l = 2 and the base is not a bare path seed."""
     a, b = _compare_radii(spec, -1)
@@ -107,12 +107,12 @@ def check_graft_monotone_L(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundV
         return not_applicable(theorem_id, bound_value=a, observed=b,
                               witness=_witness(spec, a, b))
     claim = spec.l == 2 and not _is_degenerate(spec)
-    holds, strict, equality = flags(b, ">" if claim else ">=", a, tol)
+    holds, strict, equality = flags(b, ">" if claim else ">=", a)
     return BoundVerdict(theorem_id, a, b, holds=holds, strict=claim and strict,
                         equality=equality, witness=_witness(spec, a, b))
 
 
-def check_graft_monotone_Q(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundVerdict:
+def check_graft_monotone_Q(spec: GraftSpec) -> BoundVerdict:
     """dq radius of the (k+1, l-1) graft strictly exceeds that of the (k, l)
     graft."""
     a, b = _compare_radii(spec, 1)
@@ -120,7 +120,7 @@ def check_graft_monotone_Q(spec: GraftSpec, tol: float = EQUALITY_TOL) -> BoundV
     if _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,
                               witness=_witness(spec, a, b))
-    return verdict(theorem_id, b, ">", a, tol, _witness(spec, a, b))
+    return verdict(theorem_id, b, ">", a, _witness(spec, a, b))
 
 
 def delete_edge(g: Graph, e) -> Graph:

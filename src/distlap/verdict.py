@@ -48,9 +48,9 @@ def flags(observed, rel: str, bound, tol: float = EQUALITY_TOL) -> tuple:
 
 
 def verdict(theorem_id: str, observed: float, rel: str, bound: float,
-            tol: float = EQUALITY_TOL, witness: dict | None = None) -> BoundVerdict:
+            witness: dict | None = None) -> BoundVerdict:
     """The verdict of the claim ``observed rel bound``; see flags."""
-    holds, strict, equality = flags(observed, rel, bound, tol)
+    holds, strict, equality = flags(observed, rel, bound)
     return BoundVerdict(theorem_id, bound, observed, holds=holds, strict=strict,
                         equality=equality, witness=witness or {})
 

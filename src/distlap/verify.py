@@ -137,18 +137,14 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
     return reports()
 
 
-def scan_many(theorem_ids, corpus, *, fail_fast: bool = False,
-              tolerance: float = EQUALITY_TOL) -> list[ScanReport]:
-    """All the reports of scan_reports, as a list."""
-    return list(scan_reports(theorem_ids, corpus, fail_fast=fail_fast,
-                             tolerance=tolerance))
+def scan_many(theorem_ids, corpus) -> list[ScanReport]:
+    """All the reports of scan_reports at EQUALITY_TOL, as a list."""
+    return list(scan_reports(theorem_ids, corpus))
 
 
-def scan(theorem_id: str, corpus, *, fail_fast: bool = False,
-         tolerance: float = EQUALITY_TOL) -> ScanReport:
+def scan(theorem_id: str, corpus) -> ScanReport:
     """Evaluate one theorem over a whole corpus; scan_many for one id."""
-    return scan_many([theorem_id], corpus, fail_fast=fail_fast,
-                     tolerance=tolerance)[0]
+    return scan_many([theorem_id], corpus)[0]
 
 
 def _kite_tstar_radii(n: int) -> list[float]:
@@ -159,27 +155,21 @@ def _kite_tstar_radii(n: int) -> list[float]:
 def table1_regression() -> ScanReport:
     """Recompute the reference kite and T* dq radii for n = 7..13 and check
     each against its 4-decimal table value, plus kite > T* per row."""
-    rows = []
-    violations = []
+    rows, violations = [], []
     for n in sorted(TABLE1_KITE):
         kite, tstar = _kite_tstar_radii(n)
-        ok = (abs(kite - TABLE1_KITE[n]) <= TABLE1_TOL
-              and abs(tstar - TABLE1_TSTAR[n]) <= TABLE1_TOL
-              and kite > tstar)
-        rows.append((n, kite, tstar, ok))
-        if not ok:
-            # surface the cell that actually deviates
-            if abs(kite - TABLE1_KITE[n]) > TABLE1_TOL:
-                label, ref, got = f"kite:{n}", TABLE1_KITE[n], kite
-            elif abs(tstar - TABLE1_TSTAR[n]) > TABLE1_TOL:
-                label, ref, got = f"tstar:{n}", TABLE1_TSTAR[n], tstar
-            else:
-                label, ref, got = f"order:{n}", tstar, kite
-            violations.append(
-                (label, BoundVerdict("L7.3", ref, got,
-                                     holds=False, strict=False,
-                                     equality=False,
-                                     witness={"kite": kite, "tstar": tstar})))
+        # (label, reference, computed) of each condition the row misses;
+        # the first one names the row's violation
+        missed = [(label, ref, got) for label, ref, got, met in (
+            (f"kite:{n}", TABLE1_KITE[n], kite, abs(kite - TABLE1_KITE[n]) <= TABLE1_TOL),
+            (f"tstar:{n}", TABLE1_TSTAR[n], tstar, abs(tstar - TABLE1_TSTAR[n]) <= TABLE1_TOL),
+            (f"order:{n}", tstar, kite, kite > tstar)) if not met]
+        rows.append((n, kite, tstar, not missed))
+        if missed:
+            label, ref, got = missed[0]
+            violations.append((label, BoundVerdict(
+                "L7.3", ref, got, holds=False, strict=False, equality=False,
+                witness={"kite": kite, "tstar": tstar})))
     return ScanReport(
         theorem_id="L7.3",
         corpus="table1",

@@ -45,10 +45,12 @@ CONSOLE = "tests/test_cli.py::test_console_bytes_pinned"
 # - orbit ^= images[b] for orbit |= images[b] in graphs._orbit_minima is
 #   equivalent: a permutation maps distinct edges to distinct bits, so the
 #   rows ORed into an orbit never share a bit.
-# - a float16 Seidel kernel (the float32 buffers of graphs.distances) passes:
-#   float16 holds every integer up to 2048 exactly, and the products of every
-#   tested graph stay far below that; only the n (n - 1) < 2^24 worst case at
-#   n = 64 needs float32.
+# - a float16 Seidel kernel (the float32 buffers of graphs.distances) is
+#   equivalent: float16 holds every integer up to 2048 exactly, and no graph
+#   of order n <= 64 comes near it. A vertex of level-degree d and a vertex
+#   at level distance delta from it need n >= d + delta vertices, so every
+#   partial sum of D' M is at most d ceil((n - d) / 2) + d <= 561 at n = 64,
+#   and (A + I)^2 <= n. Brooms and clique paths of order 64 peak at 543.
 
 # (file, exact old text, new text, test ids that must fail)
 MUTANTS = [
@@ -157,6 +159,18 @@ MUTANTS = [
     ("src/distlap/families.py",
      "return n, pendant_path(0, 1, n - 1)", "return n, list(pendant_path(0, 1, n - 1))",
      ["tests/test_families.py::test_over_order_members_cost_no_edge_list"]),
+    # the per-graph checkers at equality tolerance 0 instead of EQUALITY_TOL
+    ("src/distlap/bounds.py",
+     "formula(OrderGroup([g], [0]), EQUALITY_TOL)", "formula(OrderGroup([g], [0]), 0.0)",
+     [VERDICTS, P + "test_scan_verdicts_equal_per_graph_checks"]),
+    # the T5.3/T5.4 graft flags at equality tolerance 0
+    ("src/distlap/transforms.py",
+     'flags(b, ">" if claim else ">=", a)', 'flags(b, ">" if claim else ">=", a, 0.0)',
+     ["tests/test_transforms.py::test_graft_census_order_14"]),
+    # a table1 row named by the last condition it misses, not the first
+    ("src/distlap/verify.py",
+     "label, ref, got = missed[0]", "label, ref, got = missed[-1]",
+     [V + "test_table1_violation_labels"]),
 ]
 
 

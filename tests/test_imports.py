@@ -113,12 +113,8 @@ def test_check_ids_registered_once_in_scan_order():
 # "callable.parameter" pattern (fnmatch) -> the caller that sets it; a
 # default that no caller overrides is a module constant, not a parameter
 SET_BY = {
-    "bound_*.tol": "CLI bounds/scan --tolerance, which verify.evaluate hands "
-                   "to the formula each per-graph check wraps",
-    "check_*.tol": "the same, for the lemma and graft checks",
-    "classify_L1_theorem32.tol": "the same, passed on to bound_L1_theorem32",
-    "scan*.tolerance": "CLI scan --tolerance (cli._cmd_scan)",
-    "scan*.fail_fast": "CLI scan --fail-fast (cli._cmd_scan)",
+    "scan_reports.tolerance": "CLI scan --tolerance (cli._cmd_scan)",
+    "scan_reports.fail_fast": "CLI scan --fail-fast (cli._cmd_scan)",
     "emit_report.format": "CLI --format (cli._emit)",
     "emit_report.precise": "CLI --precise (cli._emit)",
     "BoundVerdict.applicable": "verdict.not_applicable",
@@ -159,9 +155,14 @@ def test_optional_parameters_detector():
 
 
 def test_every_optional_parameter_has_a_caller():
-    unset = [p for p in optional_parameters(distlap)
+    params = optional_parameters(distlap)
+    unset = [p for p in params
              if not any(fnmatch.fnmatchcase(p, pattern) for pattern in SET_BY)]
     assert unset == []
+    # no allowance outlives its parameter
+    stale = [pattern for pattern in SET_BY
+             if not any(fnmatch.fnmatchcase(p, pattern) for p in params)]
+    assert stale == []
 
 
 # prints [OpenBLAS threads after `import numpy` (argument "numpy" only), after

@@ -1,7 +1,7 @@
 import pytest
 
 from distlap import SLACK
-from distlap.verdict import verdict
+from distlap.verdict import flags, verdict
 
 # Values one ulp-scale step from bound -/+ SLACK, where the claim's written
 # expression and its algebraic rearrangement round to different answers:
@@ -44,9 +44,11 @@ def test_verdict_less():
 
 
 def test_verdict_equality_tolerance_and_witness():
-    v = verdict("X", 1.0, "<=", 1.5, tol=0.5, witness={"k": 1})
-    assert v.equality and v.strict and v.holds and v.witness == {"k": 1}
-    assert not verdict("X", 1.0, "<=", 1.5, tol=0.25).equality
+    v = verdict("X", 1.0, "<=", 1.5, witness={"k": 1})
+    assert not v.equality and v.strict and v.holds and v.witness == {"k": 1}
+    # equality is |observed - bound| <= tol, at the tolerance given
+    assert flags(1.0, "<=", 1.5, 0.5) == (True, True, True)
+    assert not flags(1.0, "<=", 1.5, 0.25)[2]
     assert verdict("X", 1.0, "<=", 1.5).witness == {}
     with pytest.raises(ValueError):
         verdict("X", 1.0, "==", 1.0)

@@ -244,11 +244,11 @@ def test_scan_many_fail_fast_per_id():
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5, 6)]
         ids = ["X1.0", "X1.1", "X1.2", "T6.4", "X1.0"]
-        many = scan_many(ids, lines, fail_fast=True)
+        many = list(verify.scan_reports(ids, lines, fail_fast=True))
         assert [r.theorem_id for r in many] == ids
         assert [r.graphs_checked for r in many] == [2, 4, 5, 5, 2]
         for tid, r in zip(ids, many):
-            single = scan(tid, lines, fail_fast=True)
+            [single] = verify.scan_reports([tid], lines, fail_fast=True)
             assert r.graphs_checked == single.graphs_checked
             assert emit_report(r) == emit_report(single)
     finally:
@@ -267,7 +267,7 @@ def test_scan_fail_fast_stops_early():
     FORMULAS["X0.0"] = fake_formula("X0.0", lambda s: False)
     try:
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5)]
-        r = scan("X0.0", lines, fail_fast=True)
+        [r] = verify.scan_reports(["X0.0"], lines, fail_fast=True)
         assert r.graphs_checked == 1 and len(r.violations) == 1
         r = scan("X0.0", lines)
         assert r.graphs_checked == 4 and len(r.violations) == 4
@@ -288,7 +288,7 @@ def test_fail_fast_and_report_order_follow_the_file():
         assert [g6 for g6, _ in r.violations] == lines[2:]
         assert r.equality_witnesses == lines
         # the first violation in file order is P4, at position 2
-        r = scan("X2.0", lines, fail_fast=True)
+        [r] = verify.scan_reports(["X2.0"], lines, fail_fast=True)
         assert r.graphs_checked == 2 + 1
         assert [g6 for g6, _ in r.violations] == [lines[2]]
         assert r.equality_witnesses == lines[:3]
@@ -649,6 +649,37 @@ def test_table1_regression():
     csv = emit_report(r, format="csv").decode().splitlines()
     assert csv[0] == "n,kite,tstar,pass"
     assert sum(1 for line in csv[1:] if line.endswith(",false")) == 1
+
+
+def test_table1_violation_labels(monkeypatch):
+    """A row that misses names the first condition it misses: its kite
+    cell, then its T* cell, then the order kite > T*."""
+    kite, tstar, radii = verify.TABLE1_KITE, verify.TABLE1_TSTAR, verify._kite_tstar_radii
+
+    def violations(kite_table, tstar_table, swap=False):
+        monkeypatch.setattr(verify, "TABLE1_KITE", kite_table)
+        monkeypatch.setattr(verify, "TABLE1_TSTAR", tstar_table)
+        monkeypatch.setattr(verify, "_kite_tstar_radii",
+                            lambda n: radii(n)[::-1] if swap else radii(n))
+        r = table1_regression()
+        # one violation for each row that fails, in row order
+        assert [int(label.split(":")[1]) for label, _ in r.violations] == [
+            n for n, *_, ok in r.rows if not ok]
+        return dict(r.violations)
+
+    assert list(violations(kite, tstar)) == ["tstar:12"]
+    assert list(violations(kite, tstar | {8: tstar[8] + 1})) == ["tstar:8", "tstar:12"]
+    # at n = 12 both cells miss, and the kite cell is named
+    assert list(violations(kite | {7: kite[7] + 1, 12: kite[12] + 1}, tstar)) == [
+        "kite:7", "kite:12"]
+    # radii and tables swapped: every row misses only the order, except
+    # n = 12, which misses its (now kite) cell first
+    swapped = violations(tstar, kite, swap=True)
+    assert list(swapped) == [f"order:{n}" for n in range(7, 12)] + ["kite:12", "order:13"]
+    # an order violation's bound is the computed T* radius (here the real
+    # kite's), its observed value the computed kite radius
+    v = swapped["order:7"]
+    assert (v.bound_value, v.observed) == tuple(radii(7))
 
 
 def test_compare_kite_tstar_beyond_table():
