@@ -24,14 +24,14 @@ from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, Graph,
                      canonical_form, complement, enumerate_connected,
                      from_edges, from_graph6, graph6_corpus, is_connected,
                      is_isomorphic, to_graph6)
-from .linalg import (Spectrum, as_sym_matrix, eigenvalues, eigenvalues_jacobi,
+from .linalg import (as_sym_matrix, eigenvalues, eigenvalues_jacobi,
                      eigenvalues_stacked, largest_root)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, Verdicts, not_applicable
-from .spectra import (OrderGroup, StackedProfiles, adjacency_matrix,
-                      algebraic_connectivity, check_interlacing,
-                      check_quotient_bound, dist_laplacian,
+from .spectra import (OrderGroup, adjacency_matrix, algebraic_connectivity,
+                      check_interlacing, check_quotient_bound, dist_laplacian,
                       dist_signless_laplacian, distance_matrix, laplacian,
-                      quotient_matrix, radii, validate_partition)
+                      order_groups, quotient_matrix, radii,
+                      validate_partition)
 from .families import (KINDS, QUANTITIES, FamilySpec, build, closed_form,
                        dl_charpoly_multipartite, family_spec, parse_family,
                        star_q_extremes, turan_parts)

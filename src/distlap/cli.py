@@ -16,8 +16,8 @@ from .errors import CorpusError, DistlapError
 from .families import QUANTITIES, build, closed_form, parse_family
 from .graphs import MAX_ORDER, from_graph6, graph6_corpus, to_graph6
 from .linalg import eigenvalues
-from .spectra import StackedProfiles, adjacency_matrix, dist_laplacian, \
-    dist_signless_laplacian, distance_matrix, laplacian
+from .spectra import adjacency_matrix, dist_laplacian, \
+    dist_signless_laplacian, distance_matrix, laplacian, order_groups
 from .transforms import KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, \
     check_graft_monotone_L, check_graft_monotone_Q
 from .verdict import EQUALITY_TOL
@@ -69,8 +69,7 @@ def _cmd_spectrum(args) -> int:
     # only the distance matrices need a connected graph
     connected = args.matrix in ("D", "L", "Q")
     for label, g in _input_graphs(args, connected):
-        vals = eigenvalues(fn(g)).values
-        text = " ".join(_fmt(v, args.precise) for v in vals)
+        text = " ".join(_fmt(v, args.precise) for v in eigenvalues(fn(g)))
         print(f"{label}: {text}" if many else text)
     return 0
 
@@ -86,8 +85,8 @@ def _cmd_bounds(args) -> int:
             graphs.append(g)
     except CorpusError as exc:
         error = exc
-    profiles = StackedProfiles(graphs)
-    found = [evaluate(FORMULAS[tid], profiles, args.tolerance) for tid in ids]
+    groups = order_groups(graphs)
+    found = [evaluate(FORMULAS[tid], groups, args.tolerance) for tid in ids]
     bad = 0
     for label, *hits in zip(labels, *found):
         prefix = f"{label} " if args.file is not None else ""

@@ -9,13 +9,10 @@ into the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NoRootInBracket
-
-GROUP_TOL = 1e-7  # multiplicity grouping for reported spectra
 
 
 def as_sym_matrix(a) -> np.ndarray:
@@ -28,47 +25,11 @@ def as_sym_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending; multiplicities groups them at GROUP_TOL."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        for i in range(len(self.values) - 1):
-            if self.values[i] < self.values[i + 1]:
-                raise ValueError("spectrum values must be sorted descending")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    @property
-    def radius(self) -> float:
-        return self.values[0]
-
-    @property
-    def smallest(self) -> float:
-        return self.values[-1]
-
-    def multiplicities(self) -> list[tuple[float, int]]:
-        """Group equal eigenvalues at GROUP_TOL; returns (value, count) pairs."""
-        groups: list[tuple[float, int]] = []
-        for v in self.values:
-            if groups and abs(groups[-1][0] - v) <= GROUP_TOL:
-                val, cnt = groups[-1]
-                groups[-1] = (val, cnt + 1)
-            else:
-                groups.append((v, 1))
-        return groups
-
-
-def eigenvalues(m) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, descending: the one-matrix
-    call of eigenvalues_stacked."""
-    return Spectrum(tuple(eigenvalues_stacked(as_sym_matrix(m)[None])[0].tolist()))
+def eigenvalues(m) -> tuple[float, ...]:
+    """All eigenvalues of a symmetric matrix as a descending tuple (the
+    radius is [0], the smallest value [-1]): the one-matrix call of
+    eigenvalues_stacked."""
+    return tuple(eigenvalues_stacked(as_sym_matrix(m)[None])[0].tolist())
 
 
 def eigenvalues_stacked(stack) -> np.ndarray:
@@ -87,12 +48,13 @@ def eigenvalues_stacked(stack) -> np.ndarray:
     return vals[:, ::-1]
 
 
-def eigenvalues_jacobi(m) -> Spectrum:
-    """Cyclic-by-row Jacobi eigensolver; independent oracle for eigenvalues."""
+def eigenvalues_jacobi(m) -> tuple[float, ...]:
+    """Cyclic-by-row Jacobi eigensolver; independent oracle for eigenvalues,
+    with the same descending tuple."""
     a = as_sym_matrix(m).copy()
     n = a.shape[0]
     if n == 1:
-        return Spectrum((float(a[0, 0]),))
+        return (float(a[0, 0]),)
     fro = float(np.linalg.norm(a))
     stop = 1e-12 * fro
     for _ in range(100):
@@ -131,8 +93,7 @@ def eigenvalues_jacobi(m) -> Spectrum:
                 a[q, idx] = newq
     else:
         raise NoConvergence("Jacobi did not converge in 100 sweeps")
-    vals = sorted((float(v) for v in np.diag(a)), reverse=True)
-    return Spectrum(tuple(vals))
+    return tuple(sorted((float(v) for v in np.diag(a)), reverse=True))
 
 
 def _horner(coeffs, x: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
 from .graphs import Graph, adjacency_stack, diagonals, distances
-from .linalg import Spectrum, as_sym_matrix, eigenvalues, eigenvalues_stacked
+from .linalg import as_sym_matrix, eigenvalues, eigenvalues_stacked
 from .verdict import BoundVerdict, verdict
 
 # matrix entries per stacked solve: every stack of graphs is solved in
@@ -41,7 +41,7 @@ def dist_signless_laplacian(g: Graph) -> np.ndarray:
 def radii(graphs, sign: int) -> list[float]:
     """Spectral radius of Tr - D (sign -1) or Tr + D (sign +1) of connected
     graphs that share one order, from one distance_spectra call; entry k
-    equals eigenvalues(dist_*(graphs[k])).radius bit for bit."""
+    equals eigenvalues(dist_*(graphs[k]))[0] bit for bit."""
     _, (rows,) = distance_spectra(adjacency_stack(graphs), (sign,))
     return rows[:, 0].tolist()
 
@@ -58,7 +58,7 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the ordinary Laplacian (0 for n = 1)."""
-    return float(eigenvalues(laplacian(g)).values[-2]) if g.n >= 2 else 0.0
+    return eigenvalues(laplacian(g))[-2] if g.n >= 2 else 0.0
 
 
 def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
@@ -125,18 +125,15 @@ class OrderGroup:
         return self.facts[name]
 
 
-class StackedProfiles:
+def order_groups(graphs) -> list[OrderGroup]:
     """Distances, distance invariants and both distance spectra of many
-    connected graphs, computed up front as one OrderGroup per order (one
-    distance_spectra call each), so only arrays are kept for the whole
-    corpus."""
-
-    def __init__(self, graphs):
-        by_order: dict[int, list[int]] = {}
-        for k, g in enumerate(graphs):
-            by_order.setdefault(g.n, []).append(k)
-        self.groups = [OrderGroup([graphs[k] for k in ks], ks)
-                       for ks in by_order.values()]
+    connected graphs as one OrderGroup per order, in the order each order is
+    first seen (one distance_spectra call each), so only arrays are kept for
+    the whole corpus."""
+    by_order: dict[int, list[int]] = {}
+    for k, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(k)
+    return [OrderGroup([graphs[k] for k in ks], ks) for ks in by_order.values()]
 
 
 def validate_partition(n: int, blocks) -> list[list[int]]:
@@ -181,22 +178,20 @@ def check_quotient_bound(m, blocks) -> BoundVerdict:
     """lambda1 of the full matrix dominates lambda1 of any quotient matrix."""
     a = as_sym_matrix(m)
     sums, sizes = _block_sums(a, blocks)
-    lam_m = eigenvalues(a).radius
+    lam_m = eigenvalues(a)[0]
     # the quotient's largest eigenvalue, via the symmetric similarity
     # S^(1/2) R S^(-1/2) with S = diag(block sizes)
     sym = sums / np.sqrt(np.outer(sizes, sizes))
     sym = (sym + sym.T) / 2.0  # kill roundoff asymmetry
-    lam_r = eigenvalues(sym).radius
+    lam_r = eigenvalues(sym)[0]
     return verdict("L2.2", lam_m, ">=", lam_r, witness={
         "lambda1_matrix": lam_m, "lambda1_quotient": lam_r, "blocks": sizes})
 
 
-def check_interlacing(a_spec, b_spec) -> bool:
+def check_interlacing(a, b) -> bool:
     """Cauchy interlacing: with descending spectra of sizes n >= m,
     a[n-m+i] <= b[i] <= a[i] for i = 1..m (1-based), up to 1e-9."""
-    av = list(a_spec.values if isinstance(a_spec, Spectrum) else a_spec)
-    bv = list(b_spec.values if isinstance(b_spec, Spectrum) else b_spec)
-    n, m = len(av), len(bv)
+    n, m = len(a), len(b)
     if m > n:
         raise DimensionMismatch(f"submatrix spectrum longer ({m}) than full ({n})")
-    return all(av[n - m + i] - 1e-9 <= bv[i] <= av[i] + 1e-9 for i in range(m))
+    return all(a[n - m + i] - 1e-9 <= b[i] <= a[i] + 1e-9 for i in range(m))

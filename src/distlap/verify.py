@@ -26,7 +26,7 @@ from .bounds import CHECKS, FORMULAS, require_known
 from .errors import CorpusError, InvalidParams
 from .families import FamilySpec, build
 from .graphs import Graph, enumerate_connected, graph6_corpus, to_graph6
-from .spectra import StackedProfiles, radii
+from .spectra import order_groups, radii
 from .verdict import EQUALITY_TOL, BoundVerdict, verdict
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
@@ -84,12 +84,12 @@ def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     return desc, graphs, len(records) - len(graphs)
 
 
-def evaluate(formula, profiles: StackedProfiles, tol: float, pick=None) -> list[tuple]:
-    """(corpus index, Verdicts, row) of every graph of profiles, or only of
-    those whose row is set in the mask pick(Verdicts), in corpus order; the
-    formula runs once per order group."""
+def evaluate(formula, groups, tol: float, pick=None) -> list[tuple]:
+    """(corpus index, Verdicts, row) of every graph of the order groups, or
+    only of those whose row is set in the mask pick(Verdicts), in corpus
+    order; the formula runs once per order group."""
     found = []
-    for group in profiles.groups:
+    for group in groups:
         v = formula(group, tol)
         rows = np.arange(len(group.ks)) if pick is None else np.flatnonzero(pick(v))
         found += [(k, v, row) for k, row in zip(group.ks[rows].tolist(), rows.tolist())]
@@ -109,7 +109,7 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
     ids = list(theorem_ids)
     require_known(ids)
     desc, graphs, skipped = _load_corpus(corpus)
-    profiles = StackedProfiles(graphs)
+    groups = order_groups(graphs)
 
     def reports():
         # graph6 strings only for the graphs that a report names, once each
@@ -117,7 +117,7 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
         for tid in ids:
             if tid not in found:
                 # a report names the applicable equalities and failures
-                found[tid] = evaluate(FORMULAS[tid], profiles, tolerance,
+                found[tid] = evaluate(FORMULAS[tid], groups, tolerance,
                                       lambda v: v.applicable & (v.equality | ~v.holds))
             hits, checked = found[tid], len(graphs)
             bad = [i for i, (_, v, row) in enumerate(hits) if not v.holds[row]]

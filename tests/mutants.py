@@ -40,6 +40,7 @@ EXAMPLES = G + "test_distance_data_examples"
 P = "tests/test_properties.py::"
 BFS = P + "test_distances_match_bfs"
 CONSOLE = "tests/test_cli.py::test_console_bytes_pinned"
+L = "tests/test_linalg.py::"
 
 # Known survivors, not listed because no test can or does kill them:
 # - orbit ^= images[b] for orbit |= images[b] in graphs._orbit_minima is
@@ -171,6 +172,22 @@ MUTANTS = [
     ("src/distlap/verify.py",
      "label, ref, got = missed[0]", "label, ref, got = missed[-1]",
      [V + "test_table1_violation_labels"]),
+    # the Jacobi oracle's eigenvalues returned ascending
+    ("src/distlap/linalg.py",
+     "tuple(sorted((float(v) for v in np.diag(a)), reverse=True))",
+     "tuple(sorted(float(v) for v in np.diag(a)))",
+     [L + "test_eigen_routines_return_descending_float_tuples", L + "test_jacobi_examples",
+      L + "test_jacobi_agrees_with_ql"]),
+    # the production eigenvalues returned ascending
+    ("src/distlap/linalg.py",
+     "as_sym_matrix(m)[None])[0].tolist()", "as_sym_matrix(m)[None])[0][::-1].tolist()",
+     [L + "test_eigen_routines_return_descending_float_tuples",
+      "tests/test_spectra.py::test_spectral_profile_examples"]),
+    # each order group handed its corpus indices reversed
+    ("src/distlap/spectra.py",
+     "OrderGroup([graphs[k] for k in ks], ks)", "OrderGroup([graphs[k] for k in ks], ks[::-1])",
+     ["tests/test_spectra.py::test_stacked_profiles_match_per_graph", DIGESTS, CONSOLE,
+      "tests/test_cli.py::test_bounds_file_pinned_across_orders"]),
 ]
 
 

@@ -9,7 +9,6 @@ from distlap import (
     EQUALITY_TOL,
     FORMULAS,
     InvalidParams,
-    StackedProfiles,
     THEOREM_IDS,
     UnsupportedOrder,
     bound_gap_theorem62,
@@ -39,6 +38,7 @@ from distlap import (
     is_kite,
     is_star,
     is_turan,
+    order_groups,
 )
 from distlap.bounds import is_clique_path
 from distlap.graphs import _colex_adjacency, _orbit_minima, stack_graphs
@@ -155,7 +155,7 @@ def test_theorem31_strict_only_at_diameter_3():
     # and attains the bound (K1,3, diameter 2); no corpus graph comes that
     # close, so each case is a one-row group whose radius is set to D1 + 2
     for g, bound, holds in ((fam("Path", 4), 8.0, False), (fam("Star", 4), 7.0, True)):
-        group = StackedProfiles([g]).groups[0]
+        group = order_groups([g])[0]
         group.dl[0, 0] = bound
         v = FORMULAS["T3.1"](group, EQUALITY_TOL).verdict(0)
         assert (v.bound_value, v.observed) == (bound, bound)
@@ -180,7 +180,7 @@ def test_theorem32_inconsistent_details():
              (fam("CompleteMinusMatching", 4, 1), 7.0,
               "matching-complement graph with dl radius 7.0 != 6"))
     for g, radius, detail in cases:
-        group = StackedProfiles([g]).groups[0]
+        group = order_groups([g])[0]
         group.dl[0, 0] = radius
         v = FORMULAS["T3.2"](group, EQUALITY_TOL).verdict(0)
         assert not v.holds and v.observed == radius
@@ -239,7 +239,7 @@ def test_clique_upper_examples():
     v = bound_L1_clique_upper(fam("KiteClique", 5, 3))
     assert v.equality and v.witness["is_clique_path"] is True
     v = bound_L1_clique_upper(fam("Cycle", 5))
-    p5_radius = eigenvalues(dist_laplacian(fam("Path", 5))).radius
+    p5_radius = eigenvalues(dist_laplacian(fam("Path", 5)))[0]
     assert abs(v.bound_value - p5_radius) < 1e-9
     assert abs(v.bound_value - 14.701562) < 5e-6
     assert v.holds and v.strict and not v.equality

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from distlap import (CHECKS, CorpusError, StackedProfiles, UnknownTheorem, bounds,
-                     build, emit_report, enumerate_connected, family_spec,
+from distlap import (CHECKS, CorpusError, UnknownTheorem, bounds, build, cli,
+                     emit_report, enumerate_connected, family_spec,
                      from_graph6, scan, scan_reports, to_graph6)
 from distlap.cli import run
 from distlap.families import FAMILIES
@@ -354,6 +354,26 @@ def _write(path, records):
     return str(path)
 
 
+# stdout of spectrum --file over the same 996 records for each --matrix, in the
+# default 4-decimal format: one labelled line per record
+SPECTRUM_SHA256 = {
+    "D": "274797a88684a95c3a1385e7926e9ea1431f5bfba753bd52f74634b66dd8feed",
+    "L": "4e41c70d989c3bf1da7efe07ca5f9a48e1c8c8abed9ae4194242c9d54da737a8",
+    "Q": "d08c9a7de21828e89bedaed066d771dfe5068974a93c1c1136ae147ff7d730eb",
+    "lap": "719077eaa470cbb6f66143cae13d885c02b25cf77e13966dd6ea4efc333a03d1",
+    "A": "1592964dae75d42790af11c7abd950a5cd581bbdd7211842324f9a394b54b005",
+}
+
+
+def test_spectrum_file_pinned_across_orders(orders_1_7, tmp_path, capsys):
+    p = _write(tmp_path / "all.g6", orders_1_7)
+    for matrix, digest in SPECTRUM_SHA256.items():
+        assert run(["spectrum", "--matrix", matrix, "--file", p]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 996, matrix
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, matrix
+
+
 def test_bounds_file_pinned_across_orders(orders_1_7, tmp_path, capsys):
     p = _write(tmp_path / "all.g6", orders_1_7)
     assert run(["bounds", "--check", "all", "--precise", "--file", p]) == 0
@@ -376,12 +396,9 @@ def test_bounds_file_prints_records_before_disconnected_line(orders_1_7, tmp_pat
 
 def test_bounds_file_builds_one_stack(orders_1_7, tmp_path, monkeypatch, capsys):
     built = []
-    init = StackedProfiles.__init__
-
-    def counted(self, graphs):
-        built.append(len(graphs))
-        init(self, graphs)
-    monkeypatch.setattr(StackedProfiles, "__init__", counted)
+    real = cli.order_groups
+    monkeypatch.setattr(cli, "order_groups",
+                        lambda graphs: built.append(len(graphs)) or real(graphs))
     p = _write(tmp_path / "some.g6", orders_1_7[:40])
     assert run(["bounds", "--check", "all", "--file", p]) == 0
     assert built == [40]

@@ -11,7 +11,6 @@ from distlap import (
     DisconnectedGraph,
     Graph,
     MalformedGraph6,
-    StackedProfiles,
     UnsupportedOrder,
     canonical_form,
     complement,
@@ -20,6 +19,7 @@ from distlap import (
     from_graph6,
     is_connected,
     is_isomorphic,
+    order_groups,
     radii,
     to_graph6,
 )
@@ -225,15 +225,15 @@ def test_colex_ends_are_read_only():
 
 
 def test_distance_data_examples():
-    small = StackedProfiles([path(4), cycle(4)]).groups[0]
+    small = order_groups([path(4), cycle(4)])[0]
     assert small.dist[:, 0].tolist() == [[0, 1, 2, 3], [0, 1, 2, 1]]
     assert small.trans[0].tolist() == [6, 4, 4, 6]
     assert small.wiener.tolist() == [10, 8]
     assert small.diam.tolist() == [3, 2]
-    single = StackedProfiles([complete(1)]).groups[0]
+    single = order_groups([complete(1)])[0]
     assert single.wiener.tolist() == [0] and single.diam.tolist() == [0]
     # order 64: the deepest and the shallowest distance recursion
-    big = StackedProfiles([path(64), cycle(64), complete(64)]).groups[0]
+    big = order_groups([path(64), cycle(64), complete(64)])[0]
     assert big.diam.tolist() == [63, 32, 1]
     assert big.dist[0, 0].tolist() == list(range(64))
     assert big.wiener[[0, 2]].tolist() == [63 * 64 * 65 // 6, 64 * 63 // 2]

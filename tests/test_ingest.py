@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from distlap import (CorpusError, Graph, MalformedGraph6, StackedProfiles,
-                     UnsupportedOrder, complement, emit_report,
-                     enumerate_connected, from_edges, from_graph6,
-                     graph6_corpus, scan_many, to_graph6, turan_parts)
+from distlap import (CorpusError, Graph, MalformedGraph6, UnsupportedOrder,
+                     complement, emit_report, enumerate_connected, from_edges,
+                     from_graph6, graph6_corpus, order_groups, scan_many,
+                     to_graph6, turan_parts)
 from distlap import bounds
 from distlap.bounds import is_turan
 from distlap.verify import SCAN_IDS
@@ -239,9 +239,9 @@ def test_distance_invariants_match_from_rows(graphs):
         return (tuple(map(tuple, stack.dist[k].tolist())), tuple(stack.trans[k].tolist()),
                 int(stack.wiener[k]), int(stack.diam[k]), int(stack.sum_sq[k]))
 
-    stack = StackedProfiles(graphs).groups[0]
+    stack = order_groups(graphs)[0]
     for k, g in enumerate(graphs):
-        own = StackedProfiles([g]).groups[0]
+        own = order_groups([g])[0]
         assert invariants(stack, k) == ref_distance_invariants(stack.dist[k].tolist()) \
             == invariants(own, 0)
 

@@ -7,7 +7,6 @@ import pytest
 from distlap import (
     DimensionMismatch,
     NoRootInBracket,
-    Spectrum,
     as_sym_matrix,
     dist_laplacian,
     dist_signless_laplacian,
@@ -33,41 +32,31 @@ def test_as_sym_matrix_validation():
     assert m.dtype == np.float64
 
 
-def test_spectrum_basics():
-    s = Spectrum((3.0, 2.0, 2.0, 0.0))
-    assert s.radius == 3.0
-    assert s.smallest == 0.0
-    assert len(s) == 4 and s[1] == 2.0
-    assert s.multiplicities() == [(3.0, 1), (2.0, 2), (0.0, 1)]
-    with pytest.raises(ValueError):
-        Spectrum((1.0, 2.0))
-
-
-def test_spectrum_grouping_tolerance():
-    s = Spectrum((4.0, 4.0 - 5e-8, 1.0))
-    assert [c for _, c in s.multiplicities()] == [2, 1]
-    s = Spectrum((4.0, 4.0 - 5e-7, 1.0))
-    assert [c for _, c in s.multiplicities()] == [1, 1, 1]
-
-
 def test_eigenvalues_examples():
     k3 = fam("Complete", 3)
     s = eigenvalues(dist_laplacian(k3))
-    assert np.allclose(s.values, [3.0, 3.0, 0.0], atol=1e-9)
+    assert np.allclose(s, [3.0, 3.0, 0.0], atol=1e-9)
     s = eigenvalues(dist_signless_laplacian(k3))
-    assert np.allclose(s.values, [4.0, 1.0, 1.0], atol=1e-9)
+    assert np.allclose(s, [4.0, 1.0, 1.0], atol=1e-9)
     s = eigenvalues([[5.0]])
-    assert s.values == (5.0,)
+    assert s == (5.0,)
 
 
 def test_jacobi_examples():
     s = eigenvalues_jacobi(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(s.values, [3.0, 2.0, 1.0], atol=1e-10)
+    assert np.allclose(s, [3.0, 2.0, 1.0], atol=1e-10)
     p3 = fam("Path", 3)
     s = eigenvalues_jacobi(dist_laplacian(p3))
-    assert np.allclose(s.values, [5.0, 3.0, 0.0], atol=1e-9)
+    assert np.allclose(s, [5.0, 3.0, 0.0], atol=1e-9)
     s = eigenvalues_jacobi([[7.0]])
-    assert s.values == (7.0,)
+    assert s == (7.0,)
+
+
+def test_eigen_routines_return_descending_float_tuples():
+    m = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]  # 3 + sqrt(3), 3, 3 - sqrt(3)
+    for solve in (eigenvalues, eigenvalues_jacobi):
+        s = solve(m)
+        assert (type(s), [type(v) for v in s], s[0] > s[1] > s[2]) == (tuple, [float] * 3, True)
 
 
 def test_jacobi_agrees_with_ql():
@@ -79,8 +68,8 @@ def test_jacobi_agrees_with_ql():
         for i in range(n):
             for j in range(i, n):
                 a[i, j] = a[j, i] = rng.uniform(-5.0, 5.0)
-        v1 = eigenvalues(a).values
-        v2 = eigenvalues_jacobi(a).values
+        v1 = eigenvalues(a)
+        v2 = eigenvalues_jacobi(a)
         worst = max(worst, max(abs(x - y) for x, y in zip(v1, v2)))
     assert worst < 1e-8
 
@@ -93,12 +82,12 @@ def test_eigenvalue_identities():
         for i in range(n):
             for j in range(i, n):
                 a[i, j] = a[j, i] = rng.uniform(-3.0, 3.0)
-        vals = eigenvalues(a).values
+        vals = eigenvalues(a)
         assert abs(sum(vals) - np.trace(a)) < 1e-9 * max(1.0, abs(np.trace(a)))
         fro2 = float(np.sum(a * a))
         assert abs(sum(v * v for v in vals) - fro2) < 1e-8 * max(1.0, fro2)
         # shift invariance
-        shifted = eigenvalues(a + 2.5 * np.eye(n)).values
+        shifted = eigenvalues(a + 2.5 * np.eye(n))
         assert max(abs(s - v - 2.5) for s, v in zip(shifted, vals)) < 1e-9
 
 
@@ -119,6 +108,6 @@ def test_largest_root_picks_rightmost():
 def test_largest_root_matches_eigensolver():
     # signless distance radius of the 4-vertex star with one extra edge
     g = fam("StarPlus", 4)
-    radius = eigenvalues(dist_signless_laplacian(g)).radius
+    radius = eigenvalues(dist_signless_laplacian(g))[0]
     root = largest_root([1.0, -13.0, 44.0, -44.0], (0.0, 2.0 * 16.0))
     assert abs(root - radius) < 1e-8

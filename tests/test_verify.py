@@ -19,7 +19,6 @@ from distlap import (
     CorpusError,
     InvalidParams,
     SCAN_IDS,
-    StackedProfiles,
     UnknownTheorem,
     canonical_form,
     check_lemma23,
@@ -41,6 +40,7 @@ from distlap import (
     graph6_corpus,
     is_connected,
     not_applicable,
+    order_groups,
     proof_fixture_theorem31,
     proof_fixture_theorem61,
     scan,
@@ -298,12 +298,12 @@ def test_fail_fast_and_report_order_follow_the_file():
 
 def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
     # one delete_edge, is_connected and eigensolve per edge
-    base = eigenvalues(matrix_fn(g)).values
+    base = eigenvalues(matrix_fn(g))
     gaps = []
     for e in g.edges():
         h = delete_edge(g, e)
         if is_connected(h):
-            vals = eigenvalues(matrix_fn(h)).values
+            vals = eigenvalues(matrix_fn(h))
             gaps.append(min(b - a for a, b in zip(base, vals)))
     if not gaps:
         return not_applicable(theorem_id, witness={"deletions_checked": 0})
@@ -362,15 +362,15 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
             len(stacks)) or real_gaps(group))
         monkeypatch.setattr(spectra, "eigenvalues_stacked",
                             lambda m: stacks.append(m.shape) or real_eig(m))
-        profiles = StackedProfiles(graphs)
-        got = {tid: stacked_verdicts(profiles, tid) for tid in want}
+        groups = order_groups(graphs)
+        got = {tid: stacked_verdicts(groups, tid) for tid in want}
         monkeypatch.undo()
-        # one _deletion_gaps call per order group, after the profiles' own
+        # one _deletion_gaps call per order group, after the groups' own
         # solves
-        assert len(solves) == len(profiles.groups) == 12
+        assert len(solves) == len(groups) == 12
         deletions = stacks[solves[0]:]
         assert max(np.prod(shape) for shape in stacks) <= budget
-        kept = sum(group.facts["deletions"][0].sum() for group in profiles.groups)
+        kept = sum(group.facts["deletions"][0].sum() for group in groups)
         assert sum(shape[0] for shape in deletions) == 2 * kept > 0
         # one solve per sign and edge slice that keeps a deletion: none for
         # orders 1 and 2, one slice each for orders 3..9 and 2, 3 and 3 for
@@ -400,10 +400,10 @@ def test_deletion_solve_memory_bounded():
     # peak stays within a few slices, whatever the number of deletions
     for graphs in ([g for *_, g, ok in graph6_corpus(stream()) if ok],
                    list(enumerate_connected(7))):
-        profiles = StackedProfiles(graphs)
+        groups = order_groups(graphs)
         tracemalloc.start()
         try:
-            for group in profiles.groups:
+            for group in groups:
                 bounds._deletion_gaps(group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -453,7 +453,7 @@ def test_deletion_lemmas_certified_by_distance_rise():
     but the smallest, and the radius alone."""
     kept = 0
     for n in range(2, 8):  # K_1 has no edge to delete
-        group, = StackedProfiles(list(enumerate_connected(n))).groups
+        group, = order_groups(list(enumerate_connected(n)))
         row, sub = _kept_deletions(group.adj)
         dist, solved = distance_spectra(sub, (-1, 1))
         assert (dist >= group.dist[row]).all()
