@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import InconsistentClassification, UnknownTheorem, UnsupportedOrder
+from .errors import UnknownTheorem
 from .families import FamilySpec, build, turan_parts
 from .graphs import Graph, connected, is_connected
 from .spectra import OrderGroup, distance_spectra, radii, slices
@@ -206,19 +206,6 @@ def bound_L1_theorem32(s: OrderGroup, tol: float):
             f"matching-complement graph with dl radius {o} != {n + 2}")[kind]}
     return verdicts("T3.2", obs, (fits, fits & (k < 0), fits & (k >= 0)), bound,
                     witness, n >= 2, lambda r: {"n": n})
-
-
-def classify_L1_theorem32(g: Graph) -> str:
-    """Trichotomy of the dl radius at n and n+2.
-
-    Returns "EqualsN_Kn", "EqualsNPlus2_Matching", or "AboveNPlus2"; raises
-    InconsistentClassification when spectral value and structure disagree."""
-    if g.n < 2:
-        raise UnsupportedOrder("classification needs n >= 2")
-    w = bound_L1_theorem32(g).witness
-    if w["classification"] == "inconsistent":
-        raise InconsistentClassification(w["detail"])
-    return w["classification"]
 
 
 # ---------------------------------------------------------------------------

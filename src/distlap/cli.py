@@ -63,6 +63,11 @@ def _input_graphs(args, connected: bool = True):
             raise CorpusError(f"{args.file} {exc}") from exc
 
 
+def _expand_all(checks, every) -> list[str]:
+    """The --check values, each 'all' expanded in place to the ids of every."""
+    return [tid for c in checks for tid in (every if c == "all" else [c])]
+
+
 def _cmd_spectrum(args) -> int:
     fn = _MATRICES[args.matrix]
     many = args.file is not None
@@ -75,7 +80,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    ids = THEOREM_IDS if "all" in args.check else tuple(args.check)
+    ids = _expand_all(args.check, THEOREM_IDS)
     require_known(ids)
     # the records before an unusable --file line print, then its error
     labels, graphs, error = [], [], None
@@ -145,7 +150,7 @@ def _emit(reports, args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    ids = SCAN_IDS if "all" in args.check else tuple(args.check)
+    ids = _expand_all(args.check, SCAN_IDS)
     corpus = args.n if args.n is not None else args.file
     return _emit(scan_reports(ids, corpus, fail_fast=args.fail_fast,
                               tolerance=args.tolerance), args)

@@ -55,7 +55,3 @@ class UnknownTheorem(DistlapError):
 
 class CorpusError(DistlapError):
     """Corpus stream is unreadable or malformed."""
-
-
-class InconsistentClassification(DistlapError):
-    """Spectral and structural classification disagree; signals a bug."""

@@ -260,13 +260,10 @@ def _graph6_body(text: str) -> tuple[int, bytes]:
     return n, raw[off:]
 
 
-@lru_cache(maxsize=None)
 def _colex_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(j, i) index arrays of the edges (i, j), i < j, in colex order: the
-    row-major order below the diagonal; read-only, as every caller shares them."""
-    j, i = np.tril_indices(n, -1)
-    j.flags.writeable = i.flags.writeable = False
-    return j, i
+    row-major order below the diagonal."""
+    return np.tril_indices(n, -1)
 
 
 def graph6_stack(n: int, bodies) -> np.ndarray:

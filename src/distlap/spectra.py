@@ -56,11 +56,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return (np.diag(a.sum(axis=1)) - a).astype(np.float64)
 
 
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest eigenvalue of the ordinary Laplacian (0 for n = 1)."""
-    return eigenvalues(laplacian(g))[-2] if g.n >= 2 else 0.0
-
-
 def transmission_stack(dist: np.ndarray, sign: int) -> np.ndarray:
     """Tr - D (sign -1) or Tr + D (sign +1) as float64 for every matrix of a
     stacked integer distance array; integer assembly keeps every row sum of

@@ -8,7 +8,7 @@ Laplacian radius; the checkers eigensolve both sides of each comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 
 from .errors import InvalidGraft, NoSuchEdge
@@ -28,6 +28,17 @@ class GraftSpec:
     anchors: tuple[int, ...]
     k: int
     l: int
+
+    @cached_property
+    def _pair_radii(self) -> tuple[tuple[float, float], ...]:
+        """(dl, dq) radii of the (k, l) and the (k+1, l-1) graft, from one
+        distance_spectra call that the L and the Q check of this spec share;
+        equal bit for bit to radii() on the two grafts."""
+        if self.l < 2:
+            raise InvalidGraft("monotonicity comparison needs k >= l >= 2")
+        pair = [apply_graft(self), apply_graft(replace(self, k=self.k + 1, l=self.l - 1))]
+        _, rows = distance_spectra(adjacency_stack(pair), (-1, 1))
+        return tuple(tuple(r[:, 0].tolist()) for r in rows)
 
 
 def _validate(spec: GraftSpec):
@@ -66,25 +77,6 @@ def apply_graft(spec: GraftSpec) -> Graph:
                             pendant_path(spec.anchors[-1], n + spec.k, spec.l)))
 
 
-def _compare_radii(spec: GraftSpec, sign: int) -> tuple[float, float]:
-    """Radii of Tr - D (sign -1) or Tr + D (sign +1) of the (k, l) and the
-    (k+1, l-1) graft; equal bit for bit to radii() on the two grafts."""
-    if spec.l < 2:
-        raise InvalidGraft("monotonicity comparison needs k >= l >= 2")
-    # an invalid spec raises as it always did, before it is hashed as a key
-    _validate(spec)
-    return _pair_radii(replace(spec, anchors=tuple(spec.anchors)))[sign > 0]
-
-
-@lru_cache(maxsize=8)
-def _pair_radii(spec: GraftSpec) -> tuple[tuple[float, float], ...]:
-    """(dl, dq) radii of the (k, l) and the (k+1, l-1) graft of a valid
-    spec, from one distance_spectra call shared by the L and the Q check."""
-    pair = [apply_graft(spec), apply_graft(replace(spec, k=spec.k + 1, l=spec.l - 1))]
-    _, rows = distance_spectra(adjacency_stack(pair), (-1, 1))
-    return tuple(tuple(r[:, 0].tolist()) for r in rows)
-
-
 def _is_degenerate(spec: GraftSpec) -> bool:
     # A twins graft needs a base vertex besides the twin pair and a vertex
     # graft needs a base vertex besides the anchor; otherwise both grafts of
@@ -101,7 +93,7 @@ def _witness(spec: GraftSpec, a: float, b: float) -> dict:
 def check_graft_monotone_L(spec: GraftSpec) -> BoundVerdict:
     """dl radius of the (k+1, l-1) graft >= that of the (k, l) graft; strict
     when l = 2 and the base is not a bare path seed."""
-    a, b = _compare_radii(spec, -1)
+    a, b = spec._pair_radii[0]
     theorem_id = "T5.4" if spec.kind == KIND_VERTEX else "T5.3"
     if spec.kind == KIND_TWINS and _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,
@@ -115,7 +107,7 @@ def check_graft_monotone_L(spec: GraftSpec) -> BoundVerdict:
 def check_graft_monotone_Q(spec: GraftSpec) -> BoundVerdict:
     """dq radius of the (k+1, l-1) graft strictly exceeds that of the (k, l)
     graft."""
-    a, b = _compare_radii(spec, 1)
+    a, b = spec._pair_radii[1]
     theorem_id = "L7.1" if spec.kind == KIND_VERTEX else "L7.2"
     if _is_degenerate(spec):
         return not_applicable(theorem_id, bound_value=a, observed=b,

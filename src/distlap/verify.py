@@ -54,10 +54,6 @@ class ScanReport:
     rows: list[tuple] = field(default_factory=list)
 
     @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    @property
     def equality_witnesses(self) -> list[str]:
         return [g6 for g6, _ in self.witnesses]
 
@@ -135,16 +131,6 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
                 tolerance=tolerance,
             )
     return reports()
-
-
-def scan_many(theorem_ids, corpus) -> list[ScanReport]:
-    """All the reports of scan_reports at EQUALITY_TOL, as a list."""
-    return list(scan_reports(theorem_ids, corpus))
-
-
-def scan(theorem_id: str, corpus) -> ScanReport:
-    """Evaluate one theorem over a whole corpus; scan_many for one id."""
-    return scan_many([theorem_id], corpus)[0]
 
 
 def _kite_tstar_radii(n: int) -> list[float]:

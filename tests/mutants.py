@@ -128,10 +128,10 @@ MUTANTS = [
     ("src/distlap/__init__.py",
      '_os.environ["OPENBLAS_NUM_THREADS"] = "1"', '_os.environ["OPENBLAS_NUM_THREADS"] = "2"',
      ["tests/test_imports.py::test_numpy_loads_with_one_openblas_thread"]),
-    # K_2 refused by the T3.2 classifier along with K_1
+    # K_2 taken as not applicable to T3.2, along with K_1
     ("src/distlap/bounds.py",
-     "if g.n < 2:", "if g.n <= 2:",
-     [B + "test_theorem32_classification"]),
+     "witness, n >= 2,", "witness, n >= 3,",
+     [B + "test_theorem32_verdicts"]),
     # each of T3.2's inconsistent details naming the wrong forced radius
     ("src/distlap/bounds.py",
      "at or below {n + 2} without", "at or below {n} without",
@@ -152,10 +152,6 @@ MUTANTS = [
      "parts = chain.from_iterable(map(turan_parts, [n], [omega]))",
      "parts = turan_parts(n, omega)",
      ["tests/test_families.py::test_turan_builds_no_part_list"]),
-    # the shared colex edge ends left writable
-    ("src/distlap/graphs.py",
-     "i.flags.writeable = False", "i.flags.writeable = True",
-     [G + "test_colex_ends_are_read_only"]),
     # the path builder's edges made a list before its order is refused
     ("src/distlap/families.py",
      "return n, pendant_path(0, 1, n - 1)", "return n, list(pendant_path(0, 1, n - 1))",
@@ -164,6 +160,15 @@ MUTANTS = [
     ("src/distlap/bounds.py",
      "formula(OrderGroup([g], [0]), EQUALITY_TOL)", "formula(OrderGroup([g], [0]), 0.0)",
      [VERDICTS, P + "test_scan_verdicts_equal_per_graph_checks"]),
+    # the Q graft check reading the pair's L radii
+    ("src/distlap/transforms.py",
+     "a, b = spec._pair_radii[1]", "a, b = spec._pair_radii[0]",
+     ["tests/test_transforms.py::test_graft_checks_share_one_solve"]),
+    # --check all dropping the ids named beside it
+    ("src/distlap/cli.py",
+     "for c in checks for tid", 'for c in (["all"] if "all" in checks else checks) for tid',
+     ["tests/test_cli.py::test_unknown_id_same_error_in_scan_and_bounds",
+      "tests/test_cli.py::test_check_all_keeps_the_ids_beside_it"]),
     # the T5.3/T5.4 graft flags at equality tolerance 0
     ("src/distlap/transforms.py",
      'flags(b, ">" if claim else ">=", a)', 'flags(b, ">" if claim else ">=", a, 0.0)',

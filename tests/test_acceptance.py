@@ -38,7 +38,7 @@ from distlap import (
     is_isomorphic,
     proof_fixture_theorem31,
     proof_fixture_theorem61,
-    scan,
+    scan_reports,
     star_q_extremes,
     table1_regression,
 )
@@ -152,8 +152,8 @@ def test_criterion_4_exhaustive_scan():
     total = 0
     for tid in SCAN_IDS:
         for n in range(1, 8):
-            r = scan(tid, n)
-            assert r.passed, (tid, n, r.violations[:1])
+            r = next(scan_reports([tid], n))
+            assert not r.violations, (tid, n, r.violations[:1])
             total += r.graphs_checked
     elapsed = time.perf_counter() - t0
     assert total == len(SCAN_IDS) * 996
@@ -164,18 +164,18 @@ def test_criterion_4_exhaustive_scan():
 
 
 def test_criterion_5_witness_censuses():
-    r = scan("T3.2", 6)
+    r = next(scan_reports(["T3.2"], 6))
     got = {canonical_form(from_graph6(w)) for w in r.equality_witnesses}
     want = {canonical_form(fam("Complete", 6))} | {
         canonical_form(fam("CompleteMinusMatching", 6, k)) for k in (1, 2, 3)}
     assert got == want and len(r.equality_witnesses) == 4
     for n in (6, 7):
-        r = scan("T7.1", n)
+        r = next(scan_reports(["T7.1"], n))
         got = {canonical_form(from_graph6(w)) for w in r.equality_witnesses}
         assert got == {canonical_form(fam("Kite3", n))}, n
         assert len(r.equality_witnesses) == 1
     for n in (5, 6, 7):
-        r = scan("T6.2", n)
+        r = next(scan_reports(["T6.2"], n))
         got = {canonical_form(from_graph6(w)) for w in r.equality_witnesses}
         assert got == {canonical_form(fam("Star", n))}, n
         assert len(r.equality_witnesses) == 1

@@ -2,7 +2,6 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from distlap import (
     CHECKS,
@@ -10,7 +9,6 @@ from distlap import (
     FORMULAS,
     InvalidParams,
     THEOREM_IDS,
-    UnsupportedOrder,
     bound_gap_theorem62,
     bound_L1_clique_lower,
     bound_L1_clique_upper,
@@ -27,7 +25,6 @@ from distlap import (
     build,
     check_lemma41,
     check_lemma42,
-    classify_L1_theorem32,
     clique_number,
     dist_laplacian,
     eigenvalues,
@@ -67,7 +64,7 @@ def test_clique_number():
 def test_recognizers():
     assert is_complete(fam("Complete", 4)) and not is_complete(fam("Cycle", 4))
     # K_n - kK_2 is recognised by T3.2, which reports k (P_4, not of that
-    # form, is classified "AboveNPlus2" in test_theorem32_classification)
+    # form, is classified "AboveNPlus2" in test_theorem32_verdicts)
     assert bound_L1_theorem32(fam("Complete", 6)).witness["matching_k"] == 0
     assert bound_L1_theorem32(fam("CompleteMinusMatching", 6, 2)).witness["matching_k"] == 2
     assert is_star(fam("Star", 5)) and not is_star(fam("Path", 4))
@@ -162,16 +159,6 @@ def test_theorem31_strict_only_at_diameter_3():
         assert v.holds is holds and v.equality
 
 
-def test_theorem32_classification():
-    assert classify_L1_theorem32(fam("Complete", 5)) == "EqualsN_Kn"
-    assert classify_L1_theorem32(fam("CompleteMinusMatching", 5, 1)) == "EqualsNPlus2_Matching"
-    assert classify_L1_theorem32(fam("Path", 4)) == "AboveNPlus2"
-    # K_2 is the least order classified; K_1 (P_1) is refused
-    assert classify_L1_theorem32(fam("Complete", 2)) == "EqualsN_Kn"
-    with pytest.raises(UnsupportedOrder):
-        classify_L1_theorem32(fam("Path", 1))
-
-
 def test_theorem32_inconsistent_details():
     # no graph's radius disagrees with its structure, so each case is a
     # one-row group whose radius is set off the value its structure forces
@@ -197,6 +184,10 @@ def test_theorem32_verdicts():
     assert v.witness["classification"] == "EqualsN_Kn"
     v = bound_L1_theorem32(fam("Path", 4))
     assert v.strict and not v.equality
+    assert v.witness["classification"] == "AboveNPlus2"
+    # K_2 is the least order classified; K_1 (P_1) is not applicable
+    v = bound_L1_theorem32(fam("Complete", 2))
+    assert v.applicable and v.witness["classification"] == "EqualsN_Kn"
     assert bound_L1_theorem32(fam("Path", 1)).applicable is False
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from distlap import (CHECKS, CorpusError, UnknownTheorem, bounds, build, cli,
                      emit_report, enumerate_connected, family_spec,
-                     from_graph6, scan, scan_reports, to_graph6)
+                     from_graph6, scan_reports, to_graph6)
 from distlap.cli import run
 from distlap.families import FAMILIES
 from distlap.verify import _fmt, _verdict_line
@@ -246,6 +246,17 @@ def test_unknown_id_same_error_in_scan_and_bounds(capsys):
     assert out == "" and err.startswith("error: unknown theorem id 'T9.9'; known: L3.1, ")
     assert run(["bounds", "--check", "T9.9", "--graph6", "Bw"]) == 2
     assert capsys.readouterr() == ("", err)
+    # an 'all' beside the unknown id does not hide it
+    for command in (["scan", "--n", "3"], ["bounds", "--graph6", "Bw"]):
+        assert run([*command, "--check", "all", "--check", "T9.9"]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+def test_check_all_keeps_the_ids_beside_it(capsys):
+    # 'all' expands in place to bounds' 13 ids, and L2.3 follows them
+    assert run(["bounds", "--check", "all", "--check", "L2.3", "--graph6", "Bw"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and lines[-1].startswith("L2.3 ")
 
 
 # the input options name one input: a second one, or none, is a usage error
@@ -536,7 +547,7 @@ def test_scan_ends_when_reader_closes_after_first_report(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", out)
     assert run(["scan", "--check", "all", "--n", "6", "--format", "json"]) == 141
     assert capsys.readouterr().err == "" and solved == []
-    assert out.taken == [emit_report(scan("L3.1", 6))]
+    assert out.taken == [emit_report(next(scan_reports(["L3.1"], 6)))]
 
 
 def test_scan_input_errors_raise_before_any_report(tmp_path, capsys):

@@ -23,7 +23,7 @@ from distlap import (
     radii,
     to_graph6,
 )
-from distlap.graphs import _colex_ends, _orbit_minima, adjacency_stack, distances
+from distlap.graphs import _orbit_minima, adjacency_stack, distances
 
 
 def path(n):
@@ -214,14 +214,6 @@ def test_graph6_malformed():
     # order 65 is syntactically fine but over the cap
     with pytest.raises(UnsupportedOrder):
         from_graph6("~?@@")
-
-
-def test_colex_ends_are_read_only():
-    # every graph6 decode and enumeration of an order shares the cached
-    # arrays, so one write would corrupt all of them
-    for a in _colex_ends(5):
-        with pytest.raises(ValueError):
-            a[0] = 1
 
 
 def test_distance_data_examples():

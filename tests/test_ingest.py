@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from distlap import (CorpusError, Graph, MalformedGraph6, UnsupportedOrder,
                      complement, emit_report, enumerate_connected, from_edges,
-                     from_graph6, graph6_corpus, order_groups, scan_many,
-                     to_graph6, turan_parts)
+                     from_graph6, graph6_corpus, order_groups,
+                     scan_reports, to_graph6, turan_parts)
 from distlap import bounds
 from distlap.bounds import is_turan
 from distlap.verify import SCAN_IDS
@@ -22,7 +22,7 @@ from test_properties import (any_graphs, complete, connected_graphs, cycle,
 
 STREAM_IDS = SCAN_IDS[:15]  # every id that deletes no edge
 STREAM_DENSITIES = (0.0, 0.05, 0.15, 0.3, 0.6)
-# sha256 of the concatenated JSON reports of scan_many(STREAM_IDS, stream())
+# sha256 of the concatenated JSON reports of scan_reports(STREAM_IDS, stream())
 # from the per-record reader and per-graph invariants this scan replaced
 STREAM_REPORT_SHA256 = "28fb092a40a7815d8986cc1d85884dc1566d92f3c0bb0e93cdc73b92aea60569"
 # the same reports as CSV, which pins each witness's bound and observed value
@@ -265,7 +265,7 @@ def stream(size=200, seed=11):
 
 
 def test_stream_report_pinned():
-    reports = scan_many(STREAM_IDS, stream())
+    reports = list(scan_reports(STREAM_IDS, stream()))
     assert [r.skipped for r in reports] == [8] * len(STREAM_IDS)
     digest = hashlib.sha256(b"".join(emit_report(r) for r in reports))
     assert digest.hexdigest() == STREAM_REPORT_SHA256
@@ -301,11 +301,11 @@ def test_scan_runs_one_clique_search_per_graph(monkeypatch):
     monkeypatch.setattr(bounds, "clique_number",
                         lambda g: searched.append(g) or real(g))
     lines = stream(60)
-    reports = scan_many(["T5.1", "T5.2"], lines)
+    reports = list(scan_reports(["T5.1", "T5.2"], lines))
     graphs = connected_records(graph6_corpus(lines))[0]
     assert reports[0].graphs_checked == len(graphs) == len(set(graphs))
     # one search per graph, order group by order group
     assert sorted(searched, key=graphs.index) == graphs
     searched.clear()
-    scan_many(STREAM_IDS, 6)
+    list(scan_reports(STREAM_IDS, 6))
     assert searched == list(enumerate_connected(6))

@@ -10,7 +10,7 @@ from distlap import (EQUALITY_TOL, MAX_ORDER, SCAN_IDS, BoundVerdict,
                      DisconnectedGraph, Graph, delete_edge, dist_laplacian,
                      dist_signless_laplacian, eigenvalues, from_edges,
                      from_graph6, is_connected, order_groups, radii,
-                     scan_many, to_graph6)
+                     scan_reports, to_graph6)
 from distlap.families import FamilySpec, build
 from distlap.graphs import adjacency_stack, distances
 from distlap.bounds import CHECKS, FORMULAS
@@ -147,7 +147,7 @@ def test_scan_verdicts_equal_per_graph_checks(graphs):
     equalities and failures among them, in corpus order.
     test_per_graph_verdicts_pinned pins the per-graph values themselves."""
     lines = [to_graph6(g) for g in graphs]
-    reports = scan_many(SCAN_IDS, lines)
+    reports = list(scan_reports(SCAN_IDS, lines))
     assert [r.graphs_checked for r in reports] == [len(graphs)] * len(SCAN_IDS)
     groups = order_groups(graphs)
     for tid, r in zip(SCAN_IDS, reports):

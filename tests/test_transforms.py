@@ -138,17 +138,15 @@ def test_graft_rejects_disconnected_base():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Count the pair solves of the graft checks, from a cold pair cache."""
+    """Count the pair solves of the graft checks."""
     calls = []
 
     def counted(adj, signs):
         calls.append(len(adj))
         return spectra.distance_spectra(adj, signs)
 
-    transforms._pair_radii.cache_clear()
     monkeypatch.setattr(transforms, "distance_spectra", counted)
-    yield calls
-    transforms._pair_radii.cache_clear()
+    return calls
 
 
 def fresh_radii(spec, sign):
@@ -184,7 +182,8 @@ def test_graft_specs_share_only_when_equal(solves):
 
 
 def test_graft_list_anchors(solves):
-    # anchors given as a list work, and share the solve of the tuple spec
+    # anchors given as a list work and give the verdicts of the tuple spec;
+    # each spec object solves its own pair once
     base = fam("Complete", 4)
     for kind, anchors in ((KIND_VERTEX, [1]), (KIND_TWINS, [0, 1])):
         as_list = GraftSpec(base, kind, anchors, 3, 2)
@@ -192,7 +191,7 @@ def test_graft_list_anchors(solves):
         assert apply_graft(as_list) == apply_graft(as_tuple)
         for check in (check_graft_monotone_L, check_graft_monotone_Q):
             assert check(as_list) == check(as_tuple)
-    assert len(solves) == 2
+    assert len(solves) == 4
 
 
 def census_specs():

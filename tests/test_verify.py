@@ -43,8 +43,7 @@ from distlap import (
     order_groups,
     proof_fixture_theorem31,
     proof_fixture_theorem61,
-    scan,
-    scan_many,
+    scan_reports,
     table1_regression,
     to_graph6,
 )
@@ -99,7 +98,7 @@ ENUMERATION_SHA256 = {
 # per line: witness dicts, non-applicable values and strict flags included
 VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
 
-# sha256 of the JSON and of the CSV reports of scan_many(["L2.3", "L2.4"],
+# sha256 of the JSON and of the CSV reports of scan_reports(["L2.3", "L2.4"],
 # test_ingest.stream()), orders 8..24; each matrix is solved on its own, so
 # these bytes do not depend on how the deletions are stacked or sliced
 STREAM_DELETION_JSON_SHA256 = "af3505276d2bfb029ab9ff00fafb809afa0eebb37316bf794990d5406cee0624"
@@ -128,9 +127,9 @@ def test_scan_ids():
 
 
 def test_scan_native_corpus():
-    r = scan("T3.1", 5)
+    r = next(scan_reports(["T3.1"], 5))
     assert r.corpus == "n=5" and r.graphs_checked == 21 and r.skipped == 0
-    assert r.passed and r.violations == []
+    assert r.violations == []
     assert to_graph6(fam("Star", 5)) in r.equality_witnesses or any(
         canonical_form(from_graph6(w)) == canonical_form(fam("Star", 5))
         for w in r.equality_witnesses
@@ -160,8 +159,8 @@ def test_equality_witnesses_are_the_paper_classes():
     # none extra, one witness a class
     for n in range(2, 8):
         classes = equality_classes(n)
-        for r in scan_many(classes, n):
-            assert r.passed, (r.theorem_id, n)
+        for r in scan_reports(classes, n):
+            assert not r.violations, (r.theorem_id, n)
             got = [canonical_form(from_graph6(w)) for w in r.equality_witnesses]
             want = {canonical_form(fam(*spec)) for spec in classes[r.theorem_id]}
             assert sorted(got) == sorted(want), (r.theorem_id, n)
@@ -169,48 +168,50 @@ def test_equality_witnesses_are_the_paper_classes():
 
 def test_scan_unknown_theorem():
     with pytest.raises(UnknownTheorem):
-        scan("T9.9", 4)
+        next(scan_reports(["T9.9"], 4))
 
 
 def test_scan_stream_and_skips():
     # disconnected and over-order records are skipped, not errors
     lines = ["Bw", "A?", "~?@@", "Bg"]
-    r = scan("T6.4", lines)
+    r = next(scan_reports(["T6.4"], lines))
     assert r.corpus == "stream"
     assert r.graphs_checked == 2 and r.skipped == 2
     with pytest.raises(CorpusError):
-        scan("T6.4", ["Bw", "B"])
+        next(scan_reports(["T6.4"], ["Bw", "B"]))
 
 
 def test_scan_file_corpus(tmp_path):
     p = tmp_path / "c.g6"
     p.write_text(">>graph6<<Bw\nBg\n\nA?\n")
-    r = scan("L3.1", str(p))
+    r = next(scan_reports(["L3.1"], str(p)))
     assert r.corpus == f"file:{p}"
     assert r.graphs_checked == 2 and r.skipped == 1
     with pytest.raises(CorpusError):
-        scan("L3.1", str(tmp_path / "missing.g6"))
+        next(scan_reports(["L3.1"], str(tmp_path / "missing.g6")))
     # a bytes path names a file, as open() takes it, not a stream of ints
-    assert scan("L3.1", os.fsencode(p)) == r == scan("L3.1", p)
+    by_bytes, by_path = (next(scan_reports(["L3.1"], c)) for c in (os.fsencode(p), p))
+    assert by_bytes == r == by_path
 
 
 def test_scan_determinism():
     # two runs, and a single-id versus a multi-id scan, give identical bytes;
     # so does each deletion lemma named alone, whose scan solves both signs
-    r1 = scan("T3.1", 6)
-    r2 = scan("T3.1", 6)
-    multi = scan_many(["L2.4", "T3.1", "L2.3"], 6)
+    r1 = next(scan_reports(["T3.1"], 6))
+    r2 = next(scan_reports(["T3.1"], 6))
+    multi = list(scan_reports(["L2.4", "T3.1", "L2.3"], 6))
     for fmt in ("json", "csv"):
         assert emit_report(r1, fmt) == emit_report(r2, fmt) == emit_report(multi[1], fmt)
         for r in (multi[0], multi[2]):
-            assert emit_report(scan(r.theorem_id, 6), fmt) == emit_report(r, fmt)
+            alone = next(scan_reports([r.theorem_id], 6))
+            assert emit_report(alone, fmt) == emit_report(r, fmt)
 
 
 def test_scan_many_report_digests():
     reports = hashlib.sha256()
     csv = {tid: hashlib.sha256() for tid in REPORTS_CSV_SHA256}
     for n in range(1, 8):
-        for r in scan_many(SCAN_IDS, n):
+        for r in scan_reports(SCAN_IDS, n):
             reports.update(emit_report(r))
             if r.theorem_id in csv:
                 csv[r.theorem_id].update(emit_report(r, format="csv"))
@@ -258,9 +259,9 @@ def test_scan_many_fail_fast_per_id():
 
 def test_scan_non_ascii_stream():
     with pytest.raises(CorpusError, match="line 2: non-ASCII byte"):
-        scan("T6.4", [b"Bw", b"B\xffw"])
+        next(scan_reports(["T6.4"], [b"Bw", b"B\xffw"]))
     with pytest.raises(CorpusError, match="line 3: malformed"):
-        scan("T6.4", [b"Bw", b"", b"B"])
+        next(scan_reports(["T6.4"], [b"Bw", b"", b"B"]))
 
 
 def test_scan_fail_fast_stops_early():
@@ -269,7 +270,7 @@ def test_scan_fail_fast_stops_early():
         lines = [to_graph6(fam("Path", n)) for n in (2, 3, 4, 5)]
         [r] = verify.scan_reports(["X0.0"], lines, fail_fast=True)
         assert r.graphs_checked == 1 and len(r.violations) == 1
-        r = scan("X0.0", lines)
+        r = next(scan_reports(["X0.0"], lines))
         assert r.graphs_checked == 4 and len(r.violations) == 4
     finally:
         del FORMULAS["X0.0"]
@@ -283,7 +284,7 @@ def test_fail_fast_and_report_order_follow_the_file():
     FORMULAS["X2.0"] = fake_formula(
         "X2.0", lambda s: ~((s.n == 4) | (s.m == s.n)), equality=lambda s: True)
     try:
-        r = scan("X2.0", lines)
+        r = next(scan_reports(["X2.0"], lines))
         assert r.graphs_checked == 4
         assert [g6 for g6, _ in r.violations] == lines[2:]
         assert r.equality_witnesses == lines
@@ -378,7 +379,7 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         assert (len(deletions) > 200) if budget == 300 else (len(deletions) == 30)
         assert got == want
     lines = [to_graph6(g) for g in graphs]
-    for r in scan_many(["L2.3", "L2.4"], lines):
+    for r in scan_reports(["L2.3", "L2.4"], lines):
         named = [(g6, v) for g6, v in zip(lines, want[r.theorem_id])
                  if v.applicable and (v.equality or not v.holds)]
         assert r.violations == [(g6, v) for g6, v in named if not v.holds]
@@ -386,7 +387,7 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
 
 
 def test_stream_deletion_reports_pinned():
-    reports = scan_many(["L2.3", "L2.4"], stream())
+    reports = list(scan_reports(["L2.3", "L2.4"], stream()))
     assert [r.skipped for r in reports] == [8, 8]
     digest = hashlib.sha256(b"".join(emit_report(r) for r in reports))
     assert digest.hexdigest() == STREAM_DELETION_JSON_SHA256
@@ -424,7 +425,7 @@ def test_scan_solves_each_kept_deletion_once(monkeypatch):
                         lambda m: stacks.append(m.shape) or real_eig(m))
     monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: start.append(
         (len(dist), len(stacks))) or real_gaps(group))
-    scan_many(["L2.3", "L2.4"], 7)
+    list(scan_reports(["L2.3", "L2.4"], 7))
     monkeypatch.undo()
     dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
     assert sum(shape[0] for shape in dist) == 8933
@@ -500,7 +501,7 @@ def test_scan_reports_stream_each_id_when_due(monkeypatch):
     # L3.1 needs neither the clique search nor the deletion solves, so its
     # report comes before either runs; the search starts at T5.1, and the
     # first deletion lemma solves both signs in one call. Each named graph
-    # is encoded once across all reports, which match scan_many's bytes
+    # is encoded once across all reports, which match an unpatched scan's bytes
     calls, encoded = [], []
     real_gaps, real_omega, real_g6 = bounds._deletion_gaps, bounds.clique_number, to_graph6
     monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: calls.append(
@@ -524,7 +525,8 @@ def test_scan_reports_stream_each_id_when_due(monkeypatch):
     named = {g6 for r in reports for g6 in [*r.equality_witnesses,
                                            *(g6 for g6, _ in r.violations)]}
     assert sorted(encoded) == sorted(named) and len(named) > 1
-    assert [emit_report(r) for r in reports] == [emit_report(r) for r in scan_many(SCAN_IDS, 6)]
+    unpatched = scan_reports(SCAN_IDS, 6)
+    assert [emit_report(r) for r in reports] == [emit_report(r) for r in unpatched]
 
 
 def test_scan_reports_repeated_id_evaluated_once(monkeypatch):
@@ -550,14 +552,14 @@ def test_edge_deletion_checks():
     assert v.witness["deletions_checked"] == 4
     v = check_lemma24(fam("Cycle", 5))
     assert v.applicable and v.holds
-    r = scan("L2.3", 5)
-    assert r.passed
-    r = scan("L2.4", 5)
-    assert r.passed
+    r = next(scan_reports(["L2.3"], 5))
+    assert not r.violations
+    r = next(scan_reports(["L2.4"], 5))
+    assert not r.violations
 
 
 def test_emit_report_json_schema():
-    r = scan("T6.3", 4)
+    r = next(scan_reports(["T6.3"], 4))
     raw = emit_report(r)
     obj = json.loads(raw)
     assert list(obj.keys()) == ["theorem_id", "corpus", "tolerance",
@@ -572,7 +574,7 @@ def test_emit_report_json_schema():
 
 
 def test_emit_report_csv():
-    r = scan("T6.3", 4)
+    r = next(scan_reports(["T6.3"], 4))
     lines = emit_report(r, format="csv").decode().splitlines()
     assert lines[0] == "theorem_id,graph6,bound,observed,holds,equality"
     assert all(line.startswith("T6.3,") for line in lines[1:])
@@ -586,7 +588,7 @@ def test_emit_report_violation_serialization():
         "X0.1", lambda s: False, bound=2.5, observed=1.0,
         witness={"flag": True, "count": 3, "note": "x"})
     try:
-        r = scan("X0.1", ["Bw"])
+        r = next(scan_reports(["X0.1"], ["Bw"]))
         obj = json.loads(emit_report(r))
         v = obj["violations"][0]
         assert v["graph6"] == "Bw"
@@ -641,7 +643,7 @@ def test_table1_regression():
             assert abs(tstar - 92.95818241589201) < 1e-9
         else:
             assert ok
-    assert not r.passed and len(r.violations) == 1
+    assert len(r.violations) == 1
     label, verdict = r.violations[0]
     assert label == "tstar:12"
     assert verdict.bound_value == 92.9528  # the deviating reference cell
