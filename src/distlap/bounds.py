@@ -396,12 +396,15 @@ def _without(adj: np.ndarray, row, i, j) -> np.ndarray:
 
 def _deletion_gaps(s: OrderGroup) -> tuple[np.ndarray, np.ndarray]:
     """(kept, gaps), row-order arrays: kept[r] counts row r's single-edge
-    deletions that stay connected, and gaps[r, col] is the least eigenvalue
-    rise of Tr - D (col 0) or Tr + D (col 1) over them (inf when kept[r] is
-    0). The edges are walked in slices, and each slice's connected
-    deletions are solved together. LAPACK solves each matrix, and each
-    sign, on its own, so a deletion equal to a group graph gets that graph's
-    rows bit for bit, and each sign's gaps do not depend on the other's."""
+    deletions that stay connected; over them, gaps[r, 0] is the least entry
+    of W = D(G - e) - D(G), and gaps[r, 1] the least eigenvalue rise of
+    Tr + D (both inf when kept[r] is 0). W >= 0 is L2.3's proof: then
+    L(G - e) - L(G) = Diag(W 1) - W is positive semidefinite, and both
+    have least eigenvalue 0, so the least rise of Tr - D is exactly 0, the
+    value gaps[r, 0] takes unless a distance shortened. The edges are
+    walked in slices, and each slice's connected deletions are solved
+    together. LAPACK solves each matrix on its own, so a deletion equal to
+    a group graph gets that graph's rows bit for bit."""
     kept = np.zeros(len(s.graphs), dtype=np.intp)
     gaps = np.full((len(s.graphs), 2), np.inf)
     # one entry per edge: its graph's row, then its two ends
@@ -411,16 +414,19 @@ def _deletion_gaps(s: OrderGroup) -> tuple[np.ndarray, np.ndarray]:
         ok = connected(sub)
         rows = row[part][ok]
         kept += np.bincount(rows, minlength=len(kept))
-        _, solved = distance_spectra(sub[ok], (-1, 1))
-        for col, (base, vals) in enumerate(zip((s.dl, s.dq), solved)):
-            np.minimum.at(gaps[:, col], rows, (vals - base[rows]).min(axis=1))
+        dist, (vals,) = distance_spectra(sub[ok], (1,))
+        np.minimum.at(gaps[:, 0], rows, (dist - s.dist[rows]).min(axis=(1, 2)))
+        np.minimum.at(gaps[:, 1], rows, (vals - s.dq[rows]).min(axis=1))
     return kept, gaps
 
 
 def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1). The group's first
-    read of either sign solves both, in one _deletion_gaps call."""
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1): holds when the gap
+    is at least -1e-9, which on L2.3's gap, W's least integer entry, is the
+    exact test W >= 0, a shortened distance being a violation observed as
+    W's negative entry. The group's first read of either sign runs the one
+    _deletion_gaps call."""
     kept, gaps = s.fact("deletions", _deletion_gaps)
     gap = gaps[:, (sign + 1) // 2]
     _, strict, equality = flags(gap, ">=", 0.0, tol)

@@ -8,6 +8,8 @@ order (0,1), (0,2), (1,2), (0,3), ... which is also the graph6 bit order.
 from __future__ import annotations
 
 import itertools
+import os
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,6 +25,12 @@ ENUM_LIMIT = 7
 
 # census of connected graphs up to isomorphism, orders 1..7
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# one graph6 line per connected graph of order 1..7, by order and then in
+# ascending colex edge mask (tests/test_graphs.py rebuilds it by an orbit
+# sweep), and its CRC-32: zlib is loaded anyway, where hashlib would load
+# OpenSSL
+CONNECTED_G6 = os.path.join(os.path.dirname(__file__), "connected.g6")
+CONNECTED_CRC32 = 0x3C15AC45
 
 # rounds that transpose a 64 x 64 bit matrix, bit (i, j) at 64 i + j: round
 # s swaps bit s of the row and the column index, moving the bits (i, j) with
@@ -260,28 +268,17 @@ def _graph6_body(text: str) -> tuple[int, bytes]:
     return n, raw[off:]
 
 
-def _colex_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(j, i) index arrays of the edges (i, j), i < j, in colex order: the
-    row-major order below the diagonal."""
-    return np.tril_indices(n, -1)
-
-
 def graph6_stack(n: int, bodies) -> np.ndarray:
     """(N, n, n) boolean adjacency of N graph6 record bodies of order n (the
     bytes after the order header), decoded in one numpy step: six bits per
-    byte, most significant first, over the edges in colex order."""
+    byte, most significant first, over the edges (i, j), i < j, in colex
+    order, which is the row-major order below the diagonal."""
     nbytes = (n * (n - 1) // 2 + 5) // 6
     data = np.frombuffer(b"".join(bodies), dtype=np.uint8) - 63
     bits = np.unpackbits(data.reshape(len(bodies), nbytes, 1), axis=-1)[..., 2:]
-    return _colex_adjacency(n, bits.reshape(len(bodies), 6 * nbytes))
-
-
-def _colex_adjacency(n: int, bits: np.ndarray) -> np.ndarray:
-    """(N, n, n) boolean adjacency from N rows of edge bits in colex order
-    (bits past the n(n-1)/2 edges are ignored)."""
-    j, i = _colex_ends(n)
-    adj = np.zeros((len(bits), n, n), dtype=bool)
-    adj[:, i, j] = adj[:, j, i] = bits[:, :len(i)]
+    j, i = np.tril_indices(n, -1)
+    adj = np.zeros((len(bodies), n, n), dtype=bool)
+    adj[:, i, j] = adj[:, j, i] = bits.reshape(len(bodies), 6 * nbytes)[:, :len(i)]
     return adj
 
 
@@ -402,66 +399,24 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # exhaustive enumeration of connected graphs up to isomorphism
 
 
-def _orbit_minima(n: int) -> np.ndarray:
-    """The minimum edge mask (colex order) of every isomorphism class of
-    graphs on n vertices, ascending.
-
-    A sweep walks the bitmap of seen masks in ascending order: the first
-    unseen mask is its class's minimum, and marking its whole orbit seen
-    leaves exactly one minimum per class. Complementing every mask maps
-    classes to classes and reverses the order, so the complement of a class
-    with fewer than half the edges has minimum full ^ (its orbit's maximum):
-    the masks with more than half the edges start out seen and are never
-    swept. Classes with exactly half the edges are swept as they come."""
-    edges = n * (n - 1) // 2
-    full = (1 << edges) - 1
-    # every mask's bit count, doubled up one edge at a time in place; the
-    # same buffer then holds the bitmap
-    count = np.zeros(1 << edges, dtype=np.int8)
-    for b in range(edges):
-        np.add(count[:1 << b], 1, out=count[1 << b:2 << b])
-    seen = np.greater(count, edges // 2, out=count.view(bool))
-    # images[e, p]: the mask bit of edge e's image under permutation p; a
-    # mask's orbit is the OR of the rows of its set bits (mask 0's is 0)
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                        dtype=np.int8).reshape(-1, n)
-    j, i = _colex_ends(n)
-    bit = np.zeros((n, n), dtype=np.uint32)
-    bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(edges, dtype=np.uint32)
-    images = bit[perms[:, i], perms[:, j]].T
-    minima = []
-    m = 0
-    while m < seen.size:
-        # the next unseen mask, searched one bounded block at a time
-        k = int(seen[m:m + 4096].argmin())
-        if seen[m + k]:
-            m += 4096
-            continue
-        m += k
-        orbit = np.zeros(len(perms), dtype=np.uint32)
-        for b in range(m.bit_length()):
-            if m >> b & 1:
-                orbit |= images[b]
-        seen[orbit] = True
-        minima.append(m)
-        if 2 * m.bit_count() < edges:
-            minima.append(full ^ int(orbit.max()))
-        m += 1
-    return np.sort(minima)
-
-
 @lru_cache(maxsize=None)
 def _connected_reps(n: int) -> tuple[Graph, ...]:
-    edges = n * (n - 1) // 2
-    bits = (_orbit_minima(n)[:, None] >> np.arange(edges)) & 1
-    adj = _colex_adjacency(n, bits)
-    return tuple(stack_graphs(adj[connected(adj)]))
+    """The order-n records of CONNECTED_G6, decoded as one stack, once the
+    file's CRC-32 and its count of order-n records are found right."""
+    with open(CONNECTED_G6, "rb") as fh:
+        data = fh.read()
+    bodies = [line[1:] for line in data.split() if line[0] == n + 63]
+    if zlib.crc32(data) != CONNECTED_CRC32 or len(bodies) != CONNECTED_COUNTS[n]:
+        raise CorpusError(f"packaged corpus {CONNECTED_G6} is damaged: its "
+                          f"CRC-32 or its order-{n} count is wrong")
+    return tuple(stack_graphs(graph6_stack(n, bodies)))
 
 
 def enumerate_connected(n: int):
     """Yield one representative per isomorphism class of connected graphs on n
     vertices, in ascending order of the colex edge bitmask. Supported natively
-    for 1 <= n <= 7; larger corpora must come from a graph6 stream."""
+    for 1 <= n <= 7, read from the packaged corpus; larger corpora must come
+    from a graph6 stream."""
     if not 1 <= n <= ENUM_LIMIT:
         raise UnsupportedOrder(f"native enumeration limited to 1..{ENUM_LIMIT}")
     yield from _connected_reps(n)

@@ -40,10 +40,12 @@ EXAMPLES = G + "test_distance_data_examples"
 P = "tests/test_properties.py::"
 BFS = P + "test_distances_match_bfs"
 CONSOLE = "tests/test_cli.py::test_console_bytes_pinned"
+SHORTENED = "tests/test_cli.py::test_shortened_deletion_distance_is_an_L23_violation"
 L = "tests/test_linalg.py::"
 
 # Known survivors, not listed because no test can or does kill them:
-# - orbit ^= images[b] for orbit |= images[b] in graphs._orbit_minima is
+# - orbit ^= images[b] for orbit |= images[b] in the orbit sweep that
+#   tests/test_graphs.py keeps to rebuild the packaged corpus is
 #   equivalent: a permutation maps distinct edges to distinct bits, so the
 #   rows ORed into an orbit never share a bit.
 # - a float16 Seidel kernel (the float32 buffers of graphs.distances) is
@@ -55,18 +57,43 @@ L = "tests/test_linalg.py::"
 
 # (file, exact old text, new text, test ids that must fail)
 MUTANTS = [
-    # the holds floor: 823 of the n = 7 L2.3 gaps are negative noise
+    # the holds floor: some n = 7 L2.4 gaps are negative noise
     ("src/distlap/bounds.py",
      "(gap >= -1e-9, strict, equality)", "(gap >= 0, strict, equality)",
      [CERTIFICATE, ORACLE]),
-    # the rise at the radius only, not at every index
+    # the L2.4 rise at the radius only, not at every index
     ("src/distlap/bounds.py",
-     "(vals - base[rows]).min(axis=1))", "(vals - base[rows])[:, 0])",
+     "(vals - s.dq[rows]).min(axis=1))", "(vals - s.dq[rows])[:, 0])",
      [CERTIFICATE, ORACLE, SCAN_ORACLE]),
-    # the largest rise instead of the least
+    # the largest L2.4 rise instead of the least
     ("src/distlap/bounds.py",
-     "np.minimum.at(gaps[:, col]", "np.maximum.at(gaps[:, col]",
+     "np.minimum.at(gaps[:, 1]", "np.maximum.at(gaps[:, 1]",
      [CERTIFICATE, ORACLE, SCAN_ORACLE]),
+    # L2.3's gap 0 also where no deletion is kept, not inf
+    ("src/distlap/bounds.py",
+     "gaps = np.full((len(s.graphs), 2), np.inf)\n",
+     "gaps = np.full((len(s.graphs), 2), np.inf)\n    gaps[:, 0] = 0.0\n",
+     [CERTIFICATE]),
+    # L2.3 reading the Tr + D gaps
+    ("src/distlap/bounds.py",
+     "gap = gaps[:, (sign + 1) // 2]", "gap = gaps[:, 1]",
+     [CERTIFICATE, ORACLE, SCAN_ORACLE, DIGESTS, VERDICTS]),
+    # L2.3's test W >= 0 dropped: a shortened distance goes unreported
+    ("src/distlap/bounds.py",
+     "(dist - s.dist[rows]).min(axis=(1, 2))", "0.0",
+     [SHORTENED]),
+    # W taken the wrong way round, D(G) - D(G - e)
+    ("src/distlap/bounds.py",
+     "(dist - s.dist[rows])", "(s.dist[rows] - dist)",
+     [CERTIFICATE, ORACLE, SCAN_ORACLE, SHORTENED]),
+    # the packaged corpus read at the header byte of order n - 1
+    ("src/distlap/graphs.py",
+     "if line[0] == n + 63]", "if line[0] == n + 62]",
+     [V + "test_enumerate_connected_pinned", G + "test_connected_g6_rebuilt_by_orbit_sweep"]),
+    # the packaged corpus read without its CRC-32 check
+    ("src/distlap/graphs.py",
+     "if zlib.crc32(data) != CONNECTED_CRC32 or ", "if ",
+     ["tests/test_cli.py::test_damaged_packaged_corpus_refused"]),
     # every deletion counted as kept, connected or not
     ("src/distlap/bounds.py",
      "np.bincount(rows, minlength=len(kept))",

@@ -1,8 +1,6 @@
 import math
 import random
 
-import numpy as np
-
 from distlap import (
     CHECKS,
     EQUALITY_TOL,
@@ -38,7 +36,9 @@ from distlap import (
     order_groups,
 )
 from distlap.bounds import is_clique_path
-from distlap.graphs import _colex_adjacency, _orbit_minima, stack_graphs
+from distlap.graphs import stack_graphs
+
+from test_graphs import class_stack
 
 
 def fam(kind, *params):
@@ -96,8 +96,7 @@ def test_recognizers_match_isomorphism_to_the_members():
         members = {(kind, omega): member(kind, n, omega) for omega in range(n + 2)
                    for kind in ("Turan", "KiteClique")}
         star, kite = member("Star", n), member("Kite3", n)
-        bits = (_orbit_minima(n)[:, None] >> np.arange(n * (n - 1) // 2)) & 1
-        for g in stack_graphs(_colex_adjacency(n, bits)):
+        for g in stack_graphs(class_stack(n)):
             assert is_star(g) == isomorphic(g, star), g
             assert is_kite(g) == isomorphic(g, kite), g
             for omega in range(n + 2):

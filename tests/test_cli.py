@@ -13,6 +13,7 @@ from distlap import (CHECKS, CorpusError, UnknownTheorem, bounds, build, cli,
                      from_graph6, scan_reports, to_graph6)
 from distlap.cli import run
 from distlap.families import FAMILIES
+from distlap.graphs import CONNECTED_G6, _connected_reps
 from distlap.verify import _fmt, _verdict_line
 
 
@@ -205,9 +206,9 @@ CONSOLE_SHA256 = {
     "scan --check all --n 7":
         (0, "7775284439b75fd8c9de6c4cf18345458f1bda8dd3c9c3945a1337c8a3bcae86"),
     "scan --check all --n 7 --format csv":
-        (0, "aa337a36e255bb536b77ffa49e43865fd5b6c6aaba25cc4394c7ea8493dd4035"),
+        (0, "52a0be55c1e3cb925b2426cd397e9acd2ae10006dee83b62c9244b8f51e35f76"),
     "scan --check L2.3 --n 7 --format csv":
-        (0, "5a4582a0a9fe25234e56fc5dbdb6deb53e8ecf708d3e78197e84daa2f49aa958"),
+        (0, "3f1ab004479fc4c49e1dd2957cb3607853f015ed32316e8a2f5c2e43e5f740da"),
     "table1 --format csv --precise":
         (1, "5d00d81bb7dcd1faf9d5f2131c927a43841a672095b1ec0e7d7e3b7e329a28a1"),
     "table1":
@@ -437,6 +438,57 @@ def test_bounds_file_deletion_lemmas_solve_once(orders_1_7, tmp_path, monkeypatc
     assert capsys.readouterr().out.splitlines() == [
         f"{r} " + _verdict_line(CHECKS[tid](from_graph6(r)), True)
         for r in records for tid in ("L2.3", "L2.4")]
+
+
+def test_shortened_deletion_distance_is_an_L23_violation(monkeypatch, capsys):
+    # a distance kernel that makes every distance of the first kept
+    # deletion one shorter: L2.3, decided from W = D(G - e) - D(G) >= 0,
+    # reports that graph as a violation observed at W's entry -1, and the
+    # scan exits 1 with its reports and no traceback; L2.4's eigenvalues
+    # are solved before the distances are shortened, so it still holds
+    real = bounds.distance_spectra
+
+    def shortened(adj, signs):
+        dist, rows = real(adj, signs)
+        dist[0] -= dist[0] > 0
+        return dist, rows
+    monkeypatch.setattr(bounds, "distance_spectra", shortened)
+    assert run(["scan", "--check", "L2.3", "--check", "L2.4", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    head23, violation, head24 = out.splitlines()
+    assert "violations=1" in head23 and "violations=0" in head24
+    assert violation.endswith("L2.3 bound=0.0000 observed=-1.0000 holds=False "
+                              "strict=False equality=False applicable=True")
+
+
+def test_lemma23_equality_does_not_read_the_tolerance():
+    # L2.3's gap is exactly 0 on every graph with a kept deletion, so its
+    # witnesses are the same at any tolerance, 0 included
+    default, exact = (next(scan_reports(["L2.3"], 6, tolerance=tol))
+                      for tol in (1e-7, 0.0))
+    assert exact.witnesses == default.witnesses and len(default.witnesses) > 0
+
+
+def test_damaged_packaged_corpus_refused(tmp_path, monkeypatch, capsys):
+    # one order-7 record turned into another valid record leaves every
+    # order's count as it was; the CRC-32 finds it: CorpusError, and from
+    # the CLI exit 2 with one stderr line and no stdout
+    with open(CONNECTED_G6, "rb") as fh:
+        data = bytearray(fh.read())
+    data[-2] ^= 1  # the last body byte of the last record
+    bad = tmp_path / "connected.g6"
+    bad.write_bytes(data)
+    monkeypatch.setattr("distlap.graphs.CONNECTED_G6", str(bad))
+    _connected_reps.cache_clear()
+    try:
+        with pytest.raises(CorpusError, match="is damaged"):
+            list(enumerate_connected(7))
+        assert run(["scan", "--check", "T6.4", "--n", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "is damaged" in err
+    finally:
+        _connected_reps.cache_clear()
 
 
 @pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -23,7 +24,72 @@ from distlap import (
     radii,
     to_graph6,
 )
-from distlap.graphs import _orbit_minima, adjacency_stack, distances
+from distlap.graphs import (CONNECTED_G6, adjacency_stack, connected, distances,
+                            stack_graphs)
+
+# sha256 of the packaged corpus src/distlap/connected.g6: the connected
+# graphs of orders 1..7, one graph6 line each, that
+# test_connected_g6_rebuilt_by_orbit_sweep rebuilds
+CONNECTED_G6_SHA256 = "8b1cb2107cacb8fc6e967733fa4fdc43c13e2b8d4314404c124fedb6eec35cdc"
+
+
+def orbit_minima(n: int) -> np.ndarray:
+    """The minimum edge mask (colex order) of every isomorphism class of
+    graphs on n vertices, ascending.
+
+    A sweep walks the bitmap of seen masks in ascending order: the first
+    unseen mask is its class's minimum, and marking its whole orbit seen
+    leaves exactly one minimum per class. Complementing every mask maps
+    classes to classes and reverses the order, so the complement of a class
+    with fewer than half the edges has minimum full ^ (its orbit's maximum):
+    the masks with more than half the edges start out seen and are never
+    swept. Classes with exactly half the edges are swept as they come."""
+    edges = n * (n - 1) // 2
+    full = (1 << edges) - 1
+    # every mask's bit count, doubled up one edge at a time in place; the
+    # same buffer then holds the bitmap
+    count = np.zeros(1 << edges, dtype=np.int8)
+    for b in range(edges):
+        np.add(count[:1 << b], 1, out=count[1 << b:2 << b])
+    seen = np.greater(count, edges // 2, out=count.view(bool))
+    # images[e, p]: the mask bit of edge e's image under permutation p; a
+    # mask's orbit is the OR of the rows of its set bits (mask 0's is 0)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.int8).reshape(-1, n)
+    j, i = np.tril_indices(n, -1)
+    bit = np.zeros((n, n), dtype=np.uint32)
+    bit[i, j] = bit[j, i] = np.uint32(1) << np.arange(edges, dtype=np.uint32)
+    images = bit[perms[:, i], perms[:, j]].T
+    minima = []
+    m = 0
+    while m < seen.size:
+        # the next unseen mask, searched one bounded block at a time
+        k = int(seen[m:m + 4096].argmin())
+        if seen[m + k]:
+            m += 4096
+            continue
+        m += k
+        orbit = np.zeros(len(perms), dtype=np.uint32)
+        for b in range(m.bit_length()):
+            if m >> b & 1:
+                orbit |= images[b]
+        seen[orbit] = True
+        minima.append(m)
+        if 2 * m.bit_count() < edges:
+            minima.append(full ^ int(orbit.max()))
+        m += 1
+    return np.sort(minima)
+
+
+def class_stack(n: int) -> np.ndarray:
+    """(N, n, n) boolean adjacency of one graph per isomorphism class on n
+    vertices, connected or not: the orbit minima's colex edge bits, in
+    ascending mask order."""
+    j, i = np.tril_indices(n, -1)
+    bits = (orbit_minima(n)[:, None] >> np.arange(len(i))) & 1
+    adj = np.zeros((len(bits), n, n), dtype=bool)
+    adj[:, i, j] = adj[:, j, i] = bits
+    return adj
 
 
 def path(n):
@@ -285,12 +351,26 @@ def test_enumeration_against_bruteforce():
     assert seen == reps
 
 
+def test_connected_g6_rebuilt_by_orbit_sweep():
+    # the packaged corpus, byte for byte, is the orbit sweep's connected
+    # class representatives of orders 1..7 in ascending mask order, and
+    # enumerate_connected reads back the same graphs
+    with open(CONNECTED_G6, "rb") as fh:
+        data = fh.read()
+    assert hashlib.sha256(data).hexdigest() == CONNECTED_G6_SHA256
+    swept = {n: stack_graphs(adj[connected(adj)])
+             for n, adj in ((n, class_stack(n)) for n in range(1, 8))}
+    assert b"".join(to_graph6(g).encode() + b"\n"
+                    for n in range(1, 8) for g in swept[n]) == data
+    assert all(list(enumerate_connected(n)) == swept[n] for n in range(1, 8))
+
+
 def test_orbit_minima_against_relabelling():
     # class counts of all graphs on n vertices (OEIS A000088), and for
     # n <= 5 the class minima against the minimum over all n! relabellings
     # of every mask; n = 4 and 5 have classes with exactly half the edges,
     # which the sweep reaches without the complement step
-    assert [len(_orbit_minima(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(orbit_minima(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
     for n in range(1, 6):
         pairs = [(i, j) for j in range(n) for i in range(j)]
         images = [[1 << pairs.index(tuple(sorted((p[i], p[j])))) for i, j in pairs]
@@ -298,7 +378,7 @@ def test_orbit_minima_against_relabelling():
         want = {min(sum(bit for k, bit in enumerate(image) if (mask >> k) & 1)
                     for image in images)
                 for mask in range(1 << len(pairs))}
-        assert _orbit_minima(n).tolist() == sorted(want)
+        assert orbit_minima(n).tolist() == sorted(want)
 
 
 def test_orbit_minima_memory_bounded():
@@ -307,7 +387,7 @@ def test_orbit_minima_memory_bounded():
     # 5,040 permutations
     tracemalloc.start()
     try:
-        _orbit_minima(7)
+        orbit_minima(7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,9 @@
-"""No module of the package binds a module-level import it never uses,
-every module-level private name is read somewhere in the package, each
-checked statement id is registered by one @check, in SCAN_IDS order, every
-optional parameter of the exported callables is one that a named caller
-sets, and importing the package loads numpy with one OpenBLAS thread unless
-the caller chose otherwise."""
+"""No module of the package or of its tests binds a module-level import it
+never uses, every module-level private name is read somewhere in the
+package, each checked statement id is registered by one @check, in SCAN_IDS
+order, every optional parameter of the exported callables is one that a
+named caller sets, and importing the package loads numpy with one OpenBLAS
+thread unless the caller chose otherwise."""
 import ast
 import fnmatch
 import inspect
@@ -43,9 +43,12 @@ def test_unused_imports_detector():
 
 
 def test_no_unused_module_imports():
-    # __init__ imports only to re-export, so it is left out
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    # the package's modules and the tests; __init__ imports only to
+    # re-export, so it is left out
+    paths = [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    found = {f"{path.parent.name}/{path.name}":
+             unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(paths) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
 
 

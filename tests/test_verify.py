@@ -5,7 +5,7 @@ import json
 import os
 import random
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,7 @@ REPORTS_CSV_SHA256 = {
     "T7.1": "f4c6bb707b0ab270a0cf7e3a92e1fe44617cca1c10a5c4b9d0054a6435c012a8",
     "L4.1": "7c9702be46290ee5c2688b776acf6da5f18494c6755fd36aad48a7dcf12fd3a3",
     "L4.2": "059ab13abec780e420cc4400eb9cc6056c24e0cbf5490670ef0eb00bc97ac1da",
-    "L2.3": "5de771ea94fa7e89898048691c94df6b63bcc15edd62f49674cc4e1a96c7c410",
+    "L2.3": "b0f203954935918eca88bd8f03fb7dad422d434b7a45160c49268737f8e546c0",
     "L2.4": "397bdb8cb35b7cb80bd3a7b681538fbfdeb76136ea5b5bfae27e409312032715",
 }
 
@@ -96,13 +96,13 @@ ENUMERATION_SHA256 = {
 # sha256 of every CHECKS verdict called per graph on the connected graphs
 # of order 1..6 (enumeration order, ids in SCAN_IDS order), one JSON object
 # per line: witness dicts, non-applicable values and strict flags included
-VERDICTS_SHA256 = "61ad307dfa9244c9c3f94e9a02bb7b64c8edc2a8341023821ebfa6d6e5b66de1"
+VERDICTS_SHA256 = "8f3582a1c1802c06e856084dcb024e8d072eadcdc82853a97f3196b94a79c6b5"
 
 # sha256 of the JSON and of the CSV reports of scan_reports(["L2.3", "L2.4"],
 # test_ingest.stream()), orders 8..24; each matrix is solved on its own, so
 # these bytes do not depend on how the deletions are stacked or sliced
 STREAM_DELETION_JSON_SHA256 = "af3505276d2bfb029ab9ff00fafb809afa0eebb37316bf794990d5406cee0624"
-STREAM_DELETION_CSV_SHA256 = "d981cbee7db3d8ca262e2c1eee93e1d13331eac4057465457fe49a9894b76b74"
+STREAM_DELETION_CSV_SHA256 = "609a8a459f3dad20d701e30508106be516410c01e60aab9cd70d6aedd45919d8"
 
 
 def fam(kind, *params):
@@ -314,6 +314,15 @@ def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
                         witness={"deletions_checked": len(gaps)})
 
 
+def _lemma23_oracle(g):
+    """The per-edge oracle of L2.3 with its least gap, float noise within
+    1e-12 of 0, replaced by the exact 0 that the proof gives the checks;
+    the flags stay the oracle's."""
+    v = _deletion_oracle(g, dist_laplacian, "L2.3")
+    assert abs(v.observed) <= 1e-12
+    return replace(v, observed=0.0)
+
+
 def _random_connected(rng, n):
     edges = {(rng.randrange(v), v) for v in range(1, n)}  # spanning tree
     p = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
@@ -326,13 +335,14 @@ def test_stacked_deletions_match_per_edge_oracle():
     graphs of orders 1..12 plus paths, complete graphs and stars, each on
     its own one-graph stack at the default slice, against the per-edge
     oracle. test_scan_many_deletions_match_per_edge_oracle covers a
-    mixed-order corpus stack, the slice split and the solve count."""
+    mixed-order corpus stack, the slice split and the solve count. L2.3's
+    gap is exactly 0, by its proof, where the oracle's is noise."""
     rng = random.Random(23)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(200)]
     for n in range(1, 13):
         graphs += [fam("Path", n), fam("Complete", n)] + ([fam("Star", n)] if n >= 2 else [])
     for g in graphs:
-        assert check_lemma23(g) == _deletion_oracle(g, dist_laplacian, "L2.3")
+        assert check_lemma23(g) == _lemma23_oracle(g)
         assert check_lemma24(g) == _deletion_oracle(g, dist_signless_laplacian, "L2.4")
 
 
@@ -344,14 +354,15 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
     test_stacked_deletions_match_per_edge_oracle covers more graphs, one
     stack each. Deleting the edge (0, n - 1) of a cycle leaves the labelled
     path of the corpus, and K_3 listed twice repeats deletions that are not
-    in the corpus; each kept deletion is still solved once per sign."""
+    in the corpus; each kept deletion is still solved once, for Tr + D.
+    L2.3's gap is exactly 0, by its proof, where the oracle's is noise."""
     rng = random.Random(29)
     graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
     for n in range(1, 13):
         graphs += [fam("Path", n), fam("Complete", n)] + ([fam("Star", n)] if n >= 2 else [])
         graphs += [fam("Cycle", n)] if n >= 3 else []
     graphs.append(fam("Complete", 3))
-    want = {"L2.3": [_deletion_oracle(g, dist_laplacian, "L2.3") for g in graphs],
+    want = {"L2.3": [_lemma23_oracle(g) for g in graphs],
             "L2.4": [_deletion_oracle(g, dist_signless_laplacian, "L2.4")
                      for g in graphs]}
     assert spectra.SOLVE_SLICE == 1 << 14
@@ -372,11 +383,11 @@ def test_scan_many_deletions_match_per_edge_oracle(monkeypatch):
         deletions = stacks[solves[0]:]
         assert max(np.prod(shape) for shape in stacks) <= budget
         kept = sum(group.facts["deletions"][0].sum() for group in groups)
-        assert sum(shape[0] for shape in deletions) == 2 * kept > 0
-        # one solve per sign and edge slice that keeps a deletion: none for
-        # orders 1 and 2, one slice each for orders 3..9 and 2, 3 and 3 for
-        # orders 10..12, or many once the slice is small
-        assert (len(deletions) > 200) if budget == 300 else (len(deletions) == 30)
+        assert sum(shape[0] for shape in deletions) == kept > 0
+        # one solve per edge slice that keeps a deletion: none for orders 1
+        # and 2, one slice each for orders 3..9 and 2, 3 and 3 for orders
+        # 10..12, or many once the slice is small
+        assert (len(deletions) > 100) if budget == 300 else (len(deletions) == 15)
         assert got == want
     lines = [to_graph6(g) for g in graphs]
     for r in scan_reports(["L2.3", "L2.4"], lines):
@@ -414,23 +425,26 @@ def test_deletion_solve_memory_bounded():
 
 def test_scan_solves_each_kept_deletion_once(monkeypatch):
     # each of the 8,933 connected single-edge deletions of the n = 7 corpus
-    # is solved once for distances and once per sign, in the slice of edges
-    # that finds it, within the budget; a child equal to a corpus graph or
-    # to another child is solved again
+    # is solved once for distances and once for Tr + D, never for Tr - D,
+    # in the slice of edges that finds it, within the budget; a child equal
+    # to a corpus graph or to another child is solved again
     dist, stacks, start = [], [], []
     real_dist, real_eig = spectra.distances, spectra.eigenvalues_stacked
     real_gaps = bounds._deletion_gaps
     monkeypatch.setattr(spectra, "distances", lambda a: dist.append(a.shape) or real_dist(a))
-    monkeypatch.setattr(spectra, "eigenvalues_stacked",
-                        lambda m: stacks.append(m.shape) or real_eig(m))
+    # Tr + D has no negative entry, while Tr - D of an order >= 2 has
+    monkeypatch.setattr(spectra, "eigenvalues_stacked", lambda m: stacks.append(
+        (m.shape, bool((m >= 0).all()))) or real_eig(m))
     monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: start.append(
         (len(dist), len(stacks))) or real_gaps(group))
     list(scan_reports(["L2.3", "L2.4"], 7))
     monkeypatch.undo()
     dist, stacks = dist[start[0][0]:], stacks[start[0][1]:]
     assert sum(shape[0] for shape in dist) == 8933
-    assert [sum(shape[0] for shape in stacks[col::2]) for col in (0, 1)] == [8933, 8933]
-    assert max(np.prod(shape) for shape in dist + stacks) <= spectra.SOLVE_SLICE
+    assert sum(shape[0] for shape, _ in stacks) == 8933
+    assert all(signless for _, signless in stacks)
+    assert max(np.prod(shape) for shape in dist + [shape for shape, _ in stacks]) \
+        <= spectra.SOLVE_SLICE
 
 
 def _kept_deletions(adj):
@@ -449,9 +463,10 @@ def test_deletion_lemmas_certified_by_distance_rise():
     - D(G) >= 0 entrywise, and L(G - e) - L(G) = Diag(W 1) - W and
     Q(G - e) - Q(G) = Diag(W 1) + W are positive semidefinite; by Weyl no
     eigenvalue of either falls, so every row holds and the float gaps are
-    noise around 0. At n = 7 the ties (gaps within the equality tolerance)
-    are pinned in three readings: all indices, as the checks read them, all
-    but the smallest, and the radius alone."""
+    noise around 0. L2.3 is decided by this proof: its gap is exactly 0. At
+    n = 7 the ties of this test's own solves (gaps within the equality
+    tolerance) are pinned in three readings: all indices, as L2.4 reads
+    them, all but the smallest, and the radius alone."""
     kept = 0
     for n in range(2, 8):  # K_1 has no edge to delete
         group, = order_groups(list(enumerate_connected(n)))
@@ -459,6 +474,10 @@ def test_deletion_lemmas_certified_by_distance_rise():
         dist, solved = distance_spectra(sub, (-1, 1))
         assert (dist >= group.dist[row]).all()
         kept += len(row)
+        # the least W entry is exactly 0 where a deletion is kept, inf elsewhere
+        counts, fact = group.fact("deletions", bounds._deletion_gaps)
+        assert np.array_equal(counts, np.bincount(row, minlength=len(counts)))
+        assert np.array_equal(fact[:, 0], np.where(counts > 0, 0.0, np.inf))
         ties = []
         for tid, base, vals in zip(("L2.3", "L2.4"), (group.dl, group.dq), solved):
             v = FORMULAS[tid](group, EQUALITY_TOL)
@@ -468,9 +487,13 @@ def test_deletion_lemmas_certified_by_distance_rise():
             for gap, least in zip(gaps, (rise.min(axis=1), rise[:, :-1].min(axis=1),
                                          rise[:, 0])):
                 np.minimum.at(gap, row, least)
-            # the checks read all indices, bit for bit
+            # L2.4 reads all indices, bit for bit, and L2.3 reads exactly 0
             assert np.array_equal(v.applicable, np.isfinite(gaps[0]))
-            assert np.array_equal(v.observed[v.applicable], gaps[0][v.applicable])
+            observed = v.observed[v.applicable]
+            if tid == "L2.3":
+                assert (observed == 0).all()
+            else:
+                assert np.array_equal(observed, gaps[0][v.applicable])
             ties.append((abs(gaps) <= EQUALITY_TOL).sum(axis=1).tolist())
     assert kept == 9909
     assert ties == [[842, 687, 487], [676, 664, 0]]
