@@ -218,8 +218,16 @@ MUTANTS = [
     # each order group handed its corpus indices reversed
     ("src/distlap/spectra.py",
      "OrderGroup([graphs[k] for k in ks], ks)", "OrderGroup([graphs[k] for k in ks], ks[::-1])",
-     ["tests/test_spectra.py::test_stacked_profiles_match_per_graph", DIGESTS, CONSOLE,
-      "tests/test_cli.py::test_bounds_file_pinned_across_orders"]),
+     ["tests/test_spectra.py::test_stacked_profiles_match_per_graph", DIGESTS, CONSOLE]),
+    # the console pin table read without its last line
+    ("tests/pins.py",
+     "TABLE.read_text().splitlines())]", "TABLE.read_text().splitlines()[:-1])]",
+     [CONSOLE]),
+    # the in-process pin loop skipping every line with an input file, not
+    # only the stream lines
+    ("tests/test_cli.py",
+     'if "{stream}" in args:', 'if "--file" in args:',
+     [CONSOLE]),
 ]
 
 

@@ -1,20 +1,22 @@
 import hashlib
 import json
 import os
-import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from distlap import (CHECKS, CorpusError, UnknownTheorem, bounds, build, cli,
-                     emit_report, enumerate_connected, family_spec,
+from distlap import (CHECKS, SCAN_IDS, CorpusError, UnknownTheorem, bounds, build,
+                     cli, emit_report, enumerate_connected, family_spec,
                      from_graph6, scan_reports, to_graph6)
 from distlap.cli import run
 from distlap.families import FAMILIES
 from distlap.graphs import CONNECTED_G6, _connected_reps
 from distlap.verify import _fmt, _verdict_line
+
+import pins
 
 
 def test_spectrum_family_kite():
@@ -200,34 +202,53 @@ def test_table1_csv(capsys):
     assert rc == 1
 
 
-# (exit status, sha256 of stdout) of console commands whose bytes CI also
-# pins; table1 exits 1 on the n = 12 T* row that misses the printed table
-CONSOLE_SHA256 = {
-    "scan --check all --n 7":
-        (0, "7775284439b75fd8c9de6c4cf18345458f1bda8dd3c9c3945a1337c8a3bcae86"),
-    "scan --check all --n 7 --format csv":
-        (0, "52a0be55c1e3cb925b2426cd397e9acd2ae10006dee83b62c9244b8f51e35f76"),
-    "scan --check L2.3 --n 7 --format csv":
-        (0, "3f1ab004479fc4c49e1dd2957cb3607853f015ed32316e8a2f5c2e43e5f740da"),
-    "table1 --format csv --precise":
-        (1, "5d00d81bb7dcd1faf9d5f2131c927a43841a672095b1ec0e7d7e3b7e329a28a1"),
-    "table1":
-        (1, "3f77a6a8d3c4be086f4229bf9e7e133c95f6b2ace821f2dfeaea4c01abf07671"),
-    "table1 --precise":
-        (1, "c68aa3303d6050e2d77e0baca5e45b9a5ddb9491b02a0184b66ae5e2845f1f4e"),
-    "table1 --format json":
-        (1, "18b77b9767e00c0d4213b28403fcfd2beb75bd88c51cfbe969be5f613bbba57b"),
+def test_console_bytes_pinned(orders_1_7, tmp_path, monkeypatch, capsysbinary):
+    """Each line of the console pin table whose input is not perfbench's
+    stream, run in process: its exit status and the digest of its stdout.
+    The lines over the stream run in CI only: its two deletion-lemma lines
+    take over a second each."""
+    monkeypatch.chdir(tmp_path)
+    pins.write_graph6(tmp_path / pins.INPUTS["orders"], orders_1_7)
+    ran = []
+    for status, digest, args in pins.read_pins():
+        if "{stream}" in args:
+            continue
+        assert run(args.format_map(pins.INPUTS).split()) == status, args
+        out = capsysbinary.readouterr().out
+        assert hashlib.sha256(out).hexdigest() == digest, args
+        ran.append(args)
+    table = pins.TABLE.read_text()
+    assert len(ran) == table.count("\n") - table.count("{stream}")
+
+
+# perfbench/run.py's copies of table digests, by the command each pins;
+# SWEEP_SHA256 pins perfbench/sweep.py's output, not a distlap command
+PERFBENCH_COPIES = {
+    "N7_SHA256": "scan --check all --n 7 --format json",
+    "TABLE1_SHA256": "table1 --format json",
+    "STREAM_SHA256": "scan " + "".join(f"--check {tid} " for tid in SCAN_IDS[:15])
+                     + "--file {stream} --format json",
 }
 
 
-def test_console_bytes_pinned(capsysbinary):
-    """Each command of CONSOLE_SHA256 run in process: its exit status and the
-    digest of its stdout. The two deletion-lemma and bounds digests over the
-    1,000-graph seed-0 stream stay in CI only, at 1.7-1.8 s each."""
-    for command, (status, digest) in CONSOLE_SHA256.items():
-        assert run(command.split()) == status, command
-        out = capsysbinary.readouterr().out
-        assert hashlib.sha256(out).hexdigest() == digest, command
+def test_perfbench_digests_are_the_table_lines():
+    # read as text: importing perfbench/run.py would run its module code
+    text = (pins.ROOT / "perfbench" / "run.py").read_text()
+    copies = dict(re.findall(r'^(\w+_SHA256) = "(\w+)"$', text, re.MULTILINE))
+    table = {args: digest for _, digest, args in pins.read_pins()}
+    assert ({name: copies.get(name) for name in PERFBENCH_COPIES}
+            == {name: table.get(args) for name, args in PERFBENCH_COPIES.items()})
+
+
+def test_pin_table_digests_have_no_copies():
+    # the table is the one source: no test module or CI workflow restates
+    # one of its digests, and no command appears in it twice
+    lines = pins.read_pins()
+    assert len({args for _, _, args in lines}) == len(lines)
+    paths = [*(pins.ROOT / "tests").glob("*.py"),
+             *(pins.ROOT / ".github" / "workflows").glob("*.yml")]
+    assert [(path.relative_to(pins.ROOT).as_posix(), digest) for path in sorted(paths)
+            for _, digest, _ in lines if digest in path.read_text()] == []
 
 
 def test_help_lists_theorem_ids(capsys):
@@ -347,58 +368,22 @@ def test_file_over_order_record_names_line(command, tmp_path, capsys):
     assert err == f"error: {p} line 2: order outside 1..64\n"
 
 
-# stdout of bounds --check all over the 996 connected graphs with n <= 7 in a
-# seeded shuffle (ORDERS_1_7), and with the disconnected B_ after its first
-# 50 records; digests computed before bounds evaluated its input as one stack
-BOUNDS_PRECISE_SHA256 = "db5e8fc0907ee74353c3ec1e7d51ad172cbe0ebd60adefef5201724a99f0a540"
+# stdout of bounds --check all over the records of orders_1_7 with the
+# disconnected B_ after its first 50; digest computed before bounds evaluated
+# its input as one stack
 BOUNDS_CUT_SHA256 = "97d420c835080811250877c56f7e36b7d1df5ab27f1a1ca6f25c27e393e2df44"
 
 
 @pytest.fixture(scope="module")
 def orders_1_7():
-    records = [to_graph6(g) for n in range(1, 8) for g in enumerate_connected(n)]
-    random.Random(2017).shuffle(records)
-    return records
-
-
-def _write(path, records):
-    path.write_text("\n".join(records) + "\n")
-    return str(path)
-
-
-# stdout of spectrum --file over the same 996 records for each --matrix, in the
-# default 4-decimal format: one labelled line per record
-SPECTRUM_SHA256 = {
-    "D": "274797a88684a95c3a1385e7926e9ea1431f5bfba753bd52f74634b66dd8feed",
-    "L": "4e41c70d989c3bf1da7efe07ca5f9a48e1c8c8abed9ae4194242c9d54da737a8",
-    "Q": "d08c9a7de21828e89bedaed066d771dfe5068974a93c1c1136ae147ff7d730eb",
-    "lap": "719077eaa470cbb6f66143cae13d885c02b25cf77e13966dd6ea4efc333a03d1",
-    "A": "1592964dae75d42790af11c7abd950a5cd581bbdd7211842324f9a394b54b005",
-}
-
-
-def test_spectrum_file_pinned_across_orders(orders_1_7, tmp_path, capsys):
-    p = _write(tmp_path / "all.g6", orders_1_7)
-    for matrix, digest in SPECTRUM_SHA256.items():
-        assert run(["spectrum", "--matrix", matrix, "--file", p]) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") == 996, matrix
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, matrix
-
-
-def test_bounds_file_pinned_across_orders(orders_1_7, tmp_path, capsys):
-    p = _write(tmp_path / "all.g6", orders_1_7)
-    assert run(["bounds", "--check", "all", "--precise", "--file", p]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == 13 * 996
-    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_PRECISE_SHA256
+    return pins.orders_1_7()
 
 
 def test_bounds_file_prints_records_before_disconnected_line(orders_1_7, tmp_path,
                                                              capsys):
     head = orders_1_7[:50]
     assert len({len(r) for r in head}) > 1  # the records span several orders
-    p = _write(tmp_path / "cut.g6", [*head, "B_", *orders_1_7[50:]])
+    p = pins.write_graph6(tmp_path / "cut.g6", [*head, "B_", *orders_1_7[50:]])
     assert run(["bounds", "--check", "all", "--file", p]) == 2
     out, err = capsys.readouterr()
     assert out.count("\n") == 13 * 50
@@ -411,7 +396,7 @@ def test_bounds_file_builds_one_stack(orders_1_7, tmp_path, monkeypatch, capsys)
     real = cli.order_groups
     monkeypatch.setattr(cli, "order_groups",
                         lambda graphs: built.append(len(graphs)) or real(graphs))
-    p = _write(tmp_path / "some.g6", orders_1_7[:40])
+    p = pins.write_graph6(tmp_path / "some.g6", orders_1_7[:40])
     assert run(["bounds", "--check", "all", "--file", p]) == 0
     assert built == [40]
 
@@ -431,7 +416,7 @@ def test_bounds_file_deletion_lemmas_solve_once(orders_1_7, tmp_path, monkeypatc
     real = bounds._deletion_gaps
     monkeypatch.setattr(bounds, "_deletion_gaps", lambda group: calls.append(
         (group.n, len(group.graphs))) or real(group))
-    p = _write(tmp_path / "some.g6", records)
+    p = pins.write_graph6(tmp_path / "some.g6", records)
     assert run(["bounds", "--check", "L2.3", "--check", "L2.4", "--precise", "--file", p]) == 0
     assert calls == list(sizes.items())
     monkeypatch.undo()
