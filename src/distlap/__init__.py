@@ -17,14 +17,14 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.env
 from .errors import (CorpusError, DisconnectedGraph, DistlapError,
                      DimensionMismatch, InvalidGraft, InvalidParams,
                      InvalidPartition, MalformedGraph6, NoConvergence,
-                     NoRootInBracket, NoSuchEdge, UnknownTheorem,
-                     UnsupportedOrder, UnsupportedQuantity)
+                     NoSuchEdge, UnknownTheorem, UnsupportedOrder,
+                     UnsupportedQuantity)
 from .graphs import (CONNECTED_COUNTS, ENUM_LIMIT, MAX_ORDER, Graph,
                      canonical_form, complement, enumerate_connected,
                      from_edges, from_graph6, graph6_corpus, is_connected,
                      is_isomorphic, to_graph6)
 from .linalg import (as_sym_matrix, eigenvalues, eigenvalues_jacobi,
-                     eigenvalues_stacked, largest_root)
+                     eigenvalues_stacked)
 from .verdict import EQUALITY_TOL, SLACK, BoundVerdict, Verdicts, not_applicable
 from .spectra import (OrderGroup, adjacency_matrix, check_interlacing,
                       check_quotient_bound, dist_laplacian,

@@ -190,7 +190,8 @@ def bound_L1_theorem32(s: OrderGroup, tol: float):
     min_degree = s.adj.sum(axis=2).min(axis=1)
     k = np.where(min_degree >= n - 2, n * (n - 1) // 2 - s.m, -1)
     bound = np.where(k == 0, float(n), float(n + 2))
-    fits = np.where(k < 0, ~(obs <= n + 2 + tol), abs(obs - bound) <= tol)
+    exact = flags(obs, "==", bound, tol)
+    fits = np.where(k < 0, flags(obs, ">", bound, tol)[0], exact[0])
 
     def witness(r):
         kr = int(k[r])
@@ -204,7 +205,7 @@ def bound_L1_theorem32(s: OrderGroup, tol: float):
             f"dl radius {o} at or below {n + 2} without matching structure",
             f"complete graph with dl radius {o} != {n}",
             f"matching-complement graph with dl radius {o} != {n + 2}")[kind]}
-    return verdicts("T3.2", obs, (fits, fits & (k < 0), fits & (k >= 0)), bound,
+    return verdicts("T3.2", obs, (fits, fits & (k < 0), (k >= 0) & exact[2]), bound,
                     witness, n >= 2, lambda r: {"n": n})
 
 
@@ -363,7 +364,7 @@ def check_lemma41(s: OrderGroup, tol: float):
     n, vals = s.n, s.dl
     obs = vals[:, n - 2]
     holds, strict, equality = flags(obs, ">=", n, tol)
-    holds = holds & (abs(vals[:, -1]) <= tol)
+    holds = holds & flags(vals[:, -1], "==", 0.0, tol)[0]
     return verdicts("L4.1", obs, (holds, strict, equality), float(n),
                     lambda r: {"smallest": float(vals[r, -1])},
                     n >= 3, lambda r: {"n": n}, hide=True)
@@ -378,8 +379,9 @@ def check_lemma42(s: OrderGroup, tol: float):
                         lambda r: {"n": n}, False)
     obs = s.dl[:, 1]
     holds, strict, eq = flags(obs, ">=", n, tol)
+    at_n = flags(obs, "==", n, tol)[0]
     structural = n * (n - 1) // 2 - s.m <= 1
-    return verdicts("L4.2", obs, (holds & (eq == structural), strict, eq), float(n),
+    return verdicts("L4.2", obs, (holds & (at_n == structural), strict, eq), float(n),
                     lambda r: {"is_Kn_or_Kn_minus_e": bool(structural[r])})
 
 
@@ -422,15 +424,14 @@ def _deletion_gaps(s: OrderGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def _edge_deletion(s: OrderGroup, sign: int, theorem_id: str, tol: float):
     """Deleting any edge that keeps the graph connected never lowers any
-    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1): holds when the gap
-    is at least -1e-9, which on L2.3's gap, W's least integer entry, is the
+    eigenvalue of Tr - D (sign -1) or Tr + D (sign +1): the claim
+    gap >= 0, whose holds on L2.3's gap, W's least integer entry, is the
     exact test W >= 0, a shortened distance being a violation observed as
     W's negative entry. The group's first read of either sign runs the one
     _deletion_gaps call."""
     kept, gaps = s.fact("deletions", _deletion_gaps)
     gap = gaps[:, (sign + 1) // 2]
-    _, strict, equality = flags(gap, ">=", 0.0, tol)
-    return verdicts(theorem_id, gap, (gap >= -1e-9, strict, equality), 0.0,
+    return verdicts(theorem_id, gap, flags(gap, ">=", 0.0, tol), 0.0,
                     lambda r: {"deletions_checked": int(kept[r])}, kept > 0,
                     hide=True)
 

@@ -177,7 +177,9 @@ def _add_common(p, tolerance: bool = False) -> None:
                    help="print 12 significant digits instead of 4 decimals")
     if tolerance:
         p.add_argument("--tolerance", type=_tolerance, default=EQUALITY_TOL,
-                       help="equality detection tolerance (default %(default)s)")
+                       help="equality detection tolerance; it moves only "
+                            "equality flags, never holds, strict or the exit "
+                            "status (default %(default)s)")
 
 
 def _add_input(p) -> None:

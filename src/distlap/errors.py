@@ -29,10 +29,6 @@ class NoConvergence(DistlapError):
     """Iterative eigensolver failed to converge within its sweep budget."""
 
 
-class NoRootInBracket(DistlapError):
-    """No sign change found for the polynomial in the given bracket."""
-
-
 class InvalidParams(DistlapError):
     """Numeric parameters violate the preconditions of a construction."""
 

@@ -19,7 +19,6 @@ from itertools import accumulate, chain, pairwise
 
 from .errors import InvalidParams, UnsupportedQuantity
 from .graphs import Graph, from_edges, pendant_path
-from .linalg import largest_root
 
 
 @dataclass(frozen=True)
@@ -206,9 +205,19 @@ def dl_charpoly_multipartite(parts) -> list[tuple[int, int]]:
     return out
 
 
-def _snplus_cubic(n: int) -> list[float]:
-    return [1.0, -(7.0 * n - 15.0), 14.0 * n * n - 63.0 * n + 72.0,
-            -(8.0 * n ** 3 - 52.0 * n * n + 108.0 * n - 68.0)]
+def _star_plus_q_radius(n: int) -> float:
+    """Largest root of the star-plus-edge dq cubic x^3 + b x^2 + c x + d,
+    whose three roots are real: with x = t - b/3 the depressed cubic
+    t^3 + p t + q (p < 0) has them at m cos((arccos(3q / (p m)) - 2 pi k) / 3),
+    m = 2 sqrt(-p/3), the largest at k = 0. The arccos argument is clamped
+    to [-1, 1] against rounding near a double root, where it is +-1 (at
+    n = 3 the cubic is (x - 1)^2 (x - 4))."""
+    b, c = -(7.0 * n - 15.0), 14.0 * n * n - 63.0 * n + 72.0
+    d = -(8.0 * n ** 3 - 52.0 * n * n + 108.0 * n - 68.0)
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    m = 2.0 * math.sqrt(-p / 3.0)
+    return m * math.cos(math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0) - b / 3.0
 
 
 def star_q_extremes(n: int) -> tuple[float, float]:
@@ -241,7 +250,7 @@ CLOSED_FORMS = {
     ("Star", "DLRadius"): lambda n: float(2 * n - 1) if n >= 3 else float(n),
     ("Complete", "QRadius"): lambda n: float(2 * n - 2) if n >= 2 else 0.0,
     ("Cycle", "QRadius"): lambda n: n * n / 2.0 if n % 2 == 0 else (n * n - 1) / 2.0,
-    ("StarPlus", "QRadius"): lambda n: largest_root(_snplus_cubic(n), (0.0, 4.0 * n * n)),
+    ("StarPlus", "QRadius"): _star_plus_q_radius,
     ("Star", "QRadius"): lambda n: star_q_extremes(n)[0],
     ("Star", "QMinEig"): _star_q_min,
     # the stated kite formula; note it sits one above the summed distances

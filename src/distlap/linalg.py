@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolvers and bracketed polynomial root finding.
+"""Dense symmetric eigensolvers.
 
 Two independent eigenvalue routes are kept deliberately: ``eigenvalues`` is
 the production path (LAPACK via numpy, i.e. Householder reduction plus
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NoRootInBracket
+from .errors import DimensionMismatch, NoConvergence
 
 
 def as_sym_matrix(a) -> np.ndarray:
@@ -95,39 +95,3 @@ def eigenvalues_jacobi(m) -> tuple[float, ...]:
         raise NoConvergence("Jacobi did not converge in 100 sweeps")
     return tuple(sorted((float(v) for v in np.diag(a)), reverse=True))
 
-
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def largest_root(coeffs, bracket) -> float:
-    """Largest real root of the polynomial (coefficients leading-first) inside
-    the bracket: the rightmost sign change of a 2048-step scan, bisected to 1e-11."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise NoRootInBracket(f"empty bracket [{lo}, {hi}]")
-    xs = [lo + (hi - lo) * k / 2048 for k in range(2049)]
-    fb = _horner(coeffs, xs[-1])
-    if fb == 0.0:
-        return xs[-1]
-    for k in range(2047, -1, -1):
-        fa = _horner(coeffs, xs[k])
-        if fa == 0.0:
-            return xs[k]
-        if (fa < 0.0) != (fb < 0.0):
-            a, b = xs[k], xs[k + 1]
-            while b - a > 1e-11:
-                mid = 0.5 * (a + b)
-                fm = _horner(coeffs, mid)
-                if fm == 0.0:
-                    return mid
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            return 0.5 * (a + b)
-        fb = fa
-    raise NoRootInBracket(f"no sign change of the polynomial in [{lo}, {hi}]")

@@ -51,7 +51,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Ordinary Laplacian Diag(degrees) - A; source of the algebraic connectivity."""
+    """Ordinary Laplacian Diag(degrees) - A, the matrix of spectrum --matrix lap."""
     a = adjacency_stack([g])[0].astype(np.int64)
     return (np.diag(a.sum(axis=1)) - a).astype(np.float64)
 

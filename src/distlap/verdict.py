@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 EQUALITY_TOL = 1e-7  # |observed - bound| below this counts as equality
-SLACK = 1e-8         # numeric slack granted to every inequality
+SLACK = 1e-8         # numeric slack of every holds and strict flag
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,20 @@ class BoundVerdict:
 
 def flags(observed, rel: str, bound, tol: float = EQUALITY_TOL) -> tuple:
     """(holds, strict, equality) of the claim ``observed rel bound``, rel one
-    of >=, <=, > and <, for floats and numpy arrays alike. strict means
+    of >=, <=, >, < and ==, for floats and numpy arrays alike. strict means
     observed clears bound by more than SLACK on the claimed side; >= and <=
-    hold within SLACK of bound, > and < hold only when strict. equality
-    means |observed - bound| <= tol."""
+    hold within SLACK of bound, > and < hold only when strict, and == holds
+    within SLACK of bound and is never strict. equality means
+    |observed - bound| <= tol, the only flag that tol reaches."""
     if rel in (">=", ">"):
         strict = observed - bound > SLACK
         holds = observed >= bound - SLACK if rel == ">=" else strict
     elif rel in ("<=", "<"):
         strict = bound - observed > SLACK
         holds = observed <= bound + SLACK if rel == "<=" else strict
+    elif rel == "==":
+        holds = abs(observed - bound) <= SLACK
+        strict = holds & False
     else:
         raise ValueError(f"unknown relation {rel!r}")
     return holds, strict, abs(observed - bound) <= tol

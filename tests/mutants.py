@@ -41,6 +41,7 @@ P = "tests/test_properties.py::"
 BFS = P + "test_distances_match_bfs"
 CONSOLE = "tests/test_cli.py::test_console_bytes_pinned"
 SHORTENED = "tests/test_cli.py::test_shortened_deletion_distance_is_an_L23_violation"
+TOLERANCE = "tests/test_cli.py::test_tolerance_reaches_only_equality_flags"
 L = "tests/test_linalg.py::"
 
 # Known survivors, not listed because no test can or does kill them:
@@ -57,10 +58,24 @@ L = "tests/test_linalg.py::"
 
 # (file, exact old text, new text, test ids that must fail)
 MUTANTS = [
-    # the holds floor: some n = 7 L2.4 gaps are negative noise
+    # the holds floor 0 without SLACK: some n = 7 L2.4 gaps are negative noise
     ("src/distlap/bounds.py",
-     "(gap >= -1e-9, strict, equality)", "(gap >= 0, strict, equality)",
+     'flags(gap, ">=", 0.0, tol), 0.0,',
+     '(gap >= 0, *flags(gap, ">=", 0.0, tol)[1:]), 0.0,',
      [CERTIFICATE, ORACLE]),
+    # exact statements decided at the equality tolerance, so --tolerance
+    # moves holds: L4.1's zero least eigenvalue, T3.2's classes, and L4.2's
+    # "lambda2 = n iff K_n or K_n - e"
+    ("src/distlap/bounds.py",
+     'flags(vals[:, -1], "==", 0.0, tol)[0]', 'flags(vals[:, -1], "==", 0.0, tol)[2]',
+     [TOLERANCE]),
+    ("src/distlap/bounds.py",
+     'np.where(k < 0, flags(obs, ">", bound, tol)[0], exact[0])',
+     "np.where(k < 0, obs > bound + tol, exact[2])",
+     [TOLERANCE]),
+    ("src/distlap/bounds.py",
+     "(at_n == structural)", "(eq == structural)",
+     [TOLERANCE]),
     # the L2.4 rise at the radius only, not at every index
     ("src/distlap/bounds.py",
      "(vals - s.dq[rows]).min(axis=1))", "(vals - s.dq[rows])[:, 0])",

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from distlap import (CHECKS, SCAN_IDS, CorpusError, UnknownTheorem, bounds, build,
-                     cli, emit_report, enumerate_connected, family_spec,
-                     from_graph6, scan_reports, to_graph6)
+from distlap import (CHECKS, FORMULAS, SCAN_IDS, CorpusError, UnknownTheorem,
+                     bounds, build, cli, emit_report, enumerate_connected,
+                     family_spec, from_graph6, order_groups, scan_reports,
+                     to_graph6, verify)
 from distlap.cli import run
 from distlap.families import FAMILIES
 from distlap.graphs import CONNECTED_G6, _connected_reps
@@ -453,6 +454,34 @@ def test_lemma23_equality_does_not_read_the_tolerance():
     default, exact = (next(scan_reports(["L2.3"], 6, tolerance=tol))
                       for tol in (1e-7, 0.0))
     assert exact.witnesses == default.witnesses and len(default.witnesses) > 0
+
+
+def test_tolerance_reaches_only_equality_flags(orders_1_7, tmp_path, monkeypatch,
+                                               capsys):
+    """Over the orders 1..7 corpus, every id's per-row holds and strict,
+    each scan report's violation count, the bounds --check all lines less
+    their equality flags, and both exit statuses are the same at every
+    tolerance: --tolerance moves equality flags only. The commands share
+    one stack of the corpus, which no tolerance reaches, so it is solved
+    once."""
+    p = pins.write_graph6(tmp_path / "orders.g6", orders_1_7)
+    groups = order_groups([from_graph6(r) for r in orders_1_7])
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "order_groups", lambda graphs: groups)
+    decided, witnesses = {}, {}
+    for tol in ("0", "1e-12", "1e-7", "1e-3", "0.5", "1"):
+        found = [FORMULAS[tid](g, float(tol)) for tid in SCAN_IDS for g in groups]
+        scan = run(["scan", "--check", "all", "--file", p, "--tolerance", tol])
+        counts = re.findall(r" violations=(\d+) ", capsys.readouterr().out)
+        status = run(["bounds", "--check", "all", "--file", p, "--tolerance", tol])
+        lines = re.sub(r" equality=\w+", "", capsys.readouterr().out)
+        decided[tol] = ([(v.holds.tolist(), v.strict.tolist()) for v in found],
+                        scan, counts, status, lines)
+        witnesses[tol] = sum(int(v.equality.sum()) for v in found)
+    assert decided["0"][1:4] == (0, ["0"] * len(SCAN_IDS), 0)
+    assert [tol for tol in decided if decided[tol] != decided["0"]] == []
+    # the tolerance still reaches the equality flags
+    assert witnesses["0"] < witnesses["1e-7"] < witnesses["1"]
 
 
 def test_damaged_packaged_corpus_refused(tmp_path, monkeypatch, capsys):

@@ -204,6 +204,9 @@ def test_multipartite_charpoly_matches_spectrum():
 
 def test_closed_form_examples():
     assert closed_form(family_spec("Cycle", 7), "QRadius") == 24.0
+    # the star plus an edge at n = 3 is K_3, Q radius 2n - 2 = 4; its cubic
+    # (x - 1)^2 (x - 4) has a double root, and the arccos argument is 1
+    assert closed_form(family_spec("StarPlus", 3), "QRadius") == 4.0
     assert closed_form(family_spec("Complete", 6), "DLRadius") == 6.0
     # the star S_2 is K_2: spectrum {2, 0}, no 2n-1 = 3
     assert closed_form(family_spec("Star", 2), "DLRadius") == 2.0

@@ -5,13 +5,11 @@ import pytest
 
 from distlap import (
     DimensionMismatch,
-    NoRootInBracket,
     as_sym_matrix,
     dist_laplacian,
     dist_signless_laplacian,
     eigenvalues,
     eigenvalues_jacobi,
-    largest_root,
 )
 from distlap.families import build, family_spec
 
@@ -89,24 +87,3 @@ def test_eigenvalue_identities():
         shifted = eigenvalues(a + 2.5 * np.eye(n))
         assert max(abs(s - v - 2.5) for s, v in zip(shifted, vals)) < 1e-9
 
-
-def test_largest_root_examples():
-    assert abs(largest_root([1.0, 0.0, -4.0], (0.0, 10.0)) - 2.0) < 1e-10
-    assert largest_root([1.0, 0.0, 0.0, 0.0], (-1.0, 1.0)) == 0.0
-    with pytest.raises(NoRootInBracket):
-        largest_root([1.0, 0.0, 1.0], (0.0, 10.0))
-    with pytest.raises(NoRootInBracket):
-        largest_root([1.0, -1.0], (5.0, 2.0))
-
-
-def test_largest_root_picks_rightmost():
-    # (x-1)(x-2)(x-3): three roots in the bracket, must return 3
-    assert abs(largest_root([1.0, -6.0, 11.0, -6.0], (0.0, 10.0)) - 3.0) < 1e-9
-
-
-def test_largest_root_matches_eigensolver():
-    # signless distance radius of the 4-vertex star with one extra edge
-    g = fam("StarPlus", 4)
-    radius = eigenvalues(dist_signless_laplacian(g))[0]
-    root = largest_root([1.0, -13.0, 44.0, -44.0], (0.0, 2.0 * 16.0))
-    assert abs(root - radius) < 1e-8

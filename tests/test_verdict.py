@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from distlap import SLACK
@@ -43,6 +44,15 @@ def test_verdict_less():
     assert not BELOW[0] < BELOW[1] - SLACK
 
 
+def test_verdict_equal():
+    # holds is |obs - bound| <= SLACK, never strict; only equality reads tol
+    assert flags(1.0 + SLACK / 2, "==", 1.0, 0.0) == (True, False, False)
+    assert flags(1.0, "==", 1.5, 0.5) == (False, False, True)
+    holds, strict, equality = flags(np.array([0.0, SLACK / 2, 1e-7]), "==", 0.0, 1e-7)
+    assert holds.tolist() == [True, True, False]
+    assert strict.tolist() == [False] * 3 and equality.tolist() == [True] * 3
+
+
 def test_verdict_equality_tolerance_and_witness():
     v = verdict("X", 1.0, "<=", 1.5, witness={"k": 1})
     assert not v.equality and v.strict and v.holds and v.witness == {"k": 1}
@@ -51,4 +61,4 @@ def test_verdict_equality_tolerance_and_witness():
     assert not flags(1.0, "<=", 1.5, 0.25)[2]
     assert verdict("X", 1.0, "<=", 1.5).witness == {}
     with pytest.raises(ValueError):
-        verdict("X", 1.0, "==", 1.0)
+        verdict("X", 1.0, "!=", 1.0)

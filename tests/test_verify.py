@@ -309,7 +309,7 @@ def _deletion_oracle(g, matrix_fn, theorem_id, tol=EQUALITY_TOL):
     if not gaps:
         return not_applicable(theorem_id, witness={"deletions_checked": 0})
     gap = min(gaps)
-    return BoundVerdict(theorem_id, 0.0, gap, holds=gap >= -1e-9,
+    return BoundVerdict(theorem_id, 0.0, gap, holds=gap >= -SLACK,
                         strict=gap > SLACK, equality=abs(gap) <= tol,
                         witness={"deletions_checked": len(gaps)})
 
