@@ -14,6 +14,7 @@ the builder's checks first, so it rejects exactly what build rejects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 
@@ -30,7 +31,7 @@ class FamilySpec:
 def family_spec(kind: str, *params: int) -> FamilySpec:
     if kind not in KINDS:
         raise InvalidParams(f"unknown family kind {kind!r}")
-    return FamilySpec(kind, tuple(int(p) for p in params))
+    return FamilySpec(kind, tuple(map(operator.index, params)))
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -191,7 +192,7 @@ def dl_charpoly_multipartite(parts) -> list[tuple[int, int]]:
     graph, in factored form: (root, multiplicity) pairs sorted by descending
     root, zero multiplicities dropped. Roots are 0 once, n with multiplicity
     k-1, and n+n_i with multiplicity n_i-1 for each part."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(map(operator.index, parts))
     _need(len(parts) >= 2 and all(p >= 1 for p in parts),
           "need at least two parts, all nonempty")
     n = sum(parts)

@@ -1,18 +1,20 @@
 """Graph representation, graph6 codec, all-pairs distances, and exhaustive enumeration.
 
 A graph is stored as a tuple of adjacency bitrows: bit ``j`` of ``adj[i]`` is
-set iff ``{i, j}`` is an edge. Rows fit in a Python int for the supported
-orders (n <= 64). Edge bit positions throughout the module follow the colex
+set iff ``{i, j}`` is an edge; rows of any integers are kept as Python ints
+of n <= 64 bits. Edge bit positions throughout the module follow the colex
 order (0,1), (0,2), (1,2), (0,3), ... which is also the graph6 bit order.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -53,6 +55,8 @@ class Graph:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_ORDER:
             raise UnsupportedOrder(f"order {self.n} outside 1..{MAX_ORDER}")
+        # the one place a row is decided: operator.index refuses a non-integer
+        object.__setattr__(self, "adj", tuple(map(operator.index, self.adj)))
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count differs from n")
         object.__setattr__(self, "m", _edge_count(self.n, self.adj))
@@ -69,27 +73,27 @@ class Graph:
                 if (self.adj[i] >> j) & 1]
 
 
-def _edge_count(n: int, adj) -> int:
-    """Edge count of adjacency rows checked as one 64 x 64 bit matrix, a
-    64-bit word per row: packing fails on a row not an int in 0..2^64 - 1,
-    and as the rows from n on are zero, a matrix equal to its transpose has
-    no bit beyond the vertex range. A rejected one is walked row by row."""
+def _edge_count(n: int, adj: tuple[int, ...]) -> int:
+    """Edge count of Python int rows checked as one 64 x 64 bit matrix, a
+    64-bit word per row: packing fails on a row outside 0..2^64 - 1, and as
+    the rows from n on are zero, a matrix equal to its transpose has no bit
+    beyond the vertex range. A rejected one is walked row by row."""
     try:
         x = int.from_bytes(b"".join(map(int.to_bytes, adj, itertools.repeat(8),
                                         itertools.repeat("little"))), "little")
-    except (TypeError, OverflowError):
-        return _first_fault(n, adj)
+    except OverflowError:
+        _first_fault(n, adj)
     t = x
     for shift, mask in _TRANSPOSE:
         swap = (t ^ t >> shift) & mask
         t ^= swap ^ swap << shift
     if x != t or x & _DIAGONAL:
-        return _first_fault(n, adj)
+        _first_fault(n, adj)
     return x.bit_count() // 2
 
 
-def _first_fault(n: int, adj) -> int:
-    """Raise the first fault of rows the word-level check rejected, or count edges."""
+def _first_fault(n: int, adj: tuple[int, ...]) -> NoReturn:
+    """Raise the first fault of rows the word-level check rejected."""
     full = (1 << n) - 1
     for i, row in enumerate(adj):
         if row & ~full:
@@ -103,22 +107,21 @@ def _first_fault(n: int, adj) -> int:
             if not (adj[j] >> i) & 1:
                 raise ValueError(f"asymmetric adjacency at ({min(i, j)},{max(i, j)})")
             row &= row - 1
-    return sum(row.bit_count() for row in adj) // 2
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Build a Graph from an iterable of vertex pairs, checking the order first."""
+    """Build a Graph from integer vertex pairs (numpy ints too), checking the
+    order first and each endpoint's range before indexing; Graph rejects loops."""
     if not 1 <= n <= MAX_ORDER:
         raise UnsupportedOrder(f"order {n} outside 1..{MAX_ORDER}")
     rows = [0] * n
     for i, j in edges:
-        if i == j:
-            raise ValueError(f"loop at vertex {i}")
+        i, j = operator.index(i), operator.index(j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) outside vertex range")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph(n, rows)
 
 
 def pendant_path(anchor: int, first: int, count: int) -> Iterator[tuple[int, int]]:
@@ -130,7 +133,7 @@ def pendant_path(anchor: int, first: int, count: int) -> Iterator[tuple[int, int
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((~row & full & ~(1 << i)) for i, row in enumerate(g.adj)))
+    return Graph(g.n, [~row & full & ~(1 << i) for i, row in enumerate(g.adj)])
 
 
 def is_connected(g: Graph) -> bool:
@@ -288,7 +291,7 @@ def stack_graphs(adj: np.ndarray) -> list[Graph]:
     count, n = adj.shape[:2]
     packed = np.zeros((count, n, 8), dtype=np.uint8)
     packed[..., :(n + 7) // 8] = np.packbits(adj, axis=-1, bitorder="little")
-    return [Graph(n, tuple(rows)) for rows in packed.view("<u8")[..., 0].tolist()]
+    return [Graph(n, rows) for rows in packed.view("<u8")[..., 0].tolist()]
 
 
 def from_graph6(text) -> Graph:
@@ -400,9 +403,13 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _connected_reps(n: int) -> tuple[Graph, ...]:
-    """The order-n records of CONNECTED_G6, decoded as one stack, once the
-    file's CRC-32 and its count of order-n records are found right."""
+def enumerate_connected(n: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class of connected graphs of order
+    1 <= n <= 7, in ascending colex edge mask order, as a cached tuple: the
+    order-n records of CONNECTED_G6, decoded as one stack once the file's
+    CRC-32 and order-n count are found right. Larger orders need a stream."""
+    if not 1 <= n <= ENUM_LIMIT:
+        raise UnsupportedOrder(f"native enumeration limited to 1..{ENUM_LIMIT}")
     with open(CONNECTED_G6, "rb") as fh:
         data = fh.read()
     bodies = [line[1:] for line in data.split() if line[0] == n + 63]
@@ -410,13 +417,3 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
         raise CorpusError(f"packaged corpus {CONNECTED_G6} is damaged: its "
                           f"CRC-32 or its order-{n} count is wrong")
     return tuple(stack_graphs(graph6_stack(n, bodies)))
-
-
-def enumerate_connected(n: int):
-    """Yield one representative per isomorphism class of connected graphs on n
-    vertices, in ascending order of the colex edge bitmask. Supported natively
-    for 1 <= n <= 7, read from the packaged corpus; larger corpora must come
-    from a graph6 stream."""
-    if not 1 <= n <= ENUM_LIMIT:
-        raise UnsupportedOrder(f"native enumeration limited to 1..{ENUM_LIMIT}")
-    yield from _connected_reps(n)

@@ -123,4 +123,4 @@ def delete_edge(g: Graph, e) -> Graph:
     rows = list(g.adj)
     rows[i] &= ~(1 << j)
     rows[j] &= ~(1 << i)
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, rows)

@@ -166,6 +166,16 @@ MUTANTS = [
     ("src/distlap/graphs.py",
      "for s in (32, 16, 8, 4, 2, 1)]", "for s in (32, 16, 8, 4, 2)]",
      [G + "test_graph_validation", G + "test_graph_validation_matches_walk[1]"]),
+    # Graph rows kept as given: a list of rows stays a list, unequal to the
+    # tuple build and unhashable, and numpy rows fail the packing
+    ("src/distlap/graphs.py",
+     '"adj", tuple(map(operator.index, self.adj))', '"adj", self.adj',
+     [G + "test_list_rows_build_an_equal_hashable_graph",
+      G + "test_numpy_and_bool_rows_build_the_same_graph"]),
+    # from_edges shifting by numpy endpoints: 1 << np.int64(63) wraps negative
+    ("src/distlap/graphs.py",
+     "        i, j = operator.index(i), operator.index(j)\n", "",
+     [G + "test_from_edges_reads_numpy_endpoints"]),
     # numpy loaded with OpenBLAS's two-thread pool by default
     ("src/distlap/__init__.py",
      '_os.environ["OPENBLAS_NUM_THREADS"] = "1"', '_os.environ["OPENBLAS_NUM_THREADS"] = "2"',

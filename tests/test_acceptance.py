@@ -19,7 +19,6 @@ from distlap import (
     SCAN_IDS,
     InvalidGraft,
     apply_graft,
-    build,
     canonical_form,
     check_graft_monotone_L,
     check_graft_monotone_Q,
@@ -44,9 +43,7 @@ from distlap import (
 )
 from distlap.verify import TABLE1_KITE, TABLE1_TSTAR
 
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
+from helpers import fam
 
 
 def _line(num, ok, phrase):

@@ -20,13 +20,11 @@ from distlap import (
     bound_Qn_corollary61,
     bound_Qn_theorem63,
     bound_Qn_theorem64,
-    build,
     check_lemma41,
     check_lemma42,
     clique_number,
     dist_laplacian,
     eigenvalues,
-    family_spec,
     from_edges,
     is_complete,
     is_isomorphic,
@@ -38,11 +36,8 @@ from distlap import (
 from distlap.bounds import is_clique_path
 from distlap.graphs import stack_graphs
 
+from helpers import fam
 from test_graphs import class_stack
-
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
 
 
 def test_registry():

@@ -14,7 +14,7 @@ from distlap import (CHECKS, FORMULAS, SCAN_IDS, CorpusError, UnknownTheorem,
                      to_graph6, verify)
 from distlap.cli import run
 from distlap.families import FAMILIES
-from distlap.graphs import CONNECTED_G6, _connected_reps
+from distlap.graphs import CONNECTED_G6
 from distlap.verify import _fmt, _verdict_line
 
 import pins
@@ -494,15 +494,15 @@ def test_damaged_packaged_corpus_refused(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "connected.g6"
     bad.write_bytes(data)
     monkeypatch.setattr("distlap.graphs.CONNECTED_G6", str(bad))
-    _connected_reps.cache_clear()
+    enumerate_connected.cache_clear()
     try:
         with pytest.raises(CorpusError, match="is damaged"):
-            list(enumerate_connected(7))
+            enumerate_connected(7)
         assert run(["scan", "--check", "T6.4", "--n", "7"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "is damaged" in err
     finally:
-        _connected_reps.cache_clear()
+        enumerate_connected.cache_clear()
 
 
 @pytest.mark.parametrize("command", [["bounds", "--check", "T6.3"], ["spectrum"]])

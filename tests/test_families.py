@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from distlap import (
@@ -26,9 +27,7 @@ from distlap import (
 )
 from distlap.families import CLOSED_FORMS, FAMILIES
 
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
+from helpers import fam
 
 
 def test_basic_builders():
@@ -67,6 +66,19 @@ def test_builder_param_errors():
     # a spec made directly, past family_spec's own check of the kind
     with pytest.raises(InvalidParams):
         build(FamilySpec("Nope", ()))
+
+
+def test_families_read_integer_parameters():
+    # any integers are read as Python ints; a float is refused, not truncated
+    spec = family_spec("Path", np.int64(4))
+    assert spec == family_spec("Path", 4) and type(spec.params[0]) is int
+    assert build(spec) == fam("Path", 4)
+    for bad in (4.7, 4.0, "4"):
+        with pytest.raises(TypeError):
+            family_spec("Path", bad)
+    assert dl_charpoly_multipartite(np.array([2, 3])) == dl_charpoly_multipartite([2, 3])
+    with pytest.raises(TypeError):
+        dl_charpoly_multipartite([2.7, 3])
 
 
 # a member of each kind of order about 20,000: an edge list that size

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -26,6 +27,8 @@ from distlap import (
 )
 from distlap.graphs import (CONNECTED_G6, adjacency_stack, connected, distances,
                             stack_graphs)
+
+from helpers import complete, cycle, path
 
 # sha256 of the packaged corpus src/distlap/connected.g6: the connected
 # graphs of orders 1..7, one graph6 line each, that
@@ -92,18 +95,6 @@ def class_stack(n: int) -> np.ndarray:
     return adj
 
 
-def path(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def star(n):
     return from_edges(n, [(0, i) for i in range(1, n)])
 
@@ -132,7 +123,10 @@ def test_graph_validation():
 
 def walk_validation(n, adj) -> int:
     """Reference: the per-bit walk that validated Graph rows before the
-    word-level check; raises the same errors, or returns the edge count."""
+    word-level check, on the rows read as Graph reads them (operator.index,
+    whose TypeError refuses a non-integer); raises the same errors, or
+    returns the edge count."""
+    adj = tuple(map(operator.index, adj))
     full = (1 << n) - 1
     for i, row in enumerate(adj):
         if row & ~full:
@@ -229,6 +223,52 @@ def test_from_edges_validation():
     assert g.has_edge(1, 0) and g.has_edge(2, 1) and not g.has_edge(0, 2)
     assert [g.degree(i) for i in range(3)] == [1, 2, 1]
     assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_list_rows_build_an_equal_hashable_graph():
+    # a list of rows is stored as a tuple: equal to the tuple build, with an
+    # equal hash, and untouched by later changes to the list
+    rows = [2, 5, 2]
+    g = Graph(3, rows)
+    assert g == Graph(3, (2, 5, 2)) and hash(g) == hash(Graph(3, (2, 5, 2)))
+    assert type(g.adj) is tuple and g.m == 2
+    rows[0] = 0
+    assert g.adj == (2, 5, 2)
+
+
+def test_numpy_and_bool_rows_build_the_same_graph():
+    # uint64 holds bit 63 of the order-64 path; int64 the order-63 rows
+    for n, dtype in ((64, np.uint64), (63, np.int64)):
+        want = path(n)
+        g = Graph(n, np.array(want.adj, dtype=dtype))
+        assert g == want and hash(g) == hash(want)
+        assert all(type(row) is int for row in g.adj)
+    # row 1 of the single edge (0, 1) is bit 0, which True also is
+    g = Graph(2, [2, True])
+    assert g == Graph(2, (2, 1)) and all(type(row) is int for row in g.adj)
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            Graph(3, [bad, 5, 2])
+
+
+def test_from_edges_reads_numpy_endpoints():
+    pairs = [(0, 63), (1, 63), (0, 1)]
+    assert from_edges(64, np.array(pairs)) == from_edges(64, pairs)
+    assert from_edges(3, np.array([[0, 1], [1, 2], [0, 2]])) == complete(3)
+    with pytest.raises(ValueError, match=r"edge \(0,3\) outside vertex range"):
+        from_edges(3, np.array([[0, 3]]))
+    # Graph rejects a loop, and a non-integer endpoint is refused
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        from_edges(3, [(0, 1), (1, 1)])
+    with pytest.raises(TypeError):
+        from_edges(3, [(0.0, 1)])
+
+
+def test_corpus_round_trips_through_numpy_edges():
+    for n in range(1, 8):
+        graphs = enumerate_connected(n)
+        for g, adj in zip(graphs, adjacency_stack(graphs)):
+            assert from_edges(n, zip(*np.nonzero(np.triu(adj, 1)))) == g
 
 
 def test_graph6_known_strings():
@@ -399,6 +439,16 @@ def test_enumerate_limits():
         list(enumerate_connected(0))
     with pytest.raises(UnsupportedOrder):
         list(enumerate_connected(8))
+
+
+def test_enumerate_connected_is_one_cached_tuple():
+    # an order outside 1..7 raises at the call, with nothing to iterate
+    for n in (0, 8):
+        with pytest.raises(UnsupportedOrder):
+            enumerate_connected(n)
+    reps = enumerate_connected(5)
+    assert type(reps) is tuple and len(reps) == CONNECTED_COUNTS[5]
+    assert enumerate_connected(5) is reps
 
 
 def test_canonical_form_relabel_invariance(corpus):

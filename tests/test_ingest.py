@@ -17,8 +17,8 @@ from distlap import bounds
 from distlap.bounds import is_turan
 from distlap.verify import SCAN_IDS
 
-from test_properties import (any_graphs, complete, connected_graphs, cycle,
-                             path, same_order_stacks)
+from helpers import complete, cycle, path
+from test_properties import any_graphs, connected_graphs, same_order_stacks
 
 STREAM_IDS = SCAN_IDS[:15]  # every id that deletes no edge
 STREAM_DENSITIES = (0.0, 0.05, 0.15, 0.3, 0.6)

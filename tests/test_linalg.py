@@ -11,11 +11,8 @@ from distlap import (
     eigenvalues,
     eigenvalues_jacobi,
 )
-from distlap.families import build, family_spec
 
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
+from helpers import fam
 
 
 def test_as_sym_matrix_validation():

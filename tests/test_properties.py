@@ -15,17 +15,7 @@ from distlap.families import FamilySpec, build
 from distlap.graphs import adjacency_stack, distances
 from distlap.bounds import CHECKS, FORMULAS
 
-
-def path(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+from helpers import complete, cycle, path
 
 
 def union(a: Graph, b: Graph) -> Graph:

@@ -17,11 +17,8 @@ from distlap import (
     order_groups,
     quotient_matrix,
 )
-from distlap.families import build, family_spec
 
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
+from helpers import fam
 
 
 def test_matrix_examples():

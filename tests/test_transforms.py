@@ -10,21 +10,17 @@ from distlap import (
     KIND_VERTEX,
     NoSuchEdge,
     apply_graft,
-    build,
     check_graft_monotone_L,
     check_graft_monotone_Q,
     delete_edge,
     enumerate_connected,
-    family_spec,
     from_edges,
     is_connected,
     is_isomorphic,
     radii,
 )
 
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
+from helpers import fam
 
 
 def vertex_spec(base, anchor, k, l):

@@ -25,14 +25,12 @@ from distlap import (
     check_lemma24,
     check_lemma74,
     compare_kite_tstar,
-    build,
     delete_edge,
     dist_laplacian,
     dist_signless_laplacian,
     eigenvalues,
     emit_report,
     enumerate_connected,
-    family_spec,
     fixture31_determinant,
     fixture61_determinant,
     from_edges,
@@ -53,6 +51,7 @@ from distlap.spectra import distance_spectra
 from distlap.bounds import CHECKS, FORMULAS
 from distlap.verify import _json_value
 
+from helpers import fam
 from test_ingest import stream
 from test_properties import stacked_verdicts
 
@@ -103,10 +102,6 @@ VERDICTS_SHA256 = "8f3582a1c1802c06e856084dcb024e8d072eadcdc82853a97f3196b94a79c
 # these bytes do not depend on how the deletions are stacked or sliced
 STREAM_DELETION_JSON_SHA256 = "af3505276d2bfb029ab9ff00fafb809afa0eebb37316bf794990d5406cee0624"
 STREAM_DELETION_CSV_SHA256 = "609a8a459f3dad20d701e30508106be516410c01e60aab9cd70d6aedd45919d8"
-
-
-def fam(kind, *params):
-    return build(family_spec(kind, *params))
 
 
 def fake_formula(tid, holds, equality=lambda s: False, bound=1.0,
