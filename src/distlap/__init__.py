@@ -32,8 +32,8 @@ from .spectra import (OrderGroup, adjacency_matrix, check_interlacing,
                       order_groups, quotient_matrix, radii,
                       validate_partition)
 from .families import (KINDS, QUANTITIES, FamilySpec, build, closed_form,
-                       dl_charpoly_multipartite, family_spec, parse_family,
-                       star_q_extremes, turan_parts)
+                       dl_charpoly_multipartite, parse_family, star_q_extremes,
+                       turan_parts)
 from .bounds import (CHECKS, FORMULAS, THEOREM_IDS, bound_gap_theorem62,
                      bound_L1_clique_lower, bound_L1_clique_upper,
                      bound_L1_lemma31, bound_L1_theorem31, bound_L1_theorem32,

@@ -27,11 +27,11 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...]
 
-
-def family_spec(kind: str, *params: int) -> FamilySpec:
-    if kind not in KINDS:
-        raise InvalidParams(f"unknown family kind {kind!r}")
-    return FamilySpec(kind, tuple(map(operator.index, params)))
+    def __post_init__(self):
+        # the one way into a member: its kind checked, its params Python ints
+        if self.kind not in FAMILIES:
+            raise InvalidParams(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "params", tuple(map(operator.index, self.params)))
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -175,8 +175,6 @@ _CLI_KINDS = {cli: kind for kind, (cli, _) in FAMILIES.items()}
 def _order_edges(spec: FamilySpec):
     """Run the family's builder: its parameter checks, then (n, edges)."""
     kind, p = spec.kind, spec.params
-    if kind not in FAMILIES:
-        raise InvalidParams(f"unknown family kind {kind!r}")
     try:
         return FAMILIES[kind][1](*p)
     except TypeError as exc:
@@ -193,9 +191,7 @@ def dl_charpoly_multipartite(parts) -> list[tuple[int, int]]:
     root, zero multiplicities dropped. Roots are 0 once, n with multiplicity
     k-1, and n+n_i with multiplicity n_i-1 for each part."""
     parts = tuple(map(operator.index, parts))
-    _need(len(parts) >= 2 and all(p >= 1 for p in parts),
-          "need at least two parts, all nonempty")
-    n = sum(parts)
+    n, _ = _complete_multipartite(*parts)  # the builder's checks
     mult: dict[int, int] = {0: 1}
     mult[n] = mult.get(n, 0) + len(parts) - 1
     for p in parts:

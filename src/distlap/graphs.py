@@ -53,9 +53,10 @@ class Graph:
     m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the one place n and a row are decided: operator.index refuses a non-integer
+        object.__setattr__(self, "n", operator.index(self.n))
         if not 1 <= self.n <= MAX_ORDER:
             raise UnsupportedOrder(f"order {self.n} outside 1..{MAX_ORDER}")
-        # the one place a row is decided: operator.index refuses a non-integer
         object.__setattr__(self, "adj", tuple(map(operator.index, self.adj)))
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count differs from n")
@@ -112,6 +113,7 @@ def _first_fault(n: int, adj: tuple[int, ...]) -> NoReturn:
 def from_edges(n: int, edges) -> Graph:
     """Build a Graph from integer vertex pairs (numpy ints too), checking the
     order first and each endpoint's range before indexing; Graph rejects loops."""
+    n = operator.index(n)
     if not 1 <= n <= MAX_ORDER:
         raise UnsupportedOrder(f"order {n} outside 1..{MAX_ORDER}")
     rows = [0] * n

@@ -7,6 +7,7 @@ Laplacian radius; the checkers eigensolve both sides of each comparison.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -28,6 +29,12 @@ class GraftSpec:
     anchors: tuple[int, ...]
     k: int
     l: int
+
+    def __post_init__(self):
+        # Python ints, checked for their meaning in apply_graft
+        object.__setattr__(self, "anchors", tuple(map(operator.index, self.anchors)))
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "l", operator.index(self.l))
 
     @cached_property
     def _pair_radii(self) -> tuple[tuple[float, float], ...]:
@@ -117,7 +124,7 @@ def check_graft_monotone_Q(spec: GraftSpec) -> BoundVerdict:
 
 def delete_edge(g: Graph, e) -> Graph:
     """Remove one edge; the result may be disconnected, callers must check."""
-    i, j = e
+    i, j = map(operator.index, e)
     if not (0 <= i < g.n and 0 <= j < g.n) or i == j or not g.has_edge(i, j):
         raise NoSuchEdge(f"({i},{j}) is not an edge")
     rows = list(g.adj)

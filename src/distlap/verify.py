@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -61,13 +62,14 @@ class ScanReport:
 def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
     """Resolve a corpus argument to (descriptor, graphs, skipped count).
 
-    Accepts a native order (int), a file path (str, bytes, os.PathLike) or
-    an iterable of graph6 lines (bytes or str); file lines end only at LF.
-    Disconnected and over-order entries are counted as skipped; non-ASCII or
-    malformed lines raise CorpusError."""
-    if isinstance(corpus, int):
-        return f"n={corpus}", list(enumerate_connected(corpus)), 0
+    Accepts a file path (str, bytes, os.PathLike), whose lines end only at
+    LF, an iterable of graph6 lines (bytes or str), or else a native order
+    read by operator.index. Disconnected and over-order entries are skipped
+    and counted; non-ASCII or malformed lines raise CorpusError."""
     path = isinstance(corpus, (str, bytes, os.PathLike))
+    if not (path or hasattr(corpus, "__iter__")):
+        n = operator.index(corpus)
+        return f"n={n}", list(enumerate_connected(n)), 0
     desc = f"file:{os.fsdecode(corpus)}" if path else "stream"
     try:
         with open(corpus, "rb") if path else nullcontext(corpus) as lines:
@@ -99,7 +101,7 @@ def scan_reports(theorem_ids, corpus, *, fail_fast: bool = False,
     (a repeated id once). The clique search and the deletion solves run at
     the first id that reads them.
 
-    corpus: a native enumeration order (int 1..7), a path to a graph6 file,
+    corpus: a native enumeration order (integer 1..7), a path to a graph6 file,
     or an iterable of graph6 lines. With fail_fast, each id stops at its
     own first violation in corpus order."""
     ids = list(theorem_ids)
@@ -171,6 +173,7 @@ def table1_regression() -> ScanReport:
 def compare_kite_tstar(n: int) -> BoundVerdict:
     """Direct eigensolve comparison dq_radius(kite) > dq_radius(T*), used for
     orders beyond the reference table."""
+    n = operator.index(n)
     if n < 7:
         raise InvalidParams("comparison needs n >= 7")
     kite, tstar = _kite_tstar_radii(n)
@@ -186,7 +189,8 @@ def proof_fixture_theorem31(n: int, a: int, dprime=None) -> np.ndarray:
     {v1} | N(v1) | rest, with |N(v1)| = a and transmission D' of v1. The
     default D' = 2n-a-2 is the boundary value where D'+2 becomes an exact
     eigenvalue."""
-    if not (isinstance(n, int) and isinstance(a, int) and 1 <= a <= n - 2):
+    n, a = operator.index(n), operator.index(a)
+    if not 1 <= a <= n - 2:
         raise InvalidParams(f"need 1 <= a <= n-2, got n={n} a={a}")
     d = float(2 * n - a - 2 if dprime is None else dprime)
     denom = float(n - a - 1)
@@ -208,7 +212,8 @@ def proof_fixture_theorem61(n1: int, n2: int) -> np.ndarray:
     """4x4 quotient matrix of the distance signless Laplacian for a
     diameter-3 graph filled to cliques between consecutive distance layers of
     sizes 1, n1, n2, 1."""
-    if not (isinstance(n1, int) and isinstance(n2, int) and n1 >= 1 and n2 >= 1):
+    n1, n2 = operator.index(n1), operator.index(n2)
+    if not (n1 >= 1 and n2 >= 1):
         raise InvalidParams(f"need n1, n2 >= 1, got {n1}, {n2}")
     return np.array([
         [n1 + 2 * n2 + 3, n1, 2 * n2, 3],
@@ -228,6 +233,7 @@ def fixture61_determinant(n1: int, n2: int) -> float:
 def check_lemma74(n1: int, n2: int) -> BoundVerdict:
     """dq radius of U4 is strictly below that of U3 with the same arms
     (n1 >= n2 >= 2, order >= 7)."""
+    n1, n2 = operator.index(n1), operator.index(n2)
     if not (n1 >= n2 >= 2 and n1 + n2 + 2 >= 7):
         raise InvalidParams(f"need n1 >= n2 >= 2 and n1+n2+2 >= 7, got {n1}, {n2}")
     u4, u3 = radii([build(FamilySpec(kind, (n1, n2))) for kind in ("U4", "U3")], 1)

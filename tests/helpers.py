@@ -1,9 +1,9 @@
 """Graph builders shared by the tests."""
-from distlap import build, family_spec, from_edges
+from distlap import FamilySpec, build, from_edges
 
 
 def fam(kind, *params):
-    return build(family_spec(kind, *params))
+    return build(FamilySpec(kind, params))
 
 
 def path(n):

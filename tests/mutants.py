@@ -172,6 +172,10 @@ MUTANTS = [
      '"adj", tuple(map(operator.index, self.adj))', '"adj", self.adj',
      [G + "test_list_rows_build_an_equal_hashable_graph",
       G + "test_numpy_and_bool_rows_build_the_same_graph"]),
+    # Graph's order kept as given: a float order builds, a numpy one stays numpy
+    ("src/distlap/graphs.py",
+     '        object.__setattr__(self, "n", operator.index(self.n))\n', "",
+     [G + "test_numpy_and_bool_rows_build_the_same_graph"]),
     # from_edges shifting by numpy endpoints: 1 << np.int64(63) wraps negative
     ("src/distlap/graphs.py",
      "        i, j = operator.index(i), operator.index(j)\n", "",
@@ -194,6 +198,11 @@ MUTANTS = [
     ("src/distlap/bounds.py",
      "dl radius {o} != {n + 2}\")", "dl radius {o} != {n}\")",
      [B + "test_theorem32_inconsistent_details"]),
+    # FamilySpec params kept as given: numpy params stay numpy, a list
+    # unhashable, and a float is taken for a wrong parameter count
+    ("src/distlap/families.py",
+     '        object.__setattr__(self, "params", tuple(map(operator.index, self.params)))\n', "",
+     ["tests/test_families.py::test_families_read_integer_parameters"]),
     # the Turan rule with one larger part too many
     ("src/distlap/families.py",
      "[q + 1] * r", "[q + 1] * (r + 1)",
@@ -225,6 +234,11 @@ MUTANTS = [
     ("src/distlap/transforms.py",
      'flags(b, ">" if claim else ">=", a)', 'flags(b, ">" if claim else ">=", a, 0.0)',
      ["tests/test_transforms.py::test_graft_census_order_14"]),
+    # a native order read only from a Python int: a numpy integer is taken
+    # for an iterable of graph6 lines
+    ("src/distlap/verify.py",
+     'if not (path or hasattr(corpus, "__iter__")):', "if isinstance(corpus, int):",
+     [V + "test_scan_native_corpus"]),
     # a table1 row named by the last condition it misses, not the first
     ("src/distlap/verify.py",
      "label, ref, got = missed[0]", "label, ref, got = missed[-1]",

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from distlap import (
+    FamilySpec,
     GraftSpec,
     KIND_TWINS,
     KIND_VERTEX,
@@ -30,7 +31,6 @@ from distlap import (
     eigenvalues_jacobi,
     eigenvalues_stacked,
     enumerate_connected,
-    family_spec,
     fixture31_determinant,
     fixture61_determinant,
     from_graph6,
@@ -102,7 +102,7 @@ def test_criterion_2_closed_form_spectra():
     for n in range(2, 13):
         for omega in range(2, n + 1):
             radius = eigenvalues(dist_laplacian(fam("Turan", n, omega)))[0]
-            cf = closed_form(family_spec("Turan", n, omega), "DLRadius")
+            cf = closed_form(FamilySpec("Turan", (n, omega)), "DLRadius")
             if omega < n:
                 assert abs(radius - (n + math.ceil(n / omega))) <= 1e-8
             else:
@@ -121,7 +121,7 @@ def test_criterion_2_closed_form_spectra():
 
 def test_criterion_3_star_families():
     for n in range(4, 41):
-        root = closed_form(family_spec("StarPlus", n), "QRadius")
+        root = closed_form(FamilySpec("StarPlus", (n,)), "QRadius")
         direct = eigenvalues(dist_signless_laplacian(fam("StarPlus", n)))[0]
         assert abs(root - direct) <= 1e-7, n
     for n in range(3, 41):
@@ -136,7 +136,7 @@ def test_criterion_3_star_families():
             assert abs(spec[-1] - 1.0) <= 1e-7
             assert abs(sorted(spec)[1] - minus) <= 1e-7
         assert abs(spec[-1]
-                   - closed_form(family_spec("Star", n), "QMinEig")) <= 1e-7
+                   - closed_form(FamilySpec("Star", (n,)), "QMinEig")) <= 1e-7
     _line(3, True,
           "star-plus-edge cubic root matches the eigensolve for n=4..40 and "
           "the star plus/minus roots match radius/smallest for n=3..40, "

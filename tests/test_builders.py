@@ -2,8 +2,8 @@
 clique-path, kite, T-shape, T*, U4 and U3 families and both graft kinds."""
 import hashlib
 
-from distlap import (KIND_TWINS, KIND_VERTEX, GraftSpec, apply_graft, build,
-                     enumerate_connected, family_spec, to_graph6)
+from distlap import (KIND_TWINS, KIND_VERTEX, FamilySpec, GraftSpec, apply_graft,
+                     build, enumerate_connected, to_graph6)
 
 # sha256 of the newline-joined graph6 of labelled_graphs(), from the
 # builders that each carried their own path loop; labels are part of it,
@@ -18,19 +18,19 @@ def _twins(g, u, v):
 def labelled_graphs():
     for n in range(2, 10):
         for omega in range(2, n + 1):
-            yield build(family_spec("KiteClique", n, omega))
+            yield build(FamilySpec("KiteClique", (n, omega)))
     for n in range(3, 11):
-        yield build(family_spec("Kite3", n))
+        yield build(FamilySpec("Kite3", (n,)))
     for a in range(4):
         for b in range(4):
             for c in range(4):
-                yield build(family_spec("TShape", a, b, c))
+                yield build(FamilySpec("TShape", (a, b, c)))
     for n in range(6, 11):
-        yield build(family_spec("TStar", n))
+        yield build(FamilySpec("TStar", (n,)))
     for kind in ("U4", "U3"):
         for n1 in range(2, 8):
             for n2 in range(2, n1 + 1):
-                yield build(family_spec(kind, n1, n2))
+                yield build(FamilySpec(kind, (n1, n2)))
     for base in enumerate_connected(4):
         for k, l in ((1, 0), (2, 2), (4, 3)):
             for a in range(4):

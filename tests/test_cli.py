@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from distlap import (CHECKS, FORMULAS, SCAN_IDS, CorpusError, UnknownTheorem,
-                     bounds, build, cli, emit_report, enumerate_connected,
-                     family_spec, from_graph6, order_groups, scan_reports,
-                     to_graph6, verify)
+from distlap import (CHECKS, FORMULAS, SCAN_IDS, CorpusError, FamilySpec,
+                     UnknownTheorem, bounds, build, cli, emit_report,
+                     enumerate_connected, from_graph6, order_groups,
+                     scan_reports, to_graph6, verify)
 from distlap.cli import run
 from distlap.families import FAMILIES
 from distlap.graphs import CONNECTED_G6
@@ -96,7 +96,7 @@ def test_family_command_each_name(kind, name, capsys):
     params = FAMILY_SAMPLES[kind]
     spec = f"{name}:{','.join(map(str, params))}"
     assert run(["family", "--family", spec]) == 0
-    assert capsys.readouterr().out == to_graph6(build(family_spec(kind, *params))) + "\n"
+    assert capsys.readouterr().out == to_graph6(build(FamilySpec(kind, params))) + "\n"
 
 
 def test_graft_command(capsys):

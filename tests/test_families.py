@@ -18,7 +18,6 @@ from distlap import (
     dl_charpoly_multipartite,
     eigenvalues,
     enumerate_connected,
-    family_spec,
     is_isomorphic,
     order_groups,
     parse_family,
@@ -60,22 +59,25 @@ def test_builder_param_errors():
         ("Turan", (5,)),
     ]:
         with pytest.raises(InvalidParams):
-            build(family_spec(kind, *params))
-    with pytest.raises(InvalidParams):
-        family_spec("Nope", 3)
-    # a spec made directly, past family_spec's own check of the kind
-    with pytest.raises(InvalidParams):
-        build(FamilySpec("Nope", ()))
+            build(FamilySpec(kind, params))
+    # FamilySpec is the one way into a member: it checks the kind itself
+    for params in ((3,), ()):
+        with pytest.raises(InvalidParams, match="unknown family kind 'Nope'"):
+            FamilySpec("Nope", params)
 
 
 def test_families_read_integer_parameters():
-    # any integers are read as Python ints; a float is refused, not truncated
-    spec = family_spec("Path", np.int64(4))
-    assert spec == family_spec("Path", 4) and type(spec.params[0]) is int
-    assert build(spec) == fam("Path", 4)
+    # any integers are read as Python ints, from a tuple, list or array;
+    # a float is refused at construction, not truncated or taken for a
+    # wrong parameter count
+    for params in ((np.int64(4),), [4], np.array([4])):
+        spec = FamilySpec("Path", params)
+        assert spec == FamilySpec("Path", (4,)) and hash(spec) == hash(FamilySpec("Path", (4,)))
+        assert type(spec.params) is tuple and type(spec.params[0]) is int
+        assert build(spec) == fam("Path", 4)
     for bad in (4.7, 4.0, "4"):
-        with pytest.raises(TypeError):
-            family_spec("Path", bad)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            FamilySpec("Path", (bad,))
     assert dl_charpoly_multipartite(np.array([2, 3])) == dl_charpoly_multipartite([2, 3])
     with pytest.raises(TypeError):
         dl_charpoly_multipartite([2.7, 3])
@@ -102,10 +104,10 @@ def test_over_order_members_cost_no_edge_list():
         for kind, params in LARGE_MEMBERS.items():
             tracemalloc.reset_peak()
             with pytest.raises(UnsupportedOrder):
-                build(family_spec(kind, *params))
+                build(FamilySpec(kind, params))
             assert tracemalloc.get_traced_memory()[1] < 1 << 20, kind
         tracemalloc.reset_peak()
-        assert closed_form(family_spec("Cycle", 10**5), "QRadius") == 5e9
+        assert closed_form(FamilySpec("Cycle", (10**5,)), "QRadius") == 5e9
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -113,7 +115,7 @@ def test_over_order_members_cost_no_edge_list():
 
 def test_turan_builds_no_part_list():
     # omega = n = 10^6: a tuple of the part sizes alone would take 8 MB
-    spec = family_spec("Turan", 10**6, 10**6)
+    spec = FamilySpec("Turan", (10**6, 10**6))
     tracemalloc.start()
     try:
         with pytest.raises(UnsupportedOrder):
@@ -215,26 +217,26 @@ def test_multipartite_charpoly_matches_spectrum():
 
 
 def test_closed_form_examples():
-    assert closed_form(family_spec("Cycle", 7), "QRadius") == 24.0
+    assert closed_form(FamilySpec("Cycle", (7,)), "QRadius") == 24.0
     # the star plus an edge at n = 3 is K_3, Q radius 2n - 2 = 4; its cubic
     # (x - 1)^2 (x - 4) has a double root, and the arccos argument is 1
-    assert closed_form(family_spec("StarPlus", 3), "QRadius") == 4.0
-    assert closed_form(family_spec("Complete", 6), "DLRadius") == 6.0
+    assert closed_form(FamilySpec("StarPlus", (3,)), "QRadius") == 4.0
+    assert closed_form(FamilySpec("Complete", (6,)), "DLRadius") == 6.0
     # the star S_2 is K_2: spectrum {2, 0}, no 2n-1 = 3
-    assert closed_form(family_spec("Star", 2), "DLRadius") == 2.0
-    assert closed_form(family_spec("CompleteMinusMatching", 8, 3), "DLRadius") == 10.0
-    assert closed_form(family_spec("Turan", 10, 3), "DLRadius") == 14.0
-    assert closed_form(family_spec("Turan", 5, 5), "DLRadius") == 5.0
-    assert closed_form(family_spec("Kite3", 7), "Wiener") == 52.0
-    v = closed_form(family_spec("Star", 4), "QMinEig")
+    assert closed_form(FamilySpec("Star", (2,)), "DLRadius") == 2.0
+    assert closed_form(FamilySpec("CompleteMinusMatching", (8, 3)), "DLRadius") == 10.0
+    assert closed_form(FamilySpec("Turan", (10, 3)), "DLRadius") == 14.0
+    assert closed_form(FamilySpec("Turan", (5, 5)), "DLRadius") == 5.0
+    assert closed_form(FamilySpec("Kite3", (7,)), "Wiener") == 52.0
+    v = closed_form(FamilySpec("Star", (4,)), "QMinEig")
     assert abs(v - (12.0 - math.sqrt(48.0)) / 2.0) < 1e-12
     # at n = 3 the smallest eigenvalue is the middle value 2n-5, not the
     # minus root of the quadratic factor
-    assert closed_form(family_spec("Star", 3), "QMinEig") == 1.0
+    assert closed_form(FamilySpec("Star", (3,)), "QMinEig") == 1.0
     with pytest.raises(UnsupportedQuantity):
-        closed_form(family_spec("Path", 5), "QRadius")
+        closed_form(FamilySpec("Path", (5,)), "QRadius")
     with pytest.raises(UnsupportedQuantity):
-        closed_form(family_spec("Cycle", 5), "Volume")
+        closed_form(FamilySpec("Cycle", (5,)), "Volume")
     # the builder's checks run first, so what build rejects is rejected here
     for kind, params, quantity in [
         ("Turan", (5,), "DLRadius"),
@@ -244,10 +246,10 @@ def test_closed_form_examples():
         ("Star", (2, 5), "DLRadius"),
     ]:
         with pytest.raises(InvalidParams):
-            closed_form(family_spec(kind, *params), quantity)
+            closed_form(FamilySpec(kind, params), quantity)
     # build stops at order 64; the formulas need no graph
-    assert closed_form(family_spec("Complete", 100), "DLRadius") == 100.0
-    assert closed_form(family_spec("Cycle", 101), "QRadius") == 5100.0
+    assert closed_form(FamilySpec("Complete", (100,)), "DLRadius") == 100.0
+    assert closed_form(FamilySpec("Cycle", (101,)), "QRadius") == 5100.0
 
 
 # what each quantity is, computed from the built graph
@@ -269,7 +271,7 @@ def test_closed_forms_match_eigensolver():
     for kind, quantity in CLOSED_FORMS:
         compared = 0
         for params in PARAM_GRID:
-            spec = family_spec(kind, *params)
+            spec = FamilySpec(kind, params)
             try:
                 g = build(spec)
             except InvalidParams:
@@ -292,7 +294,7 @@ def test_star_q_structure():
         assert any(abs(v - minus) < 1e-7 for v in spec)
         middle = [v for v in spec if abs(v - (2 * n - 5)) < 1e-6]
         assert len(middle) == n - 2
-        assert abs(spec[-1] - closed_form(family_spec("Star", n), "QMinEig")) < 1e-7
+        assert abs(spec[-1] - closed_form(FamilySpec("Star", (n,)), "QMinEig")) < 1e-7
     # trace identity: 2 (n-1)^2
     spec = eigenvalues(dist_signless_laplacian(fam("Star", 9)))
     assert abs(sum(spec) - 2 * 64) < 1e-8
@@ -303,4 +305,4 @@ def test_kite_wiener_note():
     # every order; both facts are pinned here
     for n in range(3, 11):
         w = int(order_groups([fam("Kite3", n)])[0].wiener[0])
-        assert closed_form(family_spec("Kite3", n), "Wiener") == w + 1
+        assert closed_form(FamilySpec("Kite3", (n,)), "Wiener") == w + 1

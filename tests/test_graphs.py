@@ -249,6 +249,19 @@ def test_numpy_and_bool_rows_build_the_same_graph():
     for bad in (2.0, "2", None):
         with pytest.raises(TypeError):
             Graph(3, [bad, 5, 2])
+    # the order is read the same way, in Graph and in from_edges
+    for n in (64, 3):
+        want = path(n)
+        for order in (np.int64(n), np.uint8(n), np.array(n)):
+            for g in (Graph(order, want.adj), from_edges(order, want.edges())):
+                assert g == want and hash(g) == hash(want) and type(g.n) is int
+    with pytest.raises(ValueError, match="row 0 has bits beyond vertex range"):
+        Graph(np.int64(64), (2**64,) + (0,) * 63)
+    for bad in (3.0, "3", None):
+        with pytest.raises(TypeError):
+            Graph(bad, (2, 5, 2))
+        with pytest.raises(TypeError):
+            from_edges(bad, [(0, 1)])
 
 
 def test_from_edges_reads_numpy_endpoints():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from distlap import spectra, transforms
@@ -178,16 +179,23 @@ def test_graft_specs_share_only_when_equal(solves):
 
 
 def test_graft_list_anchors(solves):
-    # anchors given as a list work and give the verdicts of the tuple spec;
-    # each spec object solves its own pair once
+    # list, tuple and numpy anchors (numpy arms too) give one equal, hashable
+    # spec of Python ints, with the verdicts of the tuple spec; each spec
+    # object solves its own pair once, and a float is refused at construction
     base = fam("Complete", 4)
     for kind, anchors in ((KIND_VERTEX, [1]), (KIND_TWINS, [0, 1])):
         as_list = GraftSpec(base, kind, anchors, 3, 2)
         as_tuple = GraftSpec(base, kind, tuple(anchors), 3, 2)
+        as_numpy = GraftSpec(base, kind, np.array(anchors), np.int64(3), np.int64(2))
+        assert as_list == as_tuple == as_numpy and len({as_list, as_tuple, as_numpy}) == 1
+        assert all(type(v) is int for v in (*as_numpy.anchors, as_numpy.k, as_numpy.l))
         assert apply_graft(as_list) == apply_graft(as_tuple)
         for check in (check_graft_monotone_L, check_graft_monotone_Q):
             assert check(as_list) == check(as_tuple)
     assert len(solves) == 4
+    for anchors, k, l in (((1,), 3.0, 2), ((1,), 3, 2.0), ((1.0,), 3, 2)):
+        with pytest.raises(TypeError):
+            GraftSpec(base, KIND_VERTEX, anchors, k, l)
 
 
 def census_specs():
@@ -240,6 +248,11 @@ def test_delete_edge():
         delete_edge(fam("Path", 3), (0, 2))
     with pytest.raises(NoSuchEdge):
         delete_edge(fam("Path", 3), (0, 7))
+    # numpy endpoints are read as ints: bit 63 is no overflow
+    c64 = fam("Cycle", 64)
+    assert delete_edge(c64, np.array([0, 63])) == delete_edge(c64, (0, 63)) == fam("Path", 64)
+    with pytest.raises(TypeError):
+        delete_edge(c64, (0.0, 1))
 
 
 def test_deletion_radius_monotone(corpus):

@@ -125,6 +125,11 @@ def test_scan_native_corpus():
     r = next(scan_reports(["T3.1"], 5))
     assert r.corpus == "n=5" and r.graphs_checked == 21 and r.skipped == 0
     assert r.violations == []
+    # any integer names a native order, numpy's too; a float is refused
+    for order in (np.int64(5), np.uint8(5)):
+        assert next(scan_reports(["T3.1"], order)) == r
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        scan_reports(["T3.1"], 4.7)
     assert to_graph6(fam("Star", 5)) in r.equality_witnesses or any(
         canonical_form(from_graph6(w)) == canonical_form(fam("Star", 5))
         for w in r.equality_witnesses
@@ -172,6 +177,8 @@ def test_scan_stream_and_skips():
     r = next(scan_reports(["T6.4"], lines))
     assert r.corpus == "stream"
     assert r.graphs_checked == 2 and r.skipped == 2
+    # an array of lines is a stream, though numpy gives it an __index__
+    assert next(scan_reports(["T6.4"], np.array(lines))) == r
     with pytest.raises(CorpusError):
         next(scan_reports(["T6.4"], ["Bw", "B"]))
 
@@ -708,6 +715,12 @@ def test_compare_kite_tstar_beyond_table():
         assert v.holds and v.strict
     with pytest.raises(InvalidParams):
         compare_kite_tstar(6)
+    # a numpy order is read as an int; a float is refused at the call, not
+    # taken for a wrong parameter count
+    v = compare_kite_tstar(np.int64(14))
+    assert v == compare_kite_tstar(14) and type(v.witness["n"]) is int
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        compare_kite_tstar(7.5)
 
 
 def test_fixture31():
@@ -726,6 +739,10 @@ def test_fixture31():
         proof_fixture_theorem31(5, 4)
     with pytest.raises(InvalidParams):
         proof_fixture_theorem31(5, 0)
+    # numpy integers are read as ints; a float is refused
+    assert np.array_equal(proof_fixture_theorem31(np.int64(7), np.int64(3)), r)
+    with pytest.raises(TypeError):
+        proof_fixture_theorem31(7.0, 3)
 
 
 def test_fixture61():
@@ -740,12 +757,23 @@ def test_fixture61():
         assert abs(got - want) < 1e-6 * abs(want)
     with pytest.raises(InvalidParams):
         proof_fixture_theorem61(0, 1)
+    assert np.array_equal(proof_fixture_theorem61(np.int64(5), np.int64(2)),
+                          proof_fixture_theorem61(5, 2))
+    with pytest.raises(TypeError):
+        proof_fixture_theorem61(5, 2.0)
 
 
 def test_lemma74():
     for n1, n2 in [(3, 2), (3, 3), (5, 4)]:
         v = check_lemma74(n1, n2)
         assert v.theorem_id == "L7.4" and v.holds and v.strict
+        # numpy arms give the same verdict, its witness of Python ints, so
+        # the JSON writer takes it
+        w = check_lemma74(np.int64(n1), np.int64(n2))
+        assert w == v and type(w.witness["n1"]) is int and type(w.witness["n2"]) is int
+        assert _json_value(w.witness) == _json_value(v.witness)
+    with pytest.raises(TypeError):
+        check_lemma74(3.0, 2)
     with pytest.raises(InvalidParams):
         check_lemma74(2, 2)  # order 6 < 7
     with pytest.raises(InvalidParams):
