@@ -7,7 +7,6 @@ closed stdout before the output ended.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -48,19 +47,12 @@ def _input_graphs(args, connected: bool = True):
     elif args.family is not None:
         yield args.family, build(parse_family(args.family))
     else:
-        try:
-            with open(args.file, "rb") as fh:
-                records = graph6_corpus(fh)
-            for lineno, text, g, ok in records:
-                if g is None:
-                    raise CorpusError(f"line {lineno}: order outside "
-                                      f"1..{MAX_ORDER}")
-                if connected and not ok:
-                    raise CorpusError(f"line {lineno}: disconnected "
-                                      f"graph {text!r}")
-                yield text, g
-        except CorpusError as exc:
-            raise CorpusError(f"{args.file} {exc}") from exc
+        for lineno, text, g, ok in graph6_corpus(args.file):
+            if g is None:
+                raise CorpusError(f"{args.file} line {lineno}: order outside 1..{MAX_ORDER}")
+            if connected and not ok:
+                raise CorpusError(f"{args.file} line {lineno}: disconnected graph {text!r}")
+            yield text, g
 
 
 def _expand_all(checks, every) -> list[str]:
@@ -160,23 +152,11 @@ def _cmd_table1(args) -> int:
     return _emit([table1_regression()], args)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tolerance: a finite number >= 0."""
-    try:
-        tol = float(text)
-        ok = math.isfinite(tol) and tol >= 0
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return tol
-
-
 def _add_common(p, tolerance: bool = False) -> None:
     p.add_argument("--precise", action="store_true",
                    help="print 12 significant digits instead of 4 decimals")
     if tolerance:
-        p.add_argument("--tolerance", type=_tolerance, default=EQUALITY_TOL,
+        p.add_argument("--tolerance", type=float, default=EQUALITY_TOL,
                        help="equality detection tolerance; it moves only "
                             "equality flags, never holds, strict or the exit "
                             "status (default %(default)s)")

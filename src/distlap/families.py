@@ -101,9 +101,9 @@ def _complete_multipartite(*parts: int):
 
 
 def turan_parts(n: int, omega: int) -> tuple[int, ...]:
-    """Balanced part sizes, larger parts first."""
+    """Balanced part sizes, larger parts first, as Python ints."""
     _need(2 <= omega <= n, "need 2 <= omega <= n")
-    q, r = divmod(n, omega)
+    q, r = divmod(operator.index(n), operator.index(omega))
     return tuple([q + 1] * r + [q] * (omega - r))
 
 

@@ -306,13 +306,23 @@ def from_graph6(text) -> Graph:
 
 def graph6_corpus(lines) -> list[tuple]:
     """Read a corpus of graph6 lines (bytes or str, such as a file opened
-    in binary mode), decoding the records of each order as one stack and
-    testing their connectivity as one closure. Returns (line number,
+    in binary mode) or the file at a path (str, bytes or os.PathLike), whose
+    lines end only at LF, decoding the records of each order as one stack
+    and testing their connectivity as one closure. Returns (line number,
     record, graph, connected) for every nonblank line, in file order; graph
     is None, and connected False, when the order lies outside 1..MAX_ORDER.
     Every line is checked before any record is decoded: a non-ASCII byte or
     a malformed record raises CorpusError naming the first bad line's
-    1-based number."""
+    1-based number, after the path F of a file, and an unreadable file is
+    CorpusError("cannot read corpus F: ...")."""
+    if isinstance(lines, (str, bytes, os.PathLike)):
+        try:
+            with open(lines, "rb") as fh:
+                return graph6_corpus(fh)
+        except OSError as exc:
+            raise CorpusError(f"cannot read corpus {os.fsdecode(lines)}: {exc}") from exc
+        except CorpusError as exc:
+            raise CorpusError(f"{os.fsdecode(lines)} {exc}") from exc
     records = []
     orders: dict[int, tuple[list, list]] = {}
     for lineno, line in enumerate(lines, 1):
@@ -404,12 +414,15 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # exhaustive enumeration of connected graphs up to isomorphism
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of connected graphs of order
     1 <= n <= 7, in ascending colex edge mask order, as a cached tuple: the
     order-n records of CONNECTED_G6, decoded as one stack once the file's
-    CRC-32 and order-n count are found right. Larger orders need a stream."""
+    CRC-32 and order-n count are found right. Larger orders need a stream.
+    Any other integer type is read as its int, before the file is opened."""
+    if type(n) is not int:
+        return enumerate_connected(operator.index(n))
     if not 1 <= n <= ENUM_LIMIT:
         raise UnsupportedOrder(f"native enumeration limited to 1..{ENUM_LIMIT}")
     with open(CONNECTED_G6, "rb") as fh:

@@ -7,6 +7,8 @@ before any float arithmetic happens.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPartition
@@ -133,7 +135,7 @@ def order_groups(graphs) -> list[OrderGroup]:
 
 def validate_partition(n: int, blocks) -> list[list[int]]:
     """Check that blocks are disjoint, nonempty, and cover 0..n-1."""
-    norm = [list(b) for b in blocks]
+    norm = [list(map(operator.index, b)) for b in blocks]
     seen: set[int] = set()
     for b in norm:
         if not b:

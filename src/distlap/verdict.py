@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidParams
+
 EQUALITY_TOL = 1e-7  # |observed - bound| below this counts as equality
 SLACK = 1e-8         # numeric slack of every holds and strict flag
 
@@ -36,7 +38,10 @@ def flags(observed, rel: str, bound, tol: float = EQUALITY_TOL) -> tuple:
     observed clears bound by more than SLACK on the claimed side; >= and <=
     hold within SLACK of bound, > and < hold only when strict, and == holds
     within SLACK of bound and is never strict. equality means
-    |observed - bound| <= tol, the only flag that tol reaches."""
+    |observed - bound| <= tol, the only flag that tol reaches; tol must be a
+    finite number >= 0, else InvalidParams."""
+    if not 0 <= tol < np.inf:
+        raise InvalidParams(f"tolerance must be a finite number >= 0, got {tol}")
     if rel in (">=", ">"):
         strict = observed - bound > SLACK
         holds = observed >= bound - SLACK if rel == ">=" else strict

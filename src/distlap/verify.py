@@ -18,17 +18,16 @@ import math
 import operator
 import os
 from collections.abc import Iterator
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bounds import CHECKS, FORMULAS, require_known
-from .errors import CorpusError, InvalidParams
+from .errors import InvalidParams
 from .families import FamilySpec, build
 from .graphs import Graph, enumerate_connected, graph6_corpus, to_graph6
 from .spectra import order_groups, radii
-from .verdict import EQUALITY_TOL, BoundVerdict, verdict
+from .verdict import EQUALITY_TOL, BoundVerdict, flags, verdict
 
 # reference 4-decimal dq radii for the kite and the double-spider T*
 TABLE1_KITE = {7: 31.1081, 8: 41.6987, 9: 53.7733, 10: 67.3260,
@@ -60,24 +59,17 @@ class ScanReport:
 
 
 def _load_corpus(corpus) -> tuple[str, list[Graph], int]:
-    """Resolve a corpus argument to (descriptor, graphs, skipped count).
-
-    Accepts a file path (str, bytes, os.PathLike), whose lines end only at
-    LF, an iterable of graph6 lines (bytes or str), or else a native order
-    read by operator.index. Disconnected and over-order entries are skipped
-    and counted; non-ASCII or malformed lines raise CorpusError."""
+    """Resolve a corpus argument to (descriptor, graphs, skipped count): a
+    path or an iterable of graph6 lines, read by graph6_corpus, whose
+    CorpusError passes through, or else a native order read by
+    operator.index. Disconnected and over-order entries are skipped and
+    counted."""
     path = isinstance(corpus, (str, bytes, os.PathLike))
     if not (path or hasattr(corpus, "__iter__")):
         n = operator.index(corpus)
         return f"n={n}", list(enumerate_connected(n)), 0
     desc = f"file:{os.fsdecode(corpus)}" if path else "stream"
-    try:
-        with open(corpus, "rb") if path else nullcontext(corpus) as lines:
-            records = graph6_corpus(lines)
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus {corpus}: {exc}") from exc
-    except CorpusError as exc:
-        raise CorpusError(f"{desc} {exc}") from exc
+    records = graph6_corpus(corpus)
     graphs = [g for *_, g, ok in records if ok]
     return desc, graphs, len(records) - len(graphs)
 
@@ -86,6 +78,7 @@ def evaluate(formula, groups, tol: float, pick=None) -> list[tuple]:
     """(corpus index, Verdicts, row) of every graph of the order groups, or
     only of those whose row is set in the mask pick(Verdicts), in corpus
     order; the formula runs once per order group."""
+    flags(0.0, "==", 0.0, tol)  # refuses a bad tol even with no group
     found = []
     for group in groups:
         v = formula(group, tol)

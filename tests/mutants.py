@@ -239,6 +239,22 @@ MUTANTS = [
     ("src/distlap/verify.py",
      'if not (path or hasattr(corpus, "__iter__")):', "if isinstance(corpus, int):",
      [V + "test_scan_native_corpus"]),
+    # flags without its tolerance guard: a nan tolerance flags no equality
+    # and a negative one none at all
+    ("src/distlap/verdict.py",
+     "if not 0 <= tol < np.inf:", "if False:",
+     [V + "test_bad_tolerance_refused_by_every_path[nan]",
+      V + "test_bad_tolerance_refused_by_every_path[-1.0]"]),
+    # evaluate without its own tolerance check: an empty corpus calls no
+    # formula, so its report carries a nan tolerance that has no JSON form
+    ("src/distlap/verify.py",
+     'flags(0.0, "==", 0.0, tol)', "None",
+     [V + "test_bad_tolerance_refused_by_every_path[nan]"]),
+    # a corpus file's line fault not prefixed with its path
+    ("src/distlap/graphs.py",
+     'CorpusError(f"{os.fsdecode(lines)} {exc}")', "CorpusError(str(exc))",
+     ["tests/test_cli.py::test_file_faults_worded_alike_by_every_command[malformed]",
+      "tests/test_cli.py::test_file_faults_worded_alike_by_every_command[non_ascii]"]),
     # a table1 row named by the last condition it misses, not the first
     ("src/distlap/verify.py",
      "label, ref, got = missed[0]", "label, ref, got = missed[-1]",

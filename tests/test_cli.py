@@ -532,9 +532,31 @@ def test_file_lines_end_only_at_newline(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", [["scan", "--n", "4"], ["bounds", "--graph6", "Bw"]])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 def test_tolerance_must_be_finite_and_nonnegative(command, value, capsys):
+    # a number that is not finite and >= 0 is refused by verdict.flags in
+    # one line before any output; a word is argparse's usage error
     assert run([*command, "--check", "T6.3", "--tolerance", value]) == 2
-    assert "--tolerance" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    if value == "x":
+        assert "--tolerance" in err
+    else:
+        assert err == f"error: tolerance must be a finite number >= 0, got {float(value)}\n"
     assert run([*command, "--check", "T6.3", "--tolerance", "0"]) == 0
+
+
+@pytest.mark.parametrize("content, error", [
+    (None, "cannot read corpus {p}: [Errno 2] No such file or directory: '{p}'"),
+    ("Bw\nBg\nB\n", "{p} line 3: malformed graph6 record 'B': expected 1 body bytes, got 0"),
+    (b"Bw\n\xff\n", "{p} line 2: non-ASCII byte"),
+], ids=["missing", "malformed", "non_ascii"])
+def test_file_faults_worded_alike_by_every_command(content, error, tmp_path, capsys):
+    # graph6_corpus opens the file and words its faults, once for all three
+    p = tmp_path / "c.g6"
+    if content is not None:
+        (p.write_bytes if isinstance(content, bytes) else p.write_text)(content)
+    for command in (["scan", "--check", "T6.3"], ["bounds", "--check", "T6.3"], ["spectrum"]):
+        assert run([*command, "--file", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error.format(p=p)}\n")
 
 
 def test_fmt_never_prints_negative_zero(capsys):

@@ -133,6 +133,10 @@ def test_multipartite_and_turan():
     assert g.n == 6 and g.m == 12
     assert turan_parts(6, 3) == (2, 2, 2)
     assert turan_parts(10, 3) == (4, 3, 3)
+    # numpy integers give Python ints; a float is refused
+    assert all(type(p) is int for p in turan_parts(np.int64(10), np.uint8(3)))
+    with pytest.raises(TypeError):
+        turan_parts(10.0, 3)
     assert is_isomorphic(fam("Turan", 6, 3), g)
     assert clique_number(fam("Turan", 7, 3)) == 3
     # omega = n collapses to the complete graph

@@ -464,6 +464,17 @@ def test_enumerate_connected_is_one_cached_tuple():
     assert enumerate_connected(5) is reps
 
 
+def test_enumerate_connected_reads_an_integer_first(monkeypatch):
+    # a numpy order gets the cached tuple of its int; a float is refused
+    # before the packaged file is opened, and the refusal is not cached
+    reps = enumerate_connected(5)
+    assert enumerate_connected(np.int64(5)) is reps is enumerate_connected(np.uint8(5))
+    monkeypatch.setattr("distlap.graphs.CONNECTED_G6", "/nonexistent/connected.g6")
+    for _ in range(2):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            enumerate_connected(5.0)
+
+
 def test_canonical_form_relabel_invariance(corpus):
     rng = random.Random(411)
     for g in rng.sample(corpus[6], 25):

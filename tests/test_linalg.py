@@ -10,6 +10,7 @@ from distlap import (
     dist_signless_laplacian,
     eigenvalues,
     eigenvalues_jacobi,
+    eigenvalues_stacked,
 )
 
 from helpers import fam
@@ -24,6 +25,19 @@ def test_as_sym_matrix_validation():
         as_sym_matrix([[1.0, 2.0], [2.1, 1.0]])
     m = as_sym_matrix([[1, 2], [2, 1]])
     assert m.dtype == np.float64
+
+
+def test_eigenvalues_stacked_validation():
+    # the stacked solve checks its own input, not only through as_sym_matrix
+    for shape in ((2, 3, 4), (3, 3), (1, 2, 2, 2)):
+        with pytest.raises(DimensionMismatch, match="stack of square matrices"):
+            eigenvalues_stacked(np.zeros(shape))
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = 1.0
+    with pytest.raises(DimensionMismatch, match="not exactly symmetric"):
+        eigenvalues_stacked(stack)
+    stack[1, 1, 0] = 1.0
+    assert eigenvalues_stacked(stack)[1].tolist() == [1.0, -1.0]
 
 
 def test_eigenvalues_examples():

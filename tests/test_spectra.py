@@ -16,6 +16,7 @@ from distlap import (
     laplacian,
     order_groups,
     quotient_matrix,
+    validate_partition,
 )
 
 from helpers import fam
@@ -123,6 +124,11 @@ def test_partition_validation():
         quotient_matrix(m, [[0, 1], [2, 3]])  # out of range
     with pytest.raises(DimensionMismatch):
         quotient_matrix(np.zeros((2, 3)), [[0], [1]])
+    # block vertices are read by operator.index: numpy integers are vertices,
+    # a float is refused at the call, not by numpy's indexing
+    assert validate_partition(3, [np.array([0, 1]), [np.int64(2)]]) == [[0, 1], [2]]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        quotient_matrix(m, [[0, 1.0], [2]])
 
 
 def test_quotient_bound_equality_case():

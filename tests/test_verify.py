@@ -583,6 +583,20 @@ def test_edge_deletion_checks():
     assert not r.violations
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_tolerance_refused_by_every_path(tol):
+    # verdict.flags refuses it, so no report carries a tolerance that
+    # flags no equality or has no JSON form: a scan at its first report,
+    # an empty stream too, and a formula called directly
+    for corpus in (4, []):
+        with pytest.raises(InvalidParams, match="finite number >= 0"):
+            next(scan_reports(["T6.3"], corpus, tolerance=tol))
+    group, = order_groups(list(enumerate_connected(4)))
+    with pytest.raises(InvalidParams, match="finite number >= 0"):
+        FORMULAS["T6.3"](group, tol)
+    assert next(scan_reports(["T6.3"], 4, tolerance=0.0)).tolerance == 0.0
+
+
 def test_emit_report_json_schema():
     r = next(scan_reports(["T6.3"], 4))
     raw = emit_report(r)
